@@ -15,7 +15,7 @@ are all decided by integer arithmetic on t-exponents.
 
 from __future__ import annotations
 
-import sympy
+from math import gcd
 
 from .errors import CertificationError, FormSplitError, InputError, NotSquarefreeError
 from .ring import HypersurfaceRing, QElement, WPoly, semigroup_member
@@ -190,8 +190,12 @@ def _pth_root(K, value, p: int):
         if num is None or den is None:
             return None
         return Fraction(sign * num, den)
-    for c in range(1, K.char):
-        if pow(c, p, K.char) == value % K.char:
+    ell = K.char
+    if gcd(p, ell - 1) == 1:
+        # x -> x^p permutes F_ell, so the root is unique.
+        return pow(value, pow(p, -1, ell - 1), ell)
+    for c in range(1, ell):
+        if pow(c, p, ell) == value % ell:
             return c
     return None
 
@@ -263,6 +267,7 @@ def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
         if i % p != 0 or j % q != 0:
             raise InputError("stripped polynomial is not a form in x^p, y^q")
         coeffs[i // p] = c
+    import sympy
     T = sympy.Symbol("T")
     if K.char == 0:
         sym_coeffs = [sympy.Rational(c.numerator, c.denominator)
@@ -289,6 +294,7 @@ def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
 
 def _from_sympy(K, value):
     from fractions import Fraction
+    import sympy
     if K.char == 0:
         r = sympy.Rational(value)
         return Fraction(int(r.p), int(r.q))

@@ -22,7 +22,9 @@ from .branches import factor_hypersurface, gamma_prime
 from .errors import (ArcError, CertificationError, InputError,
                      VerificationError)
 from .fields import field_from_string
-from .modmat import decompose, hom_graded, mf_from_ideal, rank_vector
+from .linalg import rank_dense
+from .modmat import (_scalar_part, decompose, hom_graded, mf_from_ideal,
+                     rank_vector)
 from .quiver import to_dot, to_json
 from .ring import HypersurfaceRing, poly_from_string
 from .traceoracle import is_integral, min_t_valuation, stably_zero_trace, trace_Q
@@ -89,6 +91,9 @@ def ring_from_config(text: str) -> HypersurfaceRing:
         b = K(data["b"])
     except (TypeError, ValueError) as e:
         raise InputError("line %d: %s" % (lines["b"], e)) from None
+    except ZeroDivisionError:
+        raise InputError("line %d: b has a zero denominator"
+                         % lines["b"]) from None
     f = poly_from_string(K, q, p, data["f"])
     m = _intval(data, lines, "m", optional=True)
     n = _intval(data, lines, "n", optional=True)
@@ -165,17 +170,13 @@ def _is_unit_endo(h) -> bool:
     """Degree-zero endomorphisms are units exactly when invertible mod m."""
     if h.degree != 0:
         return False
-    from .linalg import rank_dense
-    M = h.source
-    K = M.ring.field
-    S = [[h.H.entries[i][j].coeff(0, 0)
-          if M.gens[i] == M.gens[j] else K.zero
-          for j in range(len(M.gens))] for i in range(len(M.gens))]
-    return rank_dense(S, K) == len(M.gens)
+    return rank_dense(_scalar_part(h), h.source.ring.field) == len(h.source.gens)
 
 
 def cmd_verify_trace_oracle(ring, args) -> dict:
     window = args.window if args.window is not None else ring.deg_g
+    if window < 0:
+        raise InputError("--window must be nonnegative, got %d" % window)
     corpus, _ = _endo_corpus(ring)
     branches = factor_hypersurface(ring)
     tested = 0
@@ -216,6 +217,8 @@ def cmd_verify_section7(ring, args) -> dict:
 
 
 def cmd_explore(ring, args) -> dict:
+    if args.depth < 0:
+        raise InputError("--depth must be nonnegative, got %d" % args.depth)
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     rep = explore_component(I, gd, depth=args.depth)

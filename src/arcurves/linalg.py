@@ -1,4 +1,4 @@
-"""Exact sparse and dense linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field, on one sparse RREF.
 
 The graded solvers in this package reduce every question (membership,
 homomorphism spaces, matrix-equation solving) to finite k-linear systems.
@@ -6,6 +6,7 @@ Solutions must be canonical: reduced row echelon form is unique for a
 given row space, so every routine here funnels through RREF and reads
 particular solutions and kernel bases off it with free variables set to
 zero.  That makes all downstream output independent of row order.
+The dense helpers at the end only convert lists to sparse rows and back.
 """
 
 from __future__ import annotations
@@ -113,94 +114,40 @@ def _kernel_from_rref(rr: SparseRREF, nvars, field, const_index):
     return basis
 
 
-def rref_dense(mat, field):
-    """Dense RREF; returns (new matrix, pivot column list)."""
-    K = field
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not K.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = K.inv(rows[r][c])
-        rows[r] = [K.mul(v, inv) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not K.is_zero(rows[i][c]):
-                coeff = rows[i][c]
-                rows[i] = [K.sub(a, K.mul(coeff, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+def sparse_vector(vec, field) -> dict:
+    """The nonzero entries of a list, keyed by position."""
+    return {j: v for j, v in enumerate(vec) if not field.is_zero(v)}
+
+
+def dense_vector(vec: dict, n, field):
+    """The length-n list with the entries of a sparse vector."""
+    out = [field.zero] * n
+    for j, v in vec.items():
+        out[j] = v
+    return out
 
 
 def kernel_dense(mat, field):
     """Canonical kernel basis of a dense matrix, as lists."""
-    K = field
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rref, pivots = rref_dense(mat, field) if nrows else ([], [])
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        vec = [K.zero] * ncols
-        vec[f] = K.one
-        for prow, pcol in zip(rref, pivots):
-            vec[pcol] = K.neg(prow[f])
-        basis.append(vec)
-    return basis
+    ncols = len(mat[0]) if mat else 0
+    rows = [sparse_vector(row, field) for row in mat]
+    _, kernel = solve_sparse_system(rows, ncols, field)
+    return [dense_vector(vec, ncols, field) for vec in kernel]
 
 
 def solve_dense(mat, rhs, field):
     """Solve mat . x = rhs; returns one solution (free vars zero) or None."""
-    K = field
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    rref, pivots = rref_dense(aug, field)
-    if ncols in pivots:
-        return None
-    sol = [K.zero] * ncols
-    for prow, pcol in zip(rref, pivots):
-        sol[pcol] = prow[ncols]
-    return sol
-
-
-def mat_mul(a, b, field):
-    K = field
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = K.zero
-            for t in range(inner):
-                if not K.is_zero(a[i][t]) and not K.is_zero(b[t][j]):
-                    acc = K.add(acc, K.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def identity(n, field):
-    K = field
-    return [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
+    ncols = len(mat[0]) if mat else 0
+    rows = [sparse_vector(row, field) for row in mat]
+    for row, b in zip(rows, rhs):
+        if not field.is_zero(b):
+            row[ncols] = field.neg(b)
+    sol, _ = solve_sparse_system(rows, ncols, field, const_index=ncols)
+    return None if sol is None else dense_vector(sol, ncols, field)
 
 
 def rank_dense(mat, field) -> int:
-    if not mat:
-        return 0
-    _, pivots = rref_dense(mat, field)
-    return len(pivots)
+    rr = SparseRREF(field)
+    for row in mat:
+        rr.insert(sparse_vector(row, field))
+    return rr.rank

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import random
 
-import sympy
-
 from .errors import (CertificationError, FieldTooSmallError,
                      InconclusiveSplitError, InputError, VerificationError)
-from .linalg import SparseRREF, kernel_dense, rank_dense, solve_dense, \
-    solve_sparse_system
+from .linalg import (SparseRREF, dense_vector, kernel_dense, rank_dense,
+                     solve_dense, solve_sparse_system, sparse_vector)
 from .ring import HypersurfaceRing, WPoly
 
 
@@ -360,6 +358,34 @@ def _equation_shape(unknowns, terms, const):
 
 
 # ----------------------------------------------------------------------
+# R-spans in one degree
+
+
+def _span_rref(ring, d, columns, coords) -> SparseRREF:
+    """Degree-d piece of the R-span of homogeneous columns, as an RREF.
+
+    columns yields (degree, polys) pairs.  Each column is multiplied by
+    every monomial of degree d - degree, brought to normal form entry by
+    entry, and turned into a sparse row by coords(polys).
+    """
+    rr = SparseRREF(ring.field)
+    for deg, polys in columns:
+        for mono in ring.graded_piece(d - deg):
+            rr.insert(coords([p if p.is_zero()
+                              else ring.normal_form(p.shift_monomial(*mono))
+                              for p in polys]))
+    return rr
+
+
+def _scatter(pos):
+    """coords callback: the monomials of entry i land at pos[(i, monomial)]."""
+    def coords(polys):
+        return {pos[(i, key)]: c for i, poly in enumerate(polys)
+                for key, c in poly.terms.items()}
+    return coords
+
+
+# ----------------------------------------------------------------------
 # matrix factorizations
 
 
@@ -462,14 +488,10 @@ def mf_from_ideal(ring: HypersurfaceRing) -> MatrixFactorization:
 
 
 def _ideal_piece_dim(ring, m, n, d) -> int:
-    rr = SparseRREF(ring.field)
-    pos = {mono: t for t, mono in enumerate(ring.graded_piece(d))}
-    for gen, gdeg in ((ring.monomial(m, 0), m * ring.q),
-                      (ring.monomial(0, n), n * ring.p)):
-        for mono in ring.graded_piece(d - gdeg):
-            prod = ring.normal_form(gen.shift_monomial(*mono))
-            rr.insert({pos[key]: c for key, c in prod.terms.items()})
-    return rr.rank
+    pos = {(0, mono): t for t, mono in enumerate(ring.graded_piece(d))}
+    gens = ((m * ring.q, [ring.monomial(m, 0)]),
+            (n * ring.p, [ring.monomial(0, n)]))
+    return _span_rref(ring, d, gens, _scatter(pos)).rank
 
 
 # ----------------------------------------------------------------------
@@ -507,19 +529,10 @@ class GradedModule:
     def _image_rref(self, d: int) -> SparseRREF:
         rr = self._image_cache.get(d)
         if rr is None:
-            rr = SparseRREF(self.ring.field)
             pos = {key: t for t, key in enumerate(self.ambient_basis(d))}
-            for j, u in enumerate(self.rels):
-                for mono in self.ring.graded_piece(d - u):
-                    vec = {}
-                    for i in range(len(self.gens)):
-                        e = self.matrix.entries[i][j]
-                        if e.is_zero():
-                            continue
-                        prod = self.ring.normal_form(e.shift_monomial(*mono))
-                        for key, c in prod.terms.items():
-                            vec[pos[(i, key)]] = c
-                    rr.insert(vec)
+            columns = [(u, [row[j] for row in self.matrix.entries])
+                       for j, u in enumerate(self.rels)]
+            rr = _span_rref(self.ring, d, columns, _scatter(pos))
             self._image_cache[d] = rr
         return rr
 
@@ -534,22 +547,11 @@ class GradedModule:
 
     def element_coords(self, polys, d: int) -> dict:
         """Canonical coordinates in M_d of a tuple of normal-form polys."""
-        pos = {key: t for t, key in enumerate(self.ambient_basis(d))}
-        vec = {}
-        K = self.ring.field
         for i, poly in enumerate(polys):
-            if poly.is_zero():
-                continue
-            if poly.degree != d - self.gens[i]:
+            if not poly.is_zero() and poly.degree != d - self.gens[i]:
                 raise InputError("element component has wrong degree")
-            for key, c in poly.terms.items():
-                t = pos[(i, key)]
-                new = K.add(vec.get(t, K.zero), c)
-                if K.is_zero(new):
-                    vec.pop(t, None)
-                else:
-                    vec[t] = new
-        return self._image_rref(d).reduce(vec)
+        pos = {key: t for t, key in enumerate(self.ambient_basis(d))}
+        return self._image_rref(d).reduce(_scatter(pos)(polys))
 
     def shift(self, s: int) -> "GradedModule":
         mf = None
@@ -671,30 +673,29 @@ class HomSpace:
         self.degree = degree
         ring = source.ring
         K = ring.field
-        self._entry_index = {}
+        ns = len(source.gens)
+        # Coordinates of a hom matrix flattened row-major: entry (i, j)
+        # is component i * ns + j.
+        entry_index = {}
         entry_list = []
         for i, wt in enumerate(target.gens):
             for j, ws in enumerate(source.gens):
                 for mono in ring.graded_piece(ws + degree - wt):
-                    self._entry_index[(i, j, mono)] = len(entry_list)
+                    entry_index[(i * ns + j, mono)] = len(entry_list)
                     entry_list.append((i, j, mono))
         self._entry_list = entry_list
+        self._coords = _scatter(entry_index)
 
-        # Presentation artifacts: matrices of the form B C with C over R.
-        self._w0 = SparseRREF(K)
+        # Presentation artifacts: matrices of the form B C with C over R,
+        # spanned by column j of B placed in column l, times monomials.
         B = target.matrix
-        for j, u in enumerate(target.rels):
-            for l, ws in enumerate(source.gens):
-                for mono in ring.graded_piece(ws + degree - u):
-                    vec = {}
-                    for i in range(len(target.gens)):
-                        e = B.entries[i][j]
-                        if e.is_zero():
-                            continue
-                        prod = ring.normal_form(e.shift_monomial(*mono))
-                        for key, c in prod.terms.items():
-                            vec[self._entry_index[(i, l, key)]] = c
-                    self._w0.insert(vec)
+        z = ring.zero_poly()
+        artifacts = [(u - ws, [B.entries[i][j] if t == l else z
+                               for i in range(len(target.gens))
+                               for t in range(ns)])
+                     for j, u in enumerate(target.rels)
+                     for l, ws in enumerate(source.gens)]
+        self._w0 = _span_rref(ring, degree, artifacts, self._coords)
 
         unknowns = {
             "H": (target.gens, tuple(w + degree for w in source.gens)),
@@ -719,12 +720,7 @@ class HomSpace:
         return len(self.basis)
 
     def _matrix_coords(self, H: GradedMatrix) -> dict:
-        vec = {}
-        for i in range(len(self.target.gens)):
-            for j in range(len(self.source.gens)):
-                for key, c in H.entries[i][j].terms.items():
-                    vec[self._entry_index[(i, j, key)]] = c
-        return vec
+        return self._coords([e for row in H.entries for e in row])
 
     def _matrix_from_coords(self, coords: dict) -> GradedMatrix:
         ring = self.source.ring
@@ -851,57 +847,31 @@ def ext1_dim(mf: MatrixFactorization, N: GradedModule, d: int) -> int:
     in degree d is ker(-o phi) / im(-o psi(-D)) inside Hom(F(rows), N)_d.
     """
     ring = mf.ring
-    K = ring.field
-    phi = mf.phi
-    psi_m = mf.psi.shift(-ring.deg_g)
 
-    mid_basis = []
-    for i, w in enumerate(phi.rows):
-        for t in N.nonpivot_basis(w + d):
-            mid_basis.append((i, t))
-    pos_mid = {key: t for t, key in enumerate(mid_basis)}
+    def rank_of_precomposition(A: GradedMatrix) -> int:
+        """Rank of -o A from Hom(F(A.rows), N)_d to Hom(F(A.cols), N)_d.
 
-    col_ids: dict = {}
+        A basis element sends generator i to a basis element of N; its
+        image is keyed by (column of A, coordinate in N).
+        """
+        rr = SparseRREF(ring.field)
+        for i, w in enumerate(A.rows):
+            for t in N.nonpivot_basis(w + d):
+                gen, mono = N.ambient_basis(w + d)[t]
+                row = {}
+                for j, e in enumerate(A.entries[i]):
+                    if e.is_zero():
+                        continue
+                    polys = [ring.zero_poly()] * len(N.gens)
+                    polys[gen] = ring.normal_form(e * ring.monomial(*mono))
+                    for tt, c in N.element_coords(polys, A.cols[j] + d).items():
+                        row[(j, tt)] = c
+                rr.insert(row)
+        return rr.rank
 
-    def cid(key):
-        t = col_ids.get(key)
-        if t is None:
-            t = len(col_ids)
-            col_ids[key] = t
-        return t
-
-    out_rref = SparseRREF(K)
-    for i, t in mid_basis:
-        gen, mono = N.ambient_basis(phi.rows[i] + d)[t]
-        base = [ring.zero_poly()] * len(N.gens)
-        base[gen] = ring.monomial(*mono)
-        row = {}
-        for j in range(len(phi.cols)):
-            e = phi.entries[i][j]
-            if e.is_zero():
-                continue
-            polys = [ring.normal_form(e * b) for b in base]
-            for tt, c in N.element_coords(polys, phi.cols[j] + d).items():
-                row[cid((j, tt))] = c
-        out_rref.insert(row)
-    rank_out = out_rref.rank
-
-    in_span = SparseRREF(K)
-    for j2, u in enumerate(psi_m.rows):
-        for t in N.nonpivot_basis(u + d):
-            gen, mono = N.ambient_basis(u + d)[t]
-            base = [ring.zero_poly()] * len(N.gens)
-            base[gen] = ring.monomial(*mono)
-            vec = {}
-            for jj in range(len(psi_m.cols)):
-                e = psi_m.entries[j2][jj]
-                if e.is_zero():
-                    continue
-                polys = [ring.normal_form(e * b) for b in base]
-                for tt, c in N.element_coords(polys, psi_m.cols[jj] + d).items():
-                    vec[pos_mid[(jj, tt)]] = c
-            in_span.insert(vec)
-    return len(mid_basis) - rank_out - in_span.rank
+    mid = sum(N.piece_dim(w + d) for w in mf.phi.rows)
+    return (mid - rank_of_precomposition(mf.phi)
+            - rank_of_precomposition(mf.psi.shift(-ring.deg_g)))
 
 
 # ----------------------------------------------------------------------
@@ -1055,23 +1025,10 @@ def _column_in_span(ring, ents, rows, cols, kept, j) -> bool:
     for i, w in enumerate(rows):
         for mono in ring.graded_piece(d - w):
             pos[(i, mono)] = len(pos)
-    target = {}
-    for i in range(len(rows)):
-        for key, c in ents[i][j].terms.items():
-            target[pos[(i, key)]] = c
-    span = SparseRREF(ring.field)
-    for jj in kept:
-        for mono in ring.graded_piece(d - cols[jj]):
-            vec = {}
-            for i in range(len(rows)):
-                e = ents[i][jj]
-                if e.is_zero():
-                    continue
-                prod = ring.normal_form(e.shift_monomial(*mono))
-                for key, c in prod.terms.items():
-                    vec[pos[(i, key)]] = c
-            span.insert(vec)
-    return span.contains(target)
+    coords = _scatter(pos)
+    columns = [(cols[jj], [row[jj] for row in ents]) for jj in kept]
+    span = _span_rref(ring, d, columns, coords)
+    return span.contains(coords([row[j] for row in ents]))
 
 
 # ----------------------------------------------------------------------
@@ -1143,30 +1100,19 @@ def submodule_presentation(M: GradedModule, elements, label=None):
     return sub
 
 
+def _element_span(M: GradedModule, gens, d: int) -> SparseRREF:
+    """Degree-d piece of the submodule of M generated by gens."""
+    return _span_rref(M.ring, d, gens, lambda polys: M.element_coords(polys, d))
+
+
 def _element_in_span(M: GradedModule, gens, element) -> bool:
-    ring = M.ring
     deg, polys = element
     target = M.element_coords(polys, deg)
-    if not target:
-        return True
-    span = SparseRREF(ring.field)
-    for wdeg, gpolys in gens:
-        for mono in ring.graded_piece(deg - wdeg):
-            shifted = [ring.normal_form(pp.shift_monomial(*mono))
-                       for pp in gpolys]
-            span.insert(M.element_coords(shifted, deg))
-    return span.contains(target)
+    return not target or _element_span(M, gens, deg).contains(target)
 
 
 def _span_dim(M: GradedModule, gens, d: int) -> int:
-    ring = M.ring
-    span = SparseRREF(ring.field)
-    for wdeg, gpolys in gens:
-        for mono in ring.graded_piece(d - wdeg):
-            shifted = [ring.normal_form(pp.shift_monomial(*mono))
-                       for pp in gpolys]
-            span.insert(M.element_coords(shifted, d))
-    return span.rank
+    return _element_span(M, gens, d).rank
 
 
 def _hom_columns(h: GradedHom):
@@ -1266,17 +1212,12 @@ class _QuotientAlgebra:
         self.K = alg.module.ring.field
         self.rref = SparseRREF(self.K)
         for vec in radical:
-            self.rref.insert({t: c for t, c in enumerate(vec)
-                              if not self.K.is_zero(c)})
+            self.rref.insert(sparse_vector(vec, self.K))
         self.dim = alg.dim - self.rref.rank
 
     def reduce(self, coords):
-        sparse = {t: c for t, c in enumerate(coords)
-                  if not self.K.is_zero(c)}
-        dense = [self.K.zero] * self.alg.dim
-        for t, c in self.rref.reduce(sparse).items():
-            dense[t] = c
-        return dense
+        return dense_vector(self.rref.reduce(sparse_vector(coords, self.K)),
+                            self.alg.dim, self.K)
 
     def mult(self, u, v):
         return self.reduce(self.alg.mult(u, v))
@@ -1289,11 +1230,11 @@ def _min_poly(mult, identity, start, dim, K):
     """Monic minimal polynomial (coefficients low to high) of an element."""
     powers = [identity]
     rr = SparseRREF(K)
-    rr.insert({t: c for t, c in enumerate(identity) if not K.is_zero(c)})
+    rr.insert(sparse_vector(identity, K))
     current = identity
     while True:
         current = mult(start, current)
-        vec = {t: c for t, c in enumerate(current) if not K.is_zero(c)}
+        vec = sparse_vector(current, K)
         if rr.contains(vec):
             break
         rr.insert(vec)
@@ -1310,6 +1251,7 @@ def _min_poly(mult, identity, start, dim, K):
 
 
 def _to_sympy_poly(coeffs, K, T):
+    import sympy
     if K.char == 0:
         expr = sum((sympy.Rational(K.to_str(c)) * T**s
                     for s, c in enumerate(coeffs)), sympy.Integer(0))
@@ -1325,6 +1267,7 @@ def _from_sympy_univariate(poly, K):
 
 def _factor_min_poly(coeffs, K):
     """Sympy factorization of a minimal polynomial, deterministically sorted."""
+    import sympy
     T = sympy.Symbol("T")
     poly = _to_sympy_poly(coeffs, K, T)
     _, factors = poly.factor_list()
@@ -1514,15 +1457,12 @@ def _shift_matching(frees_m, frees_n):
     return None
 
 
-def _scalar_part(space: HomSpace, hom: GradedHom):
-    K = space.source.ring.field
-    n = len(space.target.gens)
-    mat = [[K.zero] * len(space.source.gens) for _ in range(n)]
-    for i in range(n):
-        for j in range(len(space.source.gens)):
-            if space.target.gens[i] == space.source.gens[j] + space.degree:
-                mat[i][j] = hom.H.entries[i][j].coeff(0, 0)
-    return mat
+def _scalar_part(hom: GradedHom):
+    """The matrix of hom modulo the maximal ideal, over k."""
+    K = hom.source.ring.field
+    return [[hom.H.entries[i][j].coeff(0, 0) if wt == ws + hom.degree
+             else K.zero for j, ws in enumerate(hom.source.gens)]
+            for i, wt in enumerate(hom.target.gens)]
 
 
 def _find_scalar_invertible(A: GradedModule, B: GradedModule, rng, tries):
@@ -1532,13 +1472,13 @@ def _find_scalar_invertible(A: GradedModule, B: GradedModule, rng, tries):
     K = A.ring.field
     n = len(B.gens)
     for hom in space.basis:
-        if rank_dense(_scalar_part(space, hom), K) == n:
+        if rank_dense(_scalar_part(hom), K) == n:
             return hom
     span = 7 if K.char == 0 else min(K.char, 7)
     for _ in range(tries):
         coeffs = [K(rng.randrange(span)) for _ in range(space.dim)]
         hom = hom_from_coefficients(space, coeffs)
-        if rank_dense(_scalar_part(space, hom), K) == n:
+        if rank_dense(_scalar_part(hom), K) == n:
             return hom
     return None
 
@@ -1557,17 +1497,20 @@ def rank_vector(M: GradedModule, branches):
     equals the rank of the coefficient matrix over k.
     """
     K = M.ring.field
+    return [len(M.gens) - rank_dense(_coefficient_matrix(branch, M.matrix), K)
+            for branch in branches]
+
+
+def _coefficient_matrix(branch, matrix: GradedMatrix):
+    """Constant matrix of branch leading coefficients (monomial images)."""
+    K = matrix.ring.field
     out = []
-    for branch in branches:
-        coeffs = []
-        for i in range(len(M.gens)):
-            row = []
-            for j in range(len(M.rels)):
-                image = branch.evaluate(M.matrix.entries[i][j])
-                row.append(K.zero if image is None else image[0])
-            coeffs.append(row)
-        rank = rank_dense(coeffs, K) if M.rels else 0
-        out.append(len(M.gens) - rank)
+    for row in matrix.entries:
+        crow = []
+        for e in row:
+            image = branch.evaluate(e)
+            crow.append(K.zero if image is None else image[0])
+        out.append(crow)
     return out
 
 

@@ -268,15 +268,11 @@ def quotient_tau(q: TranslationQuiver, n: int) -> TranslationQuiver:
     return out
 
 
-def orbit_collapse(q: TranslationQuiver) -> TranslationQuiver:
-    """Collapse every tau-orbit of a fragment to a single class vertex.
+def _tau_orbits(q: TranslationQuiver) -> dict:
+    """Map each vertex to a representative of its tau-orbit (union-find).
 
-    Weights must agree across each orbit (the functions of interest, like
-    the multiplicity average, are translation invariant; disagreement is
-    an input error).  Arrows project to class arrows and must carry one
-    value each; an arrow inside a class becomes a loop flag.  A class is
-    interior only when all of its members are, and the translation fixes
-    every class.
+    Every union keeps the str-smaller root, so each representative is the
+    str-least member of its orbit.
     """
     parent = {v: v for v in q.labels}
 
@@ -292,9 +288,23 @@ def orbit_collapse(q: TranslationQuiver) -> TranslationQuiver:
             if str(rw) < str(rv):
                 rv, rw = rw, rv
             parent[rw] = rv
+    return {v: find(v) for v in q.labels}
+
+
+def orbit_collapse(q: TranslationQuiver) -> TranslationQuiver:
+    """Collapse every tau-orbit of a fragment to a single class vertex.
+
+    Weights must agree across each orbit (the functions of interest, like
+    the multiplicity average, are translation invariant; disagreement is
+    an input error).  Arrows project to class arrows and must carry one
+    value each; an arrow inside a class becomes a loop flag.  A class is
+    interior only when all of its members are, and the translation fixes
+    every class.
+    """
+    orbit = _tau_orbits(q)
     members: dict = {}
     for v in q.labels:
-        members.setdefault(find(v), []).append(v)
+        members.setdefault(orbit[v], []).append(v)
     name = {root: min(ms, key=str) for root, ms in members.items()}
 
     out = TranslationQuiver()
@@ -309,7 +319,7 @@ def orbit_collapse(q: TranslationQuiver) -> TranslationQuiver:
                        weight=weights.pop() if weights else None,
                        boundary=any(not q.is_interior(v) for v in ms))
     for (s, d), val in sorted(q.arrows.items(), key=str):
-        cs, cd = name[find(s)], name[find(d)]
+        cs, cd = name[orbit[s]], name[orbit[d]]
         if cs == cd:
             out.flag_loop(cs)
             continue
@@ -323,7 +333,7 @@ def orbit_collapse(q: TranslationQuiver) -> TranslationQuiver:
         if any(v in q.tau for v in members[root]):
             out.set_tau(name[root], name[root])
     for v in q.loops:
-        out.flag_loop(name[find(v)])
+        out.flag_loop(name[orbit[v]])
     return out
 
 
@@ -460,21 +470,7 @@ def classify_fragment(q: TranslationQuiver) -> str:
         return "other"
 
     # collapse tau-orbits and ask the class graph to be a ray
-    parent = {v: v for v in q.labels}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for v in sorted(q.tau, key=str):
-        rv, rw = find(v), find(q.tau[v])
-        if rv != rw:
-            if str(rw) < str(rv):
-                rv, rw = rw, rv
-            parent[rw] = rv
-    orbit = {v: find(v) for v in q.labels}
+    orbit = _tau_orbits(q)
     classes = sorted(set(orbit.values()), key=str)
     adj: dict = {c: set() for c in classes}
     for (s, d) in q.arrows:

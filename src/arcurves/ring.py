@@ -198,29 +198,34 @@ _TERM_PART = re.compile(r"^(?:(?P<coeff>[+-]?\d+(?:/\d+)?)|(?P<var>[xy])(?:\^(?P
 
 
 def poly_from_string(field, wx: int, wy: int, text: str) -> WPoly:
-    """Parse "coeff*x^i*y^j" terms joined by "+" (a leading "-" is also accepted)."""
+    """Parse "coeff*x^i*y^j" terms joined by "+" or "-" ("+ -" means "-").
+
+    A leading "-" is also accepted; an empty term, as in "x ++ y" or a
+    trailing "-", is malformed.
+    """
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise InputError("empty polynomial string")
-    cleaned = cleaned.replace("-", "+-")
+    cleaned = cleaned.replace("+-", "-").replace("-", "+-")
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
     terms: dict[tuple[int, int], object] = {}
     for chunk in cleaned.split("+"):
-        if not chunk:
+        negate = chunk.startswith("-")
+        if not chunk[negate:]:
             raise InputError(f"malformed polynomial string {text!r}")
         coeff = field.one
-        negate = False
         i = j = 0
-        for part in chunk.split("*"):
-            if part == "-":
-                negate = True
-                continue
+        for part in chunk[negate:].split("*"):
             m = _TERM_PART.match(part)
             if m is None:
                 raise InputError(f"malformed term {chunk!r} in {text!r}")
             if m.group("coeff") is not None:
-                coeff = field.mul(coeff, field(m.group("coeff")))
+                try:
+                    coeff = field.mul(coeff, field(m.group("coeff")))
+                except ZeroDivisionError:
+                    raise InputError(f"zero denominator in term {chunk!r} "
+                                     f"of {text!r}") from None
             else:
                 exp = int(m.group("exp") or 1)
                 if m.group("var") == "x":

@@ -17,8 +17,8 @@ from __future__ import annotations
 from .branches import Branch, factor_hypersurface
 from .errors import CertificationError, InputError, WindowNotSaturatedError
 from .linalg import SparseRREF, solve_sparse_system
-from .modmat import (EndAlgebra, GradedHom, GradedModule, algebra_radical,
-                     hom_graded, stably_zero_bruteforce)
+from .modmat import (EndAlgebra, GradedHom, GradedModule, _coefficient_matrix,
+                     algebra_radical, hom_graded, stably_zero_bruteforce)
 from .ring import QElement, WPoly
 
 __all__ = [
@@ -34,18 +34,6 @@ def _require_endo(h: GradedHom) -> GradedModule:
     return h.source
 
 
-def _coefficient_matrix(branch: Branch, matrix, field):
-    """Constant matrix of branch leading coefficients (monomial images)."""
-    out = []
-    for row in matrix.entries:
-        crow = []
-        for e in row:
-            image = branch.evaluate(e)
-            crow.append(field.zero if image is None else image[0])
-        out.append(crow)
-    return out
-
-
 def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
     """Trace of h on the branch cokernel, as (coeff, t-degree) or None.
 
@@ -57,42 +45,29 @@ def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
     """
     ring = M.ring
     K = ring.field
-    ca = _coefficient_matrix(branch, M.matrix, K)
-    ch = _coefficient_matrix(branch, h.H, K)
+    ca = _coefficient_matrix(branch, M.matrix)
+    ch = _coefficient_matrix(branch, h.H)
     ngens = len(M.gens)
 
-    # Column echelon of the presentation image, pivot rows chosen by
-    # lowest generator degree first, then lowest index (deterministic).
+    # Echelon form of the presentation image.  Each generator is keyed by
+    # its rank in row_order, so the pivot chosen is the lowest generator
+    # degree first, then the lowest index (deterministic).
     row_order = sorted(range(ngens), key=lambda i: (M.gens[i], i))
-    pivots: dict[int, list] = {}
+    rank = {i: r for r, i in enumerate(row_order)}
+    image = SparseRREF(K)
     for j in range(len(M.rels)):
-        col = [ca[i][j] for i in range(ngens)]
-        for prow, pcol in pivots.items():
-            c = col[prow]
-            if K.is_zero(c):
-                continue
-            for i in range(ngens):
-                col[i] = K.sub(col[i], K.mul(c, pcol[i]))
-        prow = next((i for i in row_order if not K.is_zero(col[i])), None)
-        if prow is None:
-            continue
-        inv = K.inv(col[prow])
-        col = [K.mul(inv, c) for c in col]
-        for pcol in pivots.values():
-            c = pcol[prow]
-            if K.is_zero(c):
-                continue
-            for i in range(ngens):
-                pcol[i] = K.sub(pcol[i], K.mul(c, col[i]))
-        pivots[prow] = col
+        image.insert({rank[i]: ca[i][j] for i in range(ngens)
+                      if not K.is_zero(ca[i][j])})
 
     total = K.zero
     for j in range(ngens):
-        if j in pivots:
+        if rank[j] in image.pivots:
             continue
         val = ch[j][j]
-        for prow, pcol in pivots.items():
-            val = K.sub(val, K.mul(ch[prow][j], pcol[j]))
+        for prank, pcol in image.pivots.items():
+            c = pcol.get(rank[j])
+            if c is not None:
+                val = K.sub(val, K.mul(ch[row_order[prank]][j], c))
         total = K.add(total, val)
     if K.is_zero(total):
         return None

@@ -84,6 +84,58 @@ def test_unknown_key_rejected(cfg, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("line", ["b = 1/0", "f = 1/0*x^0*y^1"])
+def test_zero_denominator_is_input_error(cfg, capsys, field, line):
+    key = line.split()[0]
+    text = "".join(line + "\n" if l.startswith(key + " ") else l + "\n"
+                   for l in CUSP.splitlines())
+    text = text.replace("field = Q", "field = " + field)
+    code, out, err = _run(capsys, ["ring-info", cfg(text)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "CFG", "--depth", "-1"],
+    ["verify", "trace-oracle", "CFG", "--window", "-3"],
+])
+def test_negative_depth_or_window_is_input_error(cfg, capsys, argv):
+    path = cfg(CUSP)
+    code, out, err = _run(capsys, [path if a == "CFG" else a for a in argv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+    assert "must be nonnegative" in err
+
+
+def test_ring_info_large_prime_field(cfg, capsys):
+    # p = 3 is prime to ell - 1, so p-th roots are unique and found by
+    # exponentiation rather than by a search of the field.
+    code, out, err = _run(capsys, ["ring-info", cfg(
+        CUSP.replace("field = Q", "field = F1000000007"))])
+    assert code == 0 and err == ""
+    assert json.loads(out)["ring"]["field"] == "F1000000007"
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is imported on first factorization, not by "import arcurves".
+    import os
+    import subprocess
+    import sys
+
+    import arcurves
+    src = os.path.dirname(os.path.dirname(arcurves.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, arcurves; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(capsys, ["ring-info", "/nonexistent/ring.cfg"])
     assert code == 2

@@ -48,6 +48,23 @@ def test_poly_parse_roundtrip():
         poly_from_string(QQ, 4, 3, "1*x^1*y^0+1*x^0*y^1")
 
 
+def test_poly_parse_plus_minus_is_minus():
+    f = poly_from_string(QQ, 5, 3, "1*x^0*y^5 + -1*x^3*y^0")
+    assert f == poly_from_string(QQ, 5, 3, "1*x^0*y^5 - 1*x^3*y^0")
+    assert f.to_string() == "1*x^0*y^5+-1*x^3*y^0"
+    assert poly_from_string(QQ, 4, 3, "-x^3") == poly_from_string(
+        QQ, 4, 3, "-1*x^3*y^0")
+    for bad in ("x ++ y", "1*x^0*y^0 -", "x^3 - - y^4"):
+        with pytest.raises(InputError):
+            poly_from_string(QQ, 4, 3, bad)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_poly_parse_zero_denominator(field):
+    with pytest.raises(InputError, match="zero denominator"):
+        poly_from_string(field, 4, 3, "1/0*x^0*y^1")
+
+
 def test_weighted_degrees(two_branch_ring):
     r = two_branch_ring
     assert r.wdeg(1, 0) == 4 and r.wdeg(0, 1) == 3
