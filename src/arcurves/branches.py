@@ -15,8 +15,6 @@ are all decided by integer arithmetic on t-exponents.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import CertificationError, FormSplitError, InputError, NotSquarefreeError
 from .ring import HypersurfaceRing, QElement, WPoly, semigroup_member
 
@@ -50,12 +48,6 @@ class Branch:
         # Multiplicity of the branch: smallest positive t-degree of a
         # parameter image, i.e. the least semigroup generator.
         self.multiplicity = min(self.generators)
-
-    def tdeg_of_wdeg(self, d: int):
-        """t-degree carried by weighted degree d, or None if not attained."""
-        if d % self.scale != 0:
-            return None
-        return d // self.scale
 
     def semigroup_contains(self, t: int) -> bool:
         if t < 0:
@@ -190,14 +182,10 @@ def _pth_root(K, value, p: int):
         if num is None or den is None:
             return None
         return Fraction(sign * num, den)
-    ell = K.char
-    if gcd(p, ell - 1) == 1:
-        # x -> x^p permutes F_ell, so the root is unique.
-        return pow(value, pow(p, -1, ell - 1), ell)
-    for c in range(1, ell):
-        if pow(c, p, ell) == value % ell:
-            return c
-    return None
+    # The least root, so the branch does not depend on the algorithm.
+    from sympy.ntheory.residue_ntheory import nthroot_mod
+    roots = nthroot_mod(value, p, K.char, all_roots=True)
+    return min(roots) if roots else None
 
 
 def _int_nth_root(n: int, p: int):

@@ -24,11 +24,10 @@ from .errors import (ArcError, CertificationError, InputError,
 from .fields import field_from_string
 from .linalg import rank_dense
 from .modmat import (_scalar_part, decompose, hom_graded, mf_from_ideal,
-                     rank_vector)
+                     rank_vector, stably_zero_bruteforce)
 from .quiver import to_dot, to_json
 from .ring import HypersurfaceRing, poly_from_string
 from .traceoracle import is_integral, min_t_valuation, stably_zero_trace, trace_Q
-from .modmat import stably_zero_bruteforce
 
 VERIFY_SUITES = ("main-theorem", "syz-gamma", "trace-oracle", "section7")
 
@@ -288,19 +287,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a key=value ring config")
         p.add_argument("--seed", type=int, default=None,
                        help="randomization seed (fallback: AR_CURVE_SEED, 0)")
-        p.add_argument("--window", type=int, default=None,
-                       help="degree window override where applicable")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "dot"), default="json")
 
     common(sub.add_parser("ring-info", help="branches, semigroups, gamma"))
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("which", choices=VERIFY_SUITES)
     common(pv)
+    pv.add_argument("--window", type=int, default=None,
+                    help="endomorphism degree window of trace-oracle")
     pe = sub.add_parser("explore", help="walk a component from the ideal")
     common(pe)
     pe.add_argument("--depth", type=int, default=2)
+    pe.add_argument("--format", choices=("json", "dot"), default="json")
     common(sub.add_parser("push", help="one almost split sequence"))
     common(sub.add_parser("decompose", help="split the middle term"))
     return ap
@@ -310,6 +309,8 @@ def _dispatch(ring, args):
     if args.command == "ring-info":
         return cmd_ring_info(ring, args)
     if args.command == "verify":
+        if args.window is not None and args.which != "trace-oracle":
+            raise InputError("--window applies only to verify trace-oracle")
         return {
             "main-theorem": cmd_verify_main_theorem,
             "syz-gamma": cmd_verify_syz_gamma,
@@ -323,8 +324,8 @@ def _dispatch(ring, args):
     return cmd_decompose(ring, args)
 
 
-def _render(doc, args) -> str:
-    if args.format == "dot" and "dot" in doc:
+def _render(doc) -> str:
+    if "dot" in doc:
         return doc["dot"]
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       default=str) + "\n"
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
             {"error": "certification", "message": str(e)},
             sort_keys=True) + "\n")
         return 3
-    _write(args.out, _render(doc, args))
+    _write(args.out, _render(doc))
     return 0 if doc.get("pass", True) else 1
 
 

@@ -133,9 +133,6 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def is_zero_mod_g(self) -> bool:
-        return self.nf().is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, GradedMatrix):
             return NotImplemented
@@ -795,48 +792,43 @@ def hom_from_coefficients(space: HomSpace, coeffs) -> GradedHom:
 
 
 # ----------------------------------------------------------------------
-# stable (mod frees) endomorphisms, by direct linear algebra
+# stable (mod frees) homomorphisms, by direct linear algebra
 
 
-def stably_zero_bruteforce(h: GradedHom) -> bool:
-    """Whether h factors through a free module, by direct linear algebra.
+def _stably_zero_span(space: HomSpace) -> SparseRREF:
+    """RREF span, in the coordinates of space, of the maps through frees.
 
     A map between MCM modules factors through some free module exactly
     when it factors through the free cover of its target: H = L + B C
-    with L A = 0 mod g, where A and B present source and target.
+    with L A = 0 mod g, where A and B present source and target.  The
+    coordinates of a hom are taken modulo the matrices B C, so the span
+    is that of the maps L.  Built once per hom space.
     """
-    M, N, d = h.source, h.target, h.degree
-    ring = M.ring
-    unknowns = {
-        "L": (N.gens, tuple(w + d for w in M.gens)),
-        "C": (N.rels, tuple(w + d for w in M.gens)),
-    }
-    ident = GradedMatrix.identity(ring, tuple(w + d for w in M.gens))
-    eqs = [
-        ([("R", M.matrix, "L")], None),
-        ([("R", ident, "L"), ("L", N.matrix, "C")], -h.H),
-    ]
-    sol, _ = solve_graded_system(ring, unknowns, eqs, mode="mod_g")
-    return sol is not None
-
-
-def stably_zero_subspace(M: GradedModule, d: int) -> SparseRREF:
-    """RREF span (in End-coordinates) of endomorphisms through frees."""
-    space = hom_graded(M, M, d)
-    ring = M.ring
-    unknowns = {"L": (M.gens, tuple(w + d for w in M.gens))}
-    _, kernel = solve_graded_system(ring, unknowns,
+    span = getattr(space, "_stably_zero", None)
+    if span is not None:
+        return span
+    M, N, d = space.source, space.target, space.degree
+    unknowns = {"L": (N.gens, tuple(w + d for w in M.gens))}
+    _, kernel = solve_graded_system(M.ring, unknowns,
                                     [([("R", M.matrix, "L")], None)],
                                     mode="mod_g", want_kernel=True)
-    span = SparseRREF(ring.field)
+    span = SparseRREF(M.ring.field)
     for vec in kernel:
         span.insert(dict(space.coords_of(vec["L"])))
+    space._stably_zero = span
     return span
+
+
+def stably_zero_bruteforce(h: GradedHom) -> bool:
+    """Whether h factors through a free module, by direct linear algebra."""
+    space = hom_graded(h.source, h.target, h.degree)
+    return _stably_zero_span(space).contains(dict(h.coords))
 
 
 def stable_end_dim(M: GradedModule, d: int) -> int:
     """Dimension of degree-d endomorphisms modulo those through frees."""
-    return hom_graded(M, M, d).dim - stably_zero_subspace(M, d).rank
+    space = hom_graded(M, M, d)
+    return space.dim - _stably_zero_span(space).rank
 
 
 def ext1_dim(mf: MatrixFactorization, N: GradedModule, d: int) -> int:

@@ -72,9 +72,6 @@ class TranslationQuiver:
     def predecessors(self, v) -> list:
         return [s for (s, d) in self.arrows if d == v]
 
-    def neighbors(self, v) -> set:
-        return set(self.successors(v)) | set(self.predecessors(v))
-
     def is_interior(self, v) -> bool:
         return v not in self.boundary
 

@@ -15,6 +15,7 @@ exact linear algebra, never numerically.
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .errors import InputError, NotSquarefreeError
 from .fields import QQ
@@ -306,7 +307,7 @@ class HypersurfaceRing:
             raise InputError("characteristic 2 is not supported")
         if p < 3 or q < 3:
             raise InputError("p and q must both be at least 3")
-        if _gcd(p, q) != 1:
+        if gcd(p, q) != 1:
             raise InputError("p and q must be coprime")
         self.field = field
         self.p = p
@@ -459,10 +460,6 @@ class HypersurfaceRing:
 
     def piece_dim(self, d: int) -> int:
         return len(self.graded_piece(d))
-
-    def hilbert_coefficient(self, d: int) -> int:
-        """Coefficient of T^d in (1 - T^deg(g)) / ((1 - T^q)(1 - T^p))."""
-        return len(self.s_piece(d)) - len(self.s_piece(d - self.deg_g))
 
     def piece_coords(self, poly: WPoly, d: int) -> list:
         """Coordinates of a normal-form polynomial in the basis of R_d."""
@@ -639,12 +636,6 @@ class QElement:
 
     def __repr__(self):
         return f"QElement({self.to_string()})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def random_ring(rng, field=QQ, with_ideal=True):

@@ -77,6 +77,35 @@ def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
     return total, h.degree // branch.scale
 
 
+def _ring_preimage(ring, branches, images, w):
+    """The element of R_w with the given branch images, or None.
+
+    R is reduced, so evaluation on all branches is injective and the
+    preimage is unique when it exists.  Every monomial of degree w has
+    one t-degree on a branch; an image of another t-degree has none.
+    """
+    K = ring.field
+    basis = ring.graded_piece(w)
+    rows = []
+    for branch, img in zip(branches, images):
+        row = {}
+        tdeg = None
+        for t, mono in enumerate(basis):
+            ev = branch.evaluate(ring.monomial(*mono))
+            if ev is not None:
+                row[t], tdeg = ev
+        if img is not None:
+            if img[1] != tdeg:
+                return None
+            row[len(basis)] = K.neg(img[0])
+        rows.append(row)
+    sol, _ = solve_sparse_system(rows, len(basis), K, const_index=len(basis))
+    if sol is None:
+        return None
+    return WPoly(K, ring.q, ring.p,
+                 {mono: sol[t] for t, mono in enumerate(basis) if t in sol})
+
+
 def _reconstruct_fraction(ring, branches, images, degree):
     """The element of Q with the given branch images, as u / x^e.
 
@@ -85,52 +114,16 @@ def _reconstruct_fraction(ring, branches, images, degree):
     x^e lies in every such principal ideal.
     """
     K = ring.field
-    if all(img is None for img in images):
-        return QElement(ring, ring.zero_poly(), ring.one())
-    cap = 4 * ring.deg_g + abs(degree)
-    for e in range(0, cap + 1):
-        w = degree + e * ring.q
-        if w < 0:
-            continue
-        basis = ring.graded_piece(w)
-        rows = []
-        consistent = True
+    for e in range(0, 4 * ring.deg_g + abs(degree) + 1):
+        den = ring.monomial(e, 0)
+        scaled = []
         for branch, img in zip(branches, images):
-            x_img = branch.evaluate(ring.monomial(e, 0)) if e else (K.one, 0)
-            if img is None:
-                target = None
-            else:
-                target = (K.mul(img[0], x_img[0]), img[1] + x_img[1])
-            row = {}
-            mono_tdeg = None
-            for t, mono in enumerate(basis):
-                ev = branch.evaluate(ring.monomial(*mono))
-                if ev is None:
-                    continue
-                row[t] = ev[0]
-                mono_tdeg = ev[1]
-            if target is None:
-                if row:
-                    rows.append(row)
-                continue
-            if mono_tdeg is None or mono_tdeg != target[1]:
-                consistent = False
-                break
-            row[len(basis)] = K.neg(target[0])
-            rows.append(row)
-        if not consistent:
-            continue
-        sol, _ = solve_sparse_system(rows, len(basis), K,
-                                     const_index=len(basis))
-        if sol is None:
-            continue
-        terms = {}
-        for t, mono in enumerate(basis):
-            c = sol.get(t, K.zero)
-            if not K.is_zero(c):
-                terms[mono] = c
-        num = WPoly(K, ring.q, ring.p, terms)
-        return QElement(ring, num, ring.monomial(e, 0))
+            x_img = branch.evaluate(den)
+            scaled.append(None if img is None else
+                          (K.mul(img[0], x_img[0]), img[1] + x_img[1]))
+        num = _ring_preimage(ring, branches, scaled, degree + e * ring.q)
+        if num is not None:
+            return QElement(ring, num, den)
     raise CertificationError(
         "trace fraction reconstruction exhausted the denominator bound")
 
@@ -262,14 +255,16 @@ def stably_zero_trace(h: GradedHom, branches=None) -> bool:
 
     h is stably zero exactly when trace(g h over Q) lies in R for every
     endomorphism g; R-linearity of the trace reduces the test to the
-    generators of End(M).
+    generators of End(M).  The trace lies in R when its branch images
+    have a preimage in R.
     """
     M = _require_endo(h)
     if branches is None:
         branches = factor_hypersurface(M.ring)
     for g in end_generators(M).gens:
-        tr = trace_Q(g.compose(h), branches)
-        if tr.in_ring() is None:
+        gh = g.compose(h)
+        images = [_cokernel_trace(b, M, gh) for b in branches]
+        if _ring_preimage(M.ring, branches, images, gh.degree) is None:
             return False
     return True
 

@@ -6,6 +6,7 @@ from arcurves import (BranchFraction, FormSplitError, HypersurfaceRing,
                       NotSquarefreeError, PrimeField, QQ,
                       factor_hypersurface, gamma_prime, poly_from_string,
                       singular_branch)
+from arcurves.branches import _pth_root
 
 
 def test_two_branch_factorization(two_branch_ring):
@@ -94,3 +95,13 @@ def test_branch_images_of_variables(cusp_ring):
     lhs = K.add(K.mul(cusp_ring.b, K.mul(K.mul(cx, cx), cx)),
                 K.mul(K.mul(cy, cy), K.mul(cy, cy)))
     assert K.is_zero(lhs)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 13, 31, 37, 43, 109])
+def test_pth_root_is_least_root_over_small_primes(ell):
+    K = PrimeField(ell)
+    for p in range(2, 9):
+        for value in range(1, ell):
+            roots = [c for c in range(ell) if pow(c, p, ell) == value]
+            expected = roots[0] if roots else None
+            assert _pth_root(K, K(value), p) == expected

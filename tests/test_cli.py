@@ -110,12 +110,31 @@ def test_negative_depth_or_window_is_input_error(cfg, capsys, argv):
 
 
 def test_ring_info_large_prime_field(cfg, capsys):
-    # p = 3 is prime to ell - 1, so p-th roots are unique and found by
-    # exponentiation rather than by a search of the field.
-    code, out, err = _run(capsys, ["ring-info", cfg(
-        CUSP.replace("field = Q", "field = F1000000007"))])
-    assert code == 0 and err == ""
-    assert json.loads(out)["ring"]["field"] == "F1000000007"
+    # p = 3 is prime to 1000000006 but divides 1000000008: p-th roots
+    # are found without a search of the field whether they are unique
+    # or not.
+    for field in ("F1000000007", "F1000000009"):
+        code, out, err = _run(capsys, ["ring-info", cfg(
+            CUSP.replace("field = Q", "field = " + field))])
+        assert code == 0 and err == ""
+        assert json.loads(out)["ring"]["field"] == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring-info", "CFG", "--format", "dot"],
+    ["push", "CFG", "--window", "3"],
+])
+def test_flags_outside_their_subcommand_are_rejected(cfg, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cfg(CUSP) if a == "CFG" else a for a in argv])
+    assert exc.value.code == 2
+
+
+def test_window_outside_trace_oracle_is_input_error(cfg, capsys):
+    code, out, err = _run(capsys, ["verify", "main-theorem", cfg(CUSP),
+                                   "--window", "3"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
 
 
 def test_import_leaves_sympy_unloaded():

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from arcurves import (GradedMatrix, GradedModule, InputError,
-                      MatrixFactorization, block_matrix, decompose,
+                      MatrixFactorization, block_matrix, decompose, ext1_dim,
                       free_module, hom_graded, iso_up_to_shift, mf_check,
                       mf_complete, mf_from_ideal, multiplicity, rank_vector,
                       solve_graded_system, stably_zero_bruteforce,
                       factor_hypersurface)
+from arcurves.modmat import _stably_zero_span
 
 
 def test_entry_degree_validation(cusp_ring):
@@ -121,6 +122,28 @@ def test_stably_zero_through_frees(cusp_ideal):
     assert not stably_zero_bruteforce(ident)
     # x I sits inside R x subset I, so x id factors through R
     assert stably_zero_bruteforce(ident.times_monomial(1, 0))
+
+
+def test_stably_zero_between_different_modules(cusp_ideal, two_branch_ideal):
+    for M in (cusp_ideal, two_branch_ideal):
+        N = M.syz()
+        F = free_module(M.ring)
+        composites = [b.compose(a)
+                      for d1 in range(-12, 12)
+                      for a in hom_graded(M, F, d1).basis
+                      for d2 in range(0, 24)
+                      for b in hom_graded(F, N, d2).basis]
+        composites = [c for c in composites if not c.is_zero()]
+        assert len(composites) > 100
+        assert all(stably_zero_bruteforce(c) for c in composites)
+        # stable Hom(M, N) is Ext^1 from the cosyzygy of M into N
+        for d in range(-24, 25):
+            space = hom_graded(M, N, d)
+            stable = space.dim - _stably_zero_span(space).rank
+            assert stable == ext1_dim(M.mf, N, d)
+        ident = hom_graded(M, M, 0).from_matrix(
+            GradedMatrix.identity(M.ring, M.gens))
+        assert not stably_zero_bruteforce(ident)
 
 
 def test_block_matrix_and_decompose(cusp_ring, cusp_ideal):

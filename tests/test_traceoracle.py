@@ -1,10 +1,15 @@
 """Branchwise traces: integrality, valuations, the stable-zero oracle."""
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from arcurves import (GradedMatrix, branch_images, end_generators,
-                      factor_hypersurface, gamma_endo, hom_graded,
-                      is_integral, min_t_valuation, socle_test,
-                      stably_zero_bruteforce, stably_zero_trace, trace_Q,
-                      trace_report)
+                      factor_hypersurface, field_from_string, gamma_endo,
+                      hom_graded, is_integral, min_t_valuation, mf_from_ideal,
+                      random_ring, socle_test, stably_zero_bruteforce,
+                      stably_zero_trace, trace_Q, trace_report)
 
 
 def _identity(M):
@@ -45,6 +50,17 @@ def test_trace_oracle_matches_lifting(cusp_ideal):
     M = cusp_ideal
     branches = factor_hypersurface(M.ring)
     for d in range(-4, 9):
+        for h in hom_graded(M, M, d).basis:
+            assert stably_zero_trace(h, branches) == stably_zero_bruteforce(h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_trace_oracle_matches_lifting_on_random_rings(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    M = mf_from_ideal(ring).cok(label="I")
+    branches = factor_hypersurface(ring)
+    for d in range(ring.deg_g + 1):
         for h in hom_graded(M, M, d).basis:
             assert stably_zero_trace(h, branches) == stably_zero_bruteforce(h)
 
