@@ -16,7 +16,8 @@ are all decided by integer arithmetic on t-exponents.
 from __future__ import annotations
 
 from .errors import CertificationError, FormSplitError, InputError, NotSquarefreeError
-from .ring import HypersurfaceRing, QElement, WPoly, semigroup_member
+from .ring import (HypersurfaceRing, QElement, WPoly, _dehomogenized_form,
+                   _strip_monomial, semigroup_member)
 
 
 class Branch:
@@ -32,9 +33,7 @@ class Branch:
         self.cy = cy
         self.ey = ey
         self.scale = scale
-        gens = []
-        if not ring.field.is_zero(cx):
-            gens.append(ex)
+        gens = [ex]
         if not ring.field.is_zero(cy):
             gens.append(ey)
         self.generators = tuple(sorted(set(gens)))
@@ -65,15 +64,13 @@ class Branch:
         total = K.zero
         tdeg = None
         for (i, j), c in poly.terms.items():
-            if i > 0 and K.is_zero(self.cx):
-                continue
             if j > 0 and K.is_zero(self.cy):
                 continue
             term = c
             if i > 0:
-                term = K.mul(term, _power(K, self.cx, i))
+                term = K.mul(term, K.pow(self.cx, i))
             if j > 0:
-                term = K.mul(term, _power(K, self.cy, j))
+                term = K.mul(term, K.pow(self.cy, j))
             total = K.add(total, term)
             tdeg = self.ex * i + self.ey * j
         if tdeg is None or K.is_zero(total):
@@ -86,8 +83,6 @@ class Branch:
         if key in qe._image_cache:
             return qe._image_cache[key]
         den_img = self.evaluate(qe.den)
-        if den_img is None:
-            raise InputError("denominator vanishes on the branch")
         num_img = self.evaluate(qe.num)
         if num_img is None:
             result = None
@@ -116,13 +111,6 @@ class Branch:
         return f"Branch({self.kind}, h={self.h.to_string()})"
 
 
-def _power(K, base, exp: int):
-    out = K.one
-    for _ in range(exp):
-        out = K.mul(out, base)
-    return out
-
-
 def _frobenius_closed_form(gens) -> int:
     if gens == (1,):
         return -1
@@ -146,12 +134,11 @@ def _frobenius_by_enumeration(gens) -> int:
     return max(gaps) if gaps else -1
 
 
-def _axis_branch(ring: HypersurfaceRing, which: str) -> Branch:
+def _axis_branch(ring: HypersurfaceRing) -> Branch:
+    # h = y: the branch is the x-axis line parametrized by x -> t.  Its
+    # twin h = x never occurs: g contains y^(q+v), so x does not divide g.
     K = ring.field
-    if which == "y":
-        # h = y: the branch is the x-axis line parametrized by x -> t.
-        return Branch(ring, "y-axis", ring.y_poly(), K.one, 1, K.zero, 0, ring.q)
-    return Branch(ring, "x-axis", ring.x_poly(), K.zero, 0, K.one, 1, ring.p)
+    return Branch(ring, "y-axis", ring.y_poly(), K.one, 1, K.zero, 0, ring.q)
 
 
 def _binomial_branch(ring: HypersurfaceRing, alpha, beta) -> Branch:
@@ -214,15 +201,10 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
         raise NotSquarefreeError("not squarefree")
     K = ring.field
     g = ring.g
-    i0 = g.min_x_exponent()
-    j0 = g.min_y_exponent()
+    i0, j0, stripped = _strip_monomial(g)
     branches = []
-    if i0 >= 1:
-        branches.append(_axis_branch(ring, "x"))
     if j0 >= 1:
-        branches.append(_axis_branch(ring, "y"))
-    stripped = WPoly(K, ring.q, ring.p,
-                     {(i - i0, j - j0): c for (i, j), c in g.terms.items()})
+        branches.append(_axis_branch(ring))
     if stripped.degree > 0:
         pairs = []
         for alpha, beta, mult in _factor_binary_form(ring, stripped):
@@ -248,13 +230,7 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
 def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
     """Linear factors (alpha, beta, multiplicity) of the form in (x^p, y^q)."""
     K = ring.field
-    p, q = ring.p, ring.q
-    degT = max(i for i, _ in stripped.terms) // p
-    coeffs = [K.zero] * (degT + 1)
-    for (i, j), c in stripped.terms.items():
-        if i % p != 0 or j % q != 0:
-            raise InputError("stripped polynomial is not a form in x^p, y^q")
-        coeffs[i // p] = c
+    coeffs = _dehomogenized_form(stripped, ring.p, ring.q)
     import sympy
     T = sympy.Symbol("T")
     if K.char == 0:
@@ -298,7 +274,7 @@ def singular_branch(ring: HypersurfaceRing) -> Branch:
     factoring.
     """
     if ring.field.is_zero(ring.b):
-        return _axis_branch(ring, "y")
+        return _axis_branch(ring)
     form = (ring.monomial(ring.p, 0, ring.b) + ring.monomial(0, ring.q))
     candidates = [br for br in factor_hypersurface(ring)
                   if br.kind == "binomial" and br.evaluate(form) is None]
@@ -347,10 +323,8 @@ def gamma_prime(branch: Branch) -> BranchFraction:
     ring = branch.ring
     if branch.kind == "binomial":
         frac = BranchFraction(branch, ring.monomial(0, ring.q - 1), ring.x_poly())
-    elif branch.kind == "y-axis":
-        frac = BranchFraction(branch, ring.one(), ring.x_poly())
     else:
-        frac = BranchFraction(branch, ring.one(), ring.y_poly())
+        frac = BranchFraction(branch, ring.one(), ring.x_poly())
     coeff, tdeg = frac.image()
     if tdeg != branch.frobenius:
         raise CertificationError("gamma' does not sit in the Frobenius degree")

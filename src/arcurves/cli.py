@@ -3,7 +3,7 @@
 Rings come from flat key=value config files, every report embeds the
 config hash and the degree windows it used, and identical inputs give
 byte-identical JSON.  Exit codes: 0 pass, 1 verification failure,
-2 input error, 3 certification failure.
+2 input error, 3 certification failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -351,6 +351,7 @@ def main(argv=None) -> int:
         doc = _dispatch(ring, args)
         doc["config_sha256"] = sha
         doc["seed"] = args.resolved_seed
+        _write(args.out, _render(doc))
     except OSError as e:
         sys.stderr.write(json.dumps({"error": "input", "message": str(e)},
                                     sort_keys=True) + "\n")
@@ -369,7 +370,11 @@ def main(argv=None) -> int:
             {"error": "certification", "message": str(e)},
             sort_keys=True) + "\n")
         return 3
-    _write(args.out, _render(doc))
+    except Exception as e:
+        sys.stderr.write(json.dumps(
+            {"error": "internal", "message": f"{type(e).__name__}: {e}"},
+            sort_keys=True) + "\n")
+        return 4
     return 0 if doc.get("pass", True) else 1
 
 

@@ -3,7 +3,8 @@
 InputError covers malformed or out-of-contract input (exit code 2),
 VerificationError a mathematical check that came out false (exit code 1),
 and CertificationError an internal certificate the code could not
-establish, where guessing would be dishonest (exit code 3).
+establish, where guessing would be dishonest (exit code 3).  Any other
+exception is a bug and exits with code 4.
 """
 
 from __future__ import annotations

@@ -53,6 +53,9 @@ class RationalField:
     def div(self, a, b):
         return a / b
 
+    def pow(self, a, n):
+        return a ** n
+
     def is_zero(self, a):
         return a == 0
 
@@ -120,6 +123,9 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def pow(self, a, n):
+        return pow(a, n, self.ell)
 
     def is_zero(self, a):
         return a % self.ell == 0

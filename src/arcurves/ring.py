@@ -7,9 +7,10 @@ f - y^v lies in xS for v = deg(f)/p.  Then g is monic in y of y-degree
 q + v, which gives a normal form with y-exponents below q + v and the
 monomial k-basis {x^i y^j : j < q + v} in each degree.
 
-Elements of the total quotient ring are kept as exact fractions with a
-nonzerodivisor denominator; membership in R is decided degreewise by
-exact linear algebra, never numerically.
+Elements of the total quotient ring are kept as exact fractions u/(c x^e).
+Since g is monic in y, R is free over k[x] on 1, y, ..., y^(q+v-1), so
+u/x^e lies in R exactly when every term of the normal form of u carries
+x^e; membership is read off the normal form, never computed numerically.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from math import gcd
 
 from .errors import InputError, NotSquarefreeError
 from .fields import QQ
-from .linalg import solve_dense
 
 
 class WPoly:
@@ -276,6 +276,15 @@ def _dehomogenized_form(poly: WPoly, p: int, q: int):
     return coeffs
 
 
+def _x_power(den: WPoly):
+    """(e, c) with den = c x^e, the only denominators a fraction may have."""
+    if len(den.terms) == 1:
+        (e, j), c = next(iter(den.terms.items()))
+        if j == 0:
+            return e, c
+    raise InputError("denominator is not a power of x")
+
+
 def _univariate_gcd_degree(a, b, field) -> int:
     """Degree of gcd of two univariate coefficient lists (0 if coprime)."""
     K = field
@@ -461,22 +470,8 @@ class HypersurfaceRing:
     def piece_dim(self, d: int) -> int:
         return len(self.graded_piece(d))
 
-    def piece_coords(self, poly: WPoly, d: int) -> list:
-        """Coordinates of a normal-form polynomial in the basis of R_d."""
-        K = self.field
-        basis = self.graded_piece(d)
-        if poly.is_zero():
-            return [K.zero] * len(basis)
-        if poly.degree != d:
-            raise InputError("degree mismatch in piece coordinates")
-        index = {key: t for t, key in enumerate(basis)}
-        coords = [K.zero] * len(basis)
-        for key, c in poly.terms.items():
-            coords[index[key]] = c
-        return coords
-
     # ------------------------------------------------------------------
-    # zerodivisor testing via the binary-form gcd
+    # squarefreeness via the binary-form gcd
 
     def _squarefree(self, gpoly: WPoly) -> bool:
         i0, j0, stripped = _strip_monomial(gpoly)
@@ -489,61 +484,20 @@ class HypersurfaceRing:
         deriv = [K.mul(K(t), coeffs[t]) for t in range(1, len(coeffs))]
         return _univariate_gcd_degree(coeffs, deriv, K) <= 0
 
-    def is_nonzerodivisor(self, poly: WPoly) -> bool:
-        """Whether the class of poly in R is a nonzerodivisor.
-
-        Associated primes of R all have height one (hypersurface), so the
-        class is a nonzerodivisor exactly when poly shares no irreducible
-        factor with g.  Weighted-homogeneous factors other than x and y
-        biject with factors of the dehomogenized binary form, so a
-        univariate gcd decides this without factoring.
-        """
-        nf = self.normal_form(poly)
-        if nf.is_zero():
-            return False
-        gi, gj, gstripped = _strip_monomial(self.g)
-        ri, rj, rstripped = _strip_monomial(nf)
-        if gi >= 1 and ri >= 1:
-            return False
-        if gj >= 1 and rj >= 1:
-            return False
-        if gstripped.degree == 0 or rstripped.degree == 0:
-            return True
-        gform = _dehomogenized_form(gstripped, self.p, self.q)
-        rform = _dehomogenized_form(rstripped, self.p, self.q)
-        return _univariate_gcd_degree(gform, rform, self.field) <= 0
-
     # ------------------------------------------------------------------
     # membership in R for fractions
 
     def q_membership(self, num: WPoly, den: WPoly):
-        """Solve r * den = num in R; returns the unique normal form or None.
+        """The r in R with r * den = num, in normal form, or None.
 
-        The denominator must be a nonzerodivisor, which also makes the
-        solution unique when it exists.
+        den must be c x^e.  x times a normal form is again one, so r
+        exists exactly when every term of NF(num) carries x^e.
         """
-        if not self.is_nonzerodivisor(den):
-            raise InputError("denominator is a zero divisor")
+        e, c = _x_power(den)
         num = self.normal_form(num)
-        if num.is_zero():
-            return self.zero_poly()
-        d = num.degree - den.degree
-        if d < 0:
+        if any(i < e for i, _ in num.terms):
             return None
-        basis = self.graded_piece(d)
-        if not basis:
-            return None
-        columns = []
-        for (i, j) in basis:
-            prod = self.normal_form(den.shift_monomial(i, j))
-            columns.append(self.piece_coords(prod, num.degree))
-        rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
-        rhs = self.piece_coords(num, num.degree)
-        sol = solve_dense(rows, rhs, self.field)
-        if sol is None:
-            return None
-        terms = {basis[t]: c for t, c in enumerate(sol) if not self.field.is_zero(c)}
-        return WPoly(self.field, self.q, self.p, terms)
+        return num.div_exact_x(e) * self.field.inv(c)
 
     def describe(self) -> dict:
         return {
@@ -569,7 +523,7 @@ class HypersurfaceRing:
 class QElement:
     """An element of the total quotient ring, as an exact fraction.
 
-    The numerator is homogeneous and the denominator a homogeneous
+    The numerator is homogeneous and the denominator c x^e, a
     nonzerodivisor, so equality, arithmetic, and membership in R are all
     decided exactly.  Branch images are cached by the branch module.
     """
@@ -577,11 +531,10 @@ class QElement:
     __slots__ = ("ring", "num", "den", "_image_cache", "_in_ring_cache")
 
     def __init__(self, ring: HypersurfaceRing, num: WPoly, den: WPoly):
-        if den.is_zero() or not ring.is_nonzerodivisor(den):
-            raise InputError("denominator is a zero divisor")
+        _x_power(den)
         self.ring = ring
         self.num = ring.normal_form(num)
-        self.den = ring.normal_form(den)
+        self.den = den
         self._image_cache: dict = {}
         self._in_ring_cache = ("unset",)
 
@@ -603,8 +556,6 @@ class QElement:
     def __mul__(self, other):
         if isinstance(other, QElement):
             return QElement(self.ring, self.num * other.num, self.den * other.den)
-        if isinstance(other, WPoly):
-            return QElement(self.ring, self.num * other, self.den)
         return QElement(self.ring, self.num * other, self.den)
 
     __rmul__ = __mul__
@@ -615,12 +566,6 @@ class QElement:
         return QElement(self.ring,
                         self.num * other.den + other.num * self.den,
                         self.den * other.den)
-
-    def __neg__(self):
-        return QElement(self.ring, -self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, QElement):

@@ -155,9 +155,26 @@ def test_import_leaves_sympy_unloaded():
     assert out.strip() == "False"
 
 
+def test_unexpected_exception_is_internal_error(cfg, capsys, monkeypatch):
+    def boom(ring, args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_dispatch", boom)
+    code, out, err = _run(capsys, ["ring-info", cfg(CUSP)])
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "internal",
+                               "message": "RuntimeError: boom"}
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(capsys, ["ring-info", "/nonexistent/ring.cfg"])
     assert code == 2
+
+
+def test_unwritable_out_is_input_error(cfg, capsys, tmp_path):
+    out_path = str(tmp_path / "missing" / "report.json")
+    code, out, err = _run(capsys, ["ring-info", cfg(CUSP), "--out", out_path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
 
 
 def test_verify_main_theorem(cfg, capsys):

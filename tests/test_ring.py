@@ -102,6 +102,31 @@ def test_quotient_field_elements(cusp_ring):
     assert xx.in_ring() == r.x_poly()
 
 
+def test_q_membership_divides_by_the_denominator_coefficient(two_branch_ring):
+    r = two_branch_ring
+    two_x = r.monomial(1, 0, 2)
+    for num in (r.monomial(1, 3), r.monomial(4, 0) + r.monomial(1, 4, 5),
+                r.monomial(0, 5)):
+        # y^5 = -x^3 y in R, so y^5 / x = -x^2 y although y^5 has no x
+        half = r.q_membership(num, r.x_poly()) * Fraction(1, 2)
+        assert not half.is_zero()
+        assert r.q_membership(num, two_x) == half
+    assert r.q_membership(r.monomial(0, 5), r.x_poly()) == r.monomial(2, 1, -1)
+    for num in (r.monomial(0, 3), r.monomial(3, 0) + r.monomial(0, 4, 5)):
+        assert r.q_membership(num, two_x) is None
+    assert r.q_membership(r.zero_poly(), two_x) == r.zero_poly()
+
+
+def test_fraction_denominator_must_be_a_power_of_x(cusp_ring):
+    from arcurves import QElement
+    r = cusp_ring
+    for den in (r.y_poly(), r.zero_poly(), r.x_poly() * r.y_poly()):
+        with pytest.raises(InputError, match="not a power of x"):
+            QElement(r, r.one(), den)
+        with pytest.raises(InputError, match="not a power of x"):
+            r.q_membership(r.monomial(1, 3), den)
+
+
 def test_ring_constructor_rejects_bad_weights():
     f = poly_from_string(QQ, 4, 2, "1*x^0*y^0")
     with pytest.raises(InputError):

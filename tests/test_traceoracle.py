@@ -10,6 +10,7 @@ from arcurves import (GradedMatrix, branch_images, end_generators,
                       hom_graded, is_integral, min_t_valuation, mf_from_ideal,
                       random_ring, socle_test, stably_zero_bruteforce,
                       stably_zero_trace, trace_Q, trace_report)
+from arcurves.traceoracle import _ring_preimage
 
 
 def _identity(M):
@@ -63,6 +64,34 @@ def test_trace_oracle_matches_lifting_on_random_rings(seed, field):
     for d in range(ring.deg_g + 1):
         for h in hom_graded(M, M, d).basis:
             assert stably_zero_trace(h, branches) == stably_zero_bruteforce(h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]),
+       e=st.integers(0, 3), data=st.data())
+def test_q_membership_matches_branch_preimage(seed, field, e, data):
+    # q_membership reads num/x^e off the normal form; _ring_preimage
+    # solves for the element of R with the same branch images.
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    K = ring.field
+    branches = factor_hypersurface(ring)
+    d = data.draw(st.sampled_from([d for d in range(2 * ring.deg_g + 1)
+                                   if ring.graded_piece(d)]))
+    basis = ring.graded_piece(d)
+    picks = data.draw(st.lists(st.sampled_from(basis), min_size=1,
+                               max_size=3, unique=True))
+    num = ring.zero_poly()
+    for mono in picks:
+        c = data.draw(st.integers(1, 5))
+        num = num + ring.monomial(*mono, c)
+    den = ring.monomial(e, 0)
+    images = []
+    for branch in branches:
+        n_img, x_img = branch.evaluate(num), branch.evaluate(den)
+        images.append(None if n_img is None else
+                      (K.div(n_img[0], x_img[0]), n_img[1] - x_img[1]))
+    expected = _ring_preimage(ring, branches, images, d - e * ring.q)
+    assert ring.q_membership(num, den) == expected
 
 
 def test_end_generator_degrees(two_branch_ideal):
