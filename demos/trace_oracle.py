@@ -39,7 +39,7 @@ def main():
 
     eg = end_generators(I)
     print("End(I) generator degrees:", [g.degree for g in eg.gens],
-          " certified through degree", eg.strip_hi)
+          " window cut at a(R) + spread =", eg.hi)
 
     print()
     print("full report for gamma_M:")

@@ -47,6 +47,7 @@ class Branch:
         # Multiplicity of the branch: smallest positive t-degree of a
         # parameter image, i.e. the least semigroup generator.
         self.multiplicity = min(self.generators)
+        self._piece_rows: dict = {}
 
     def semigroup_contains(self, t: int) -> bool:
         if t < 0:
@@ -76,6 +77,24 @@ class Branch:
         if tdeg is None or K.is_zero(total):
             return None
         return total, tdeg
+
+    def piece_row(self, w: int):
+        """Images of the monomial basis of R_w, cached per w.
+
+        Returns ({basis index: coeff}, t-degree); every monomial of degree
+        w has the same t-degree, None when all of them vanish here.
+        """
+        cached = self._piece_rows.get(w)
+        if cached is None:
+            ring = self.ring
+            row = {}
+            tdeg = None
+            for t, mono in enumerate(ring.graded_piece(w)):
+                ev = self.evaluate(ring.monomial(*mono))
+                if ev is not None:
+                    row[t], tdeg = ev
+            cached = self._piece_rows[w] = (row, tdeg)
+        return cached
 
     def evaluate_q(self, qe: QElement):
         """Image of a fraction as (coeff, t-degree) or None; cached on qe."""

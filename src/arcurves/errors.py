@@ -38,9 +38,5 @@ class CertificationError(ArcError):
     """An internal certificate could not be established."""
 
 
-class WindowNotSaturatedError(CertificationError):
-    """A degree window was too small to certify module generation."""
-
-
 class InconclusiveSplitError(CertificationError):
     """Indecomposability could not be certified over the given field."""

@@ -509,6 +509,7 @@ class GradedModule:
         self._ambient_cache: dict = {}
         self._image_cache: dict = {}
         self._hom_cache: dict = {}
+        self._trace_cache: dict = {}  # branch -> traceoracle._BranchTrace
 
     # -- graded pieces -------------------------------------------------
 

@@ -1,11 +1,24 @@
 """Traces of endomorphisms over the total quotient ring.
 
 After inverting the nonzerodivisors, a module over the curve splits
-along the branches into vector spaces over Laurent-series-free fields
-k(t), and every endomorphism has an honest matrix trace there.  The
-trace detects stable vanishing: h factors through a free module exactly
-when trace(g h) lands in R for every endomorphism g, and by R-linearity
-it suffices to test a generating set of End(M) as an R-module.
+along the branches into vector spaces over the fields k(t), and every
+endomorphism has an honest matrix trace there.  The trace detects
+stable vanishing: h factors through a free module exactly when
+trace(g h) lands in R for every endomorphism g, and by R-linearity it
+suffices to test a generating set of End(M) as an R-module.
+
+On one branch the trace is a linear map on constant matrices.
+Evaluating the entries of h gives a constant matrix C_b(h) over k, and
+the branch trace is tr(P_b C_b(h)), where P_b projects onto the
+cokernel of the evaluated presentation.  Evaluation is a ring map and
+P_b kills the presentation, so the trace of g h is the pairing of
+tau_{g,b} = P_b C_b(g) with C_b(h): no composite is ever formed.  P_b
+and the tau of every End generator are built once per module and
+branch (cached on the module), the branch images of the monomials of
+R_w once per branch and degree (cached on the branch), and "the trace
+lies in R" is one small solve per generator.  The End generators are
+collected only up to the conductor bound a(R) + spread (see
+end_generators).
 
 Two independent stable-vanishing oracles live here: the trace criterion
 and a brute-force lift through the free cover (re-exported from the
@@ -15,7 +28,7 @@ module layer).  Tests confront them on whole corpora.
 from __future__ import annotations
 
 from .branches import Branch, factor_hypersurface
-from .errors import CertificationError, InputError, WindowNotSaturatedError
+from .errors import CertificationError, InputError
 from .linalg import SparseRREF, solve_sparse_system
 from .modmat import (EndAlgebra, GradedHom, GradedModule, _coefficient_matrix,
                      algebra_radical, hom_graded, stably_zero_bruteforce)
@@ -34,47 +47,97 @@ def _require_endo(h: GradedHom) -> GradedModule:
     return h.source
 
 
-def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
-    """Trace of h on the branch cokernel, as (coeff, t-degree) or None.
+class _BranchTrace:
+    """The cokernel trace of endomorphisms of M on one branch.
 
     Scaling the i-th coordinate by t to the power deg(gen_i)/scale turns
-    both the presentation and the endomorphism matrix into constant
-    matrices over k (each entry is a single power of t, forced by
-    homogeneity), so the cokernel trace is plain linear algebra over k;
-    the grading contributes one overall factor t^(deg h / scale).
+    the presentation and an endomorphism matrix into constant matrices
+    over k (each entry is a single power of t, forced by homogeneity);
+    the grading contributes one overall factor t^(deg h / scale).  A
+    functional is a dict {(i, j): c}, read as X -> sum of c X[i][j] on
+    the coefficient matrix X = C_b(h); the trace itself is the projector.
     """
-    ring = M.ring
-    K = ring.field
-    ca = _coefficient_matrix(branch, M.matrix)
-    ch = _coefficient_matrix(branch, h.H)
-    ngens = len(M.gens)
 
-    # Echelon form of the presentation image.  Each generator is keyed by
-    # its rank in row_order, so the pivot chosen is the lowest generator
-    # degree first, then the lowest index (deterministic).
-    row_order = sorted(range(ngens), key=lambda i: (M.gens[i], i))
-    rank = {i: r for r, i in enumerate(row_order)}
-    image = SparseRREF(K)
-    for j in range(len(M.rels)):
-        image.insert({rank[i]: ca[i][j] for i in range(ngens)
-                      if not K.is_zero(ca[i][j])})
+    __slots__ = ("branch", "module", "projector", "_generators")
 
-    total = K.zero
-    for j in range(ngens):
-        if rank[j] in image.pivots:
-            continue
-        val = ch[j][j]
-        for prank, pcol in image.pivots.items():
-            c = pcol.get(rank[j])
-            if c is not None:
-                val = K.sub(val, K.mul(ch[row_order[prank]][j], c))
-        total = K.add(total, val)
-    if K.is_zero(total):
-        return None
-    if h.degree % branch.scale != 0:
-        raise CertificationError(
-            "branch trace acquired a fractional t-degree")
-    return total, h.degree // branch.scale
+    def __init__(self, branch: Branch, M: GradedModule):
+        K = M.ring.field
+        ca = _coefficient_matrix(branch, M.matrix)
+        ngens = len(M.gens)
+
+        # Echelon form of the presentation image.  Each generator is keyed by
+        # its rank in row_order, so the pivot chosen is the lowest generator
+        # degree first, then the lowest index (deterministic).
+        row_order = sorted(range(ngens), key=lambda i: (M.gens[i], i))
+        rank = {i: r for r, i in enumerate(row_order)}
+        image = SparseRREF(K)
+        for j in range(len(M.rels)):
+            image.insert({rank[i]: ca[i][j] for i in range(ngens)
+                          if not K.is_zero(ca[i][j])})
+
+        # The nonpivot generators span the cokernel; the diagonal entry of
+        # generator j there is X[j][j] minus the pivot rows' share of X e_j.
+        projector = {}
+        for j in range(ngens):
+            if rank[j] in image.pivots:
+                continue
+            projector[(j, j)] = K.one
+            for prank, pcol in image.pivots.items():
+                c = pcol.get(rank[j])
+                if c is not None:
+                    projector[(row_order[prank], j)] = K.neg(c)
+        self.branch = branch
+        self.module = M
+        self.projector = projector
+        self._generators = None
+
+    def functional(self, G):
+        """tau = P_b G, so that tr_b(g h) = <tau, C_b(h)> when G = C_b(g)."""
+        K = self.module.ring.field
+        tau = {}
+        for (i, j), c in self.projector.items():
+            for k, gik in enumerate(G[i]):
+                if not K.is_zero(gik):
+                    tau[(k, j)] = K.add(tau.get((k, j), K.zero), K.mul(c, gik))
+        return {key: v for key, v in tau.items() if not K.is_zero(v)}
+
+    def generator_functionals(self):
+        """The functionals of the End generators, in their order."""
+        if self._generators is None:
+            self._generators = [
+                self.functional(_coefficient_matrix(self.branch, g.H))
+                for g in end_generators(self.module).gens]
+        return self._generators
+
+    def image(self, functional, X, degree):
+        """<functional, X> as a branch image (coeff, t-degree) or None;
+        degree is the degree of the endomorphism whose trace it is."""
+        K = self.module.ring.field
+        total = K.zero
+        for (i, j), c in functional.items():
+            x = X[i][j]
+            if not K.is_zero(x):
+                total = K.add(total, K.mul(c, x))
+        if K.is_zero(total):
+            return None
+        if degree % self.branch.scale != 0:
+            raise CertificationError(
+                "branch trace acquired a fractional t-degree")
+        return total, degree // self.branch.scale
+
+
+def _branch_trace(branch: Branch, M: GradedModule) -> _BranchTrace:
+    """The trace functionals of M on a branch, built once and cached on M."""
+    bt = M._trace_cache.get(branch)
+    if bt is None:
+        bt = M._trace_cache[branch] = _BranchTrace(branch, M)
+    return bt
+
+
+def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
+    """Trace of h on the branch cokernel, as (coeff, t-degree) or None."""
+    bt = _branch_trace(branch, M)
+    return bt.image(bt.projector, _coefficient_matrix(branch, h.H), h.degree)
 
 
 def _ring_preimage(ring, branches, images, w):
@@ -84,19 +147,17 @@ def _ring_preimage(ring, branches, images, w):
     preimage is unique when it exists.  Every monomial of degree w has
     one t-degree on a branch; an image of another t-degree has none.
     """
+    if all(img is None for img in images):
+        return ring.zero_poly()
     K = ring.field
     basis = ring.graded_piece(w)
     rows = []
     for branch, img in zip(branches, images):
-        row = {}
-        tdeg = None
-        for t, mono in enumerate(basis):
-            ev = branch.evaluate(ring.monomial(*mono))
-            if ev is not None:
-                row[t], tdeg = ev
+        row, tdeg = branch.piece_row(w)
         if img is not None:
             if img[1] != tdeg:
                 return None
+            row = dict(row)
             row[len(basis)] = K.neg(img[0])
         rows.append(row)
     sol, _ = solve_sparse_system(rows, len(basis), K, const_index=len(basis))
@@ -169,37 +230,40 @@ def min_t_valuation(tr: QElement, branches=None):
 
 
 class EndGenerators:
-    """A certified generating set of End(M) over R, with its window."""
+    """A generating set of End(M) over R modulo stably zero maps."""
 
-    __slots__ = ("module", "gens", "lo", "hi", "strip_hi", "dims")
+    __slots__ = ("module", "gens", "lo", "hi", "dims")
 
-    def __init__(self, module, gens, lo, hi, strip_hi, dims):
+    def __init__(self, module, gens, lo, hi, dims):
         self.module = module
         self.gens = gens
         self.lo = lo
         self.hi = hi
-        self.strip_hi = strip_hi
         self.dims = dims
 
     def describe(self) -> dict:
         return {
             "window": [self.lo, self.hi],
-            "certified_through": self.strip_hi,
+            "certified_through": self.hi,
             "generator_degrees": [g.degree for g in self.gens],
             "hom_dims": {str(d): n for d, n in sorted(self.dims.items())},
         }
 
 
 def end_generators(M: GradedModule, cache=True) -> EndGenerators:
-    """Minimal R-module generators of End(M), collected degreewise.
+    """Minimal R-module generators of End(M) modulo stably zero maps.
 
-    Degrees run from -spread (below which Hom vanishes) to
-    B = 2 deg(g) + spread; new generators in degree d are hom-basis
-    elements outside x Hom_{d-q} + y Hom_{d-p}.  A strip of width deg(g)
-    above B then certifies the window: if the R-span of the generators
-    fills every hom space on the strip the set is accepted, otherwise
-    WindowNotSaturatedError is raised.  The window is heuristic; the
-    certificate is per-run.
+    Degrees run from -spread, below which End(M) vanishes, to
+    a(R) + spread; new generators in degree d are hom-basis elements
+    outside x End_{d-q} + y End_{d-p}, so the set generates End(M) in
+    every degree of the window.  Every endomorphism f above the window
+    is stably zero: for any g the trace of g f has degree at least
+    a(R) + 1, the conductor degree, where R_w is the whole degree-w
+    piece of the integral closure (the value-semigroup theorem of Kunz
+    for Gorenstein curves), and traces of endomorphisms of maximal
+    Cohen-Macaulay modules are integral, so trace(g f) lies in R.  The
+    set therefore generates End(M) modulo maps through frees, which is
+    all the trace and socle tests need.
     """
     if cache:
         cached = getattr(M, "_end_generators", None)
@@ -209,8 +273,7 @@ def end_generators(M: GradedModule, cache=True) -> EndGenerators:
     K = ring.field
     spread = max(M.gens) - min(M.gens)
     lo = -spread
-    hi = 2 * ring.deg_g + spread
-    strip_hi = hi + ring.deg_g
+    hi = ring.gamma_degree + spread
 
     gens = []
     dims = {}
@@ -230,17 +293,7 @@ def end_generators(M: GradedModule, cache=True) -> EndGenerators:
             if not span.contains(vec):
                 span.insert(vec)
                 gens.append(b)
-
-    for d in range(hi + 1, strip_hi + 1):
-        space = hom_graded(M, M, d)
-        span = SparseRREF(K)
-        for g in gens:
-            for mono in ring.graded_piece(d - g.degree):
-                span.insert(dict(g.times_monomial(*mono).coords))
-        if span.rank != space.dim:
-            raise WindowNotSaturatedError(
-                f"endomorphism generators are not certified in degree {d}")
-    result = EndGenerators(M, gens, lo, hi, strip_hi, dims)
+    result = EndGenerators(M, gens, lo, hi, dims)
     if cache:
         M._end_generators = result
     return result
@@ -248,6 +301,23 @@ def end_generators(M: GradedModule, cache=True) -> EndGenerators:
 
 # ----------------------------------------------------------------------
 # stable vanishing and the socle test
+
+
+def _traces_in_ring(M: GradedModule, degree: int, coeffs, branches) -> bool:
+    """Whether trace(g X) lies in R for every End generator g.
+
+    X is an endomorphism of M of the given degree, given by its branch
+    coefficient matrices, one per branch.  Each trace is read off the
+    generator functionals and tested for a preimage in R.
+    """
+    traces = [_branch_trace(b, M) for b in branches]
+    for k, g in enumerate(end_generators(M).gens):
+        w = g.degree + degree
+        images = [bt.image(bt.generator_functionals()[k], X, w)
+                  for bt, X in zip(traces, coeffs)]
+        if _ring_preimage(M.ring, branches, images, w) is None:
+            return False
+    return True
 
 
 def stably_zero_trace(h: GradedHom, branches=None) -> bool:
@@ -261,12 +331,19 @@ def stably_zero_trace(h: GradedHom, branches=None) -> bool:
     M = _require_endo(h)
     if branches is None:
         branches = factor_hypersurface(M.ring)
-    for g in end_generators(M).gens:
-        gh = g.compose(h)
-        images = [_cokernel_trace(b, M, gh) for b in branches]
-        if _ring_preimage(M.ring, branches, images, gh.degree) is None:
-            return False
-    return True
+    coeffs = [_coefficient_matrix(b, h.H) for b in branches]
+    return _traces_in_ring(M, h.degree, coeffs, branches)
+
+
+def _product_stably_zero(g: GradedHom, h: GradedHom, branches) -> bool:
+    """Whether g h is stably zero, by the trace criterion, without forming it.
+
+    The branch coefficients of g h are read off the matrix product: its
+    normal form and presentation artifacts change no branch trace.
+    """
+    gh = g.H.mul(h.H)
+    coeffs = [_coefficient_matrix(b, gh) for b in branches]
+    return _traces_in_ring(h.source, g.degree + h.degree, coeffs, branches)
 
 
 def _nonunit_generators(M: GradedModule):
@@ -275,7 +352,8 @@ def _nonunit_generators(M: GradedModule):
     The nonunits form the two-sided ideal J with J_0 the radical of the
     degree-zero part and J_d the whole of End_d for d nonzero; as an
     R-module J is generated by a basis of J_0, the nonzero-degree End
-    generators, and x g, y g for each degree-zero generator g.
+    generators, and x g, y g for each degree-zero generator g, modulo
+    stably zero maps as the End generators are.
     """
     eg = end_generators(M)
     out = [g for g in eg.gens if g.degree != 0]
@@ -303,7 +381,7 @@ def socle_test(h: GradedHom, branches=None) -> bool:
     for g in _nonunit_generators(M):
         if g.is_zero():
             continue
-        if not stably_zero_trace(g.compose(h), branches):
+        if not _product_stably_zero(g, h, branches):
             return False
     return True
 

@@ -5,12 +5,19 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcurves import (GradedMatrix, branch_images, end_generators,
+import pytest
+
+from arcurves import (GradedHom, GradedMatrix, branch_images, end_generators,
                       factor_hypersurface, field_from_string, gamma_endo,
-                      hom_graded, is_integral, min_t_valuation, mf_from_ideal,
-                      random_ring, socle_test, stably_zero_bruteforce,
-                      stably_zero_trace, trace_Q, trace_report)
-from arcurves.traceoracle import _ring_preimage
+                      gamma_for, hom_graded, is_integral, min_t_valuation,
+                      mf_from_ideal, push, random_ring, socle_test,
+                      stably_zero_bruteforce, stably_zero_trace, trace_Q,
+                      trace_report)
+from arcurves.linalg import SparseRREF
+from arcurves.modmat import _coefficient_matrix
+from arcurves.traceoracle import (_branch_trace, _cokernel_trace,
+                                  _nonunit_generators, _product_stably_zero,
+                                  _ring_preimage)
 
 
 def _identity(M):
@@ -92,6 +99,104 @@ def test_q_membership_matches_branch_preimage(seed, field, e, data):
                       (K.div(n_img[0], x_img[0]), n_img[1] - x_img[1]))
     expected = _ring_preimage(ring, branches, images, d - e * ring.q)
     assert ring.q_membership(num, den) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_trace_oracle_matches_lifting_on_syzygy_and_push(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    I = mf_from_ideal(ring).cok(label="I")
+    branches = factor_hypersurface(ring)
+    for M in (I.syz(), push(I, gamma_for(ring)).middle):
+        spread = max(M.gens) - min(M.gens)
+        for d in range(-spread, ring.deg_g + 1):
+            for h in hom_graded(M, M, d).basis:
+                assert stably_zero_trace(h, branches) == stably_zero_bruteforce(h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_ring_is_integrally_closed_from_the_conductor_degree(seed, field):
+    # R_w is the whole degree-w piece of the integral closure, one t-power
+    # per branch whose scale divides w, exactly when the branch images of
+    # R_w have that rank.  From the conductor degree a(R) + 1 on this holds
+    # (end_generators cuts its window there), and at a(R) it fails.
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    branches = factor_hypersurface(ring)
+
+    def ranks(w):
+        rr = SparseRREF(ring.field)
+        for b in branches:
+            rr.insert(b.piece_row(w)[0])
+        return rr.rank, sum(1 for b in branches if w % b.scale == 0)
+
+    a = ring.gamma_degree
+    for w in range(a + 1, a + 2 + 2 * ring.deg_g):
+        rank, closure = ranks(w)
+        assert rank == closure
+    rank, closure = ranks(a)
+    assert rank < closure
+
+
+@pytest.mark.parametrize("ring_name", ["cusp_ring", "two_branch_ring"])
+def test_generator_functional_is_the_trace_of_the_composite(ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    branches = factor_hypersurface(ring)
+    I = mf_from_ideal(ring).cok(label="I")
+    for M in (I, I.syz()):
+        spread = max(M.gens) - min(M.gens)
+        maps = [h for d in range(-spread, ring.deg_g + 1)
+                for h in hom_graded(M, M, d).basis]
+        for b in branches:
+            bt = _branch_trace(b, M)
+            for g in maps:
+                tau = bt.functional(_coefficient_matrix(b, g.H))
+                for h in maps:
+                    assert (bt.image(tau, _coefficient_matrix(b, h.H),
+                                     g.degree + h.degree)
+                            == _cokernel_trace(b, M, g.compose(h)))
+
+
+@pytest.mark.parametrize("ring_name", ["cusp_ring", "two_branch_ring"])
+def test_socle_test_matches_lifting(ring_name, request):
+    # socle_test reads each product g h off the branch coefficients of the
+    # matrix product; the lifting oracle composes the maps honestly.
+    ring = request.getfixturevalue(ring_name)
+    branches = factor_hypersurface(ring)
+    I = mf_from_ideal(ring).cok(label="I")
+    # End(I) is commutative (I has rank one); the push middle term's is not.
+    for M in (I, push(I, gamma_for(ring)).middle):
+        nonunits = [g for g in _nonunit_generators(M) if not g.is_zero()]
+        for d in range(ring.deg_g + 1):
+            for h in hom_graded(M, M, d).basis:
+                products = [stably_zero_bruteforce(g.compose(h))
+                            for g in nonunits]
+                assert products == [_product_stably_zero(g, h, branches)
+                                    for g in nonunits]
+                by_lift = not stably_zero_bruteforce(h) and all(products)
+                assert socle_test(h, branches) == by_lift
+
+
+def test_trace_oracle_composes_nothing(cusp_ring, cusp_ideal, monkeypatch):
+    # Machine-independent operation counts: the trace test reads each
+    # trace off per-generator functionals, and the End generators stop
+    # at the conductor bound.
+    calls = []
+    compose = GradedHom.compose
+
+    def counted(self, first):
+        calls.append(1)
+        return compose(self, first)
+
+    monkeypatch.setattr(GradedHom, "compose", counted)
+    M = cusp_ideal
+    branches = factor_hypersurface(cusp_ring)
+    for d in range(-cusp_ring.deg_g, cusp_ring.deg_g + 1):
+        for h in hom_graded(M, M, d).basis:
+            stably_zero_trace(h, branches)
+    assert len(calls) == 0
+    spread = max(M.gens) - min(M.gens)
+    assert max(end_generators(M).dims) <= cusp_ring.gamma_degree + spread
 
 
 def test_end_generator_degrees(two_branch_ideal):
