@@ -15,6 +15,7 @@ are all decided by integer arithmetic on t-exponents.
 
 from __future__ import annotations
 
+from . import upoly
 from .errors import CertificationError, FormSplitError, InputError, NotSquarefreeError
 from .ring import (HypersurfaceRing, QElement, WPoly, _dehomogenized_form,
                    _strip_monomial, semigroup_member)
@@ -174,37 +175,13 @@ def _binomial_branch(ring: HypersurfaceRing, alpha, beta) -> Branch:
 
 
 def _pth_root(K, value, p: int):
-    if K.char == 0:
-        from fractions import Fraction
-        val = value
-        sign = 1
-        if val < 0:
-            if p % 2 == 0:
-                return None
-            sign = -1
-            val = -val
-        num = _int_nth_root(val.numerator, p)
-        den = _int_nth_root(val.denominator, p)
-        if num is None or den is None:
-            return None
-        return Fraction(sign * num, den)
-    # The least root, so the branch does not depend on the algorithm.
-    from sympy.ntheory.residue_ntheory import nthroot_mod
-    roots = nthroot_mod(value, p, K.char, all_roots=True)
-    return min(roots) if roots else None
-
-
-def _int_nth_root(n: int, p: int):
-    if n == 0:
-        return 0
-    lo, hi = 1, max(2, n)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** p < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** p == n else None
+    # The least root over F_ell; over Q the real root, the positive one
+    # when there are two (-r and r).  So the branch does not depend on
+    # the algorithm.
+    rs = upoly.roots([K.neg(value)] + [K.zero] * (p - 1) + [K.one], K)
+    if not rs:
+        return None
+    return rs[-1] if K.char == 0 else rs[0]
 
 
 def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
@@ -250,38 +227,16 @@ def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
     """Linear factors (alpha, beta, multiplicity) of the form in (x^p, y^q)."""
     K = ring.field
     coeffs = _dehomogenized_form(stripped, ring.p, ring.q)
-    import sympy
-    T = sympy.Symbol("T")
-    if K.char == 0:
-        sym_coeffs = [sympy.Rational(c.numerator, c.denominator)
-                      for c in reversed(coeffs)]
-        poly = sympy.Poly(sym_coeffs, T, domain="QQ")
-    else:
-        poly = sympy.Poly([int(c) for c in reversed(coeffs)], T,
-                          modulus=K.char, symmetric=False)
-    _, factors = poly.factor_list()
+    roots, split = upoly.linear_factors(coeffs, K)
+    if not split:
+        raise FormSplitError("form does not split over k")
     out = []
-    for fac, mult in factors:
-        if fac.degree() >= 2:
-            raise FormSplitError("form does not split over k")
-        a1, a0 = fac.all_coeffs() if fac.degree() == 1 else (0, fac.all_coeffs()[0])
-        if fac.degree() == 0:
-            continue
-        alpha = _from_sympy(K, a1)
-        beta = _from_sympy(K, a0)
-        if K.is_zero(beta):
+    for root, mult in roots:
+        # T - root with T = x^p / y^q: alpha = 1, beta = -root.
+        if K.is_zero(root):
             raise CertificationError("binary form vanished at the origin")
-        out.append((alpha, beta, mult))
+        out.append((K.one, K.neg(root), mult))
     return out
-
-
-def _from_sympy(K, value):
-    from fractions import Fraction
-    import sympy
-    if K.char == 0:
-        r = sympy.Rational(value)
-        return Fraction(int(r.p), int(r.q))
-    return int(value) % K.char
 
 
 def singular_branch(ring: HypersurfaceRing) -> Branch:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
 
 class RationalField:
     """The field of rational numbers, elements represented as Fraction."""
@@ -79,7 +81,7 @@ class PrimeField:
     """The field with ell elements, ell an odd prime; elements are ints in [0, ell)."""
 
     def __init__(self, ell: int):
-        if ell < 3 or not _is_prime(ell):
+        if ell < 3 or not is_prime(ell):
             raise ValueError(f"{ell} is not an odd prime")
         self.ell = ell
         self.char = ell
@@ -146,14 +148,34 @@ class PrimeField:
         return hash(("PrimeField", self.ell))
 
 
-def _is_prime(n: int) -> bool:
+# Miller-Rabin with these bases decides primality exactly below
+# _MR_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; InputError from 3.3e24 up."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise InputError(f"{n} is too large to certify as a prime")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+from . import upoly
 from .errors import (CertificationError, FieldTooSmallError,
                      InconclusiveSplitError, InputError, VerificationError)
 from .linalg import (SparseRREF, dense_vector, kernel_dense, rank_dense,
@@ -1243,45 +1244,6 @@ def _min_poly(mult, identity, start, dim, K):
     return [K.neg(c) for c in sol] + [K.one]
 
 
-def _to_sympy_poly(coeffs, K, T):
-    import sympy
-    if K.char == 0:
-        expr = sum((sympy.Rational(K.to_str(c)) * T**s
-                    for s, c in enumerate(coeffs)), sympy.Integer(0))
-        return sympy.Poly(expr, T, domain="QQ")
-    expr = sum((sympy.Integer(int(K.to_str(c))) * T**s
-                for s, c in enumerate(coeffs)), sympy.Integer(0))
-    return sympy.Poly(expr, T, modulus=K.char, symmetric=False)
-
-
-def _from_sympy_univariate(poly, K):
-    return [K(str(c)) for c in reversed(poly.all_coeffs())]
-
-
-def _factor_min_poly(coeffs, K):
-    """Sympy factorization of a minimal polynomial, deterministically sorted."""
-    import sympy
-    T = sympy.Symbol("T")
-    poly = _to_sympy_poly(coeffs, K, T)
-    _, factors = poly.factor_list()
-    out = [(fac.monic(), mult) for fac, mult in factors]
-    out.sort(key=lambda fm: (fm[0].degree(), str(fm[0])))
-    return poly, out
-
-
-def _crt_idempotent_coeffs(poly, factors, K):
-    """Coefficients of e(T) with e = 1 mod f1^e1 and e = 0 mod the rest."""
-    f1, e1 = factors[0]
-    block = f1**e1
-    rest = poly.div(block)[0]
-    s, t, h = block.gcdex(rest)
-    if h.degree() != 0:
-        raise CertificationError("factor blocks of the minimal polynomial "
-                                 "are not coprime")
-    scaled = (t * rest).div(h)[0].rem(poly)
-    return _from_sympy_univariate(scaled, K)
-
-
 def _evaluate_in_algebra(coeffs, elem, mult, identity, K):
     # Horner evaluation: ((c_n h + c_{n-1}) h + ...) + c_0.
     acc = [K.mul(coeffs[-1], c) for c in identity]
@@ -1361,9 +1323,9 @@ def _indecomposable_parts(M: GradedModule, rng, max_random):
     certified = False
     for cand in _candidate_elements(alg, rng, max_random):
         mu = _min_poly(alg.mult, alg.identity, cand, alg.dim, K)
-        poly, factors = _factor_min_poly(mu, K)
+        factors = upoly.factor(mu, K)
         if len(factors) >= 2:
-            coeffs = _crt_idempotent_coeffs(poly, factors, K)
+            coeffs = upoly.idempotent(mu, factors, K)
             idem = _evaluate_in_algebra(coeffs, cand, alg.mult,
                                         alg.identity, K)
             if _is_trivial_idempotent(alg, idem):
@@ -1380,9 +1342,9 @@ def _indecomposable_parts(M: GradedModule, rng, max_random):
         if not certified:
             mu_bar = _min_poly(quotient.mult, quotient.identity(),
                                quotient.reduce(cand), alg.dim, K)
-            _, factors_bar = _factor_min_poly(mu_bar, K)
+            factors_bar = upoly.factor(mu_bar, K)
             if (len(factors_bar) == 1 and factors_bar[0][1] == 1
-                    and factors_bar[0][0].degree() == quotient.dim):
+                    and len(factors_bar[0][0]) - 1 == quotient.dim):
                 certified = True
     if certified:
         return [M]

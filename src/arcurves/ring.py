@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
+from . import upoly
 from .errors import InputError, NotSquarefreeError
 from .fields import QQ
 
@@ -285,28 +286,6 @@ def _x_power(den: WPoly):
     raise InputError("denominator is not a power of x")
 
 
-def _univariate_gcd_degree(a, b, field) -> int:
-    """Degree of gcd of two univariate coefficient lists (0 if coprime)."""
-    K = field
-
-    def trim(u):
-        while u and K.is_zero(u[-1]):
-            u = u[:-1]
-        return u
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            factor = K.div(a[-1], b[-1])
-            shift = len(a) - len(b)
-            a = [K.sub(c, K.mul(factor, b[t - shift])) if shift <= t else c
-                 for t, c in enumerate(a)]
-            a = trim(a)
-        a, b = b, a
-    return len(a) - 1 if a else -1
-
-
 class HypersurfaceRing:
     """The graded curve R = k[x, y]/((b x^p + y^q) f), deg x = q, deg y = p."""
 
@@ -481,8 +460,7 @@ class HypersurfaceRing:
             return True
         coeffs = _dehomogenized_form(stripped, self.p, self.q)
         K = self.field
-        deriv = [K.mul(K(t), coeffs[t]) for t in range(1, len(coeffs))]
-        return _univariate_gcd_degree(coeffs, deriv, K) <= 0
+        return len(upoly.gcd(coeffs, upoly.derivative(coeffs, K), K)) <= 1
 
     # ------------------------------------------------------------------
     # membership in R for fractions

@@ -138,7 +138,8 @@ def test_window_outside_trace_oracle_is_input_error(cfg, capsys):
 
 
 def test_import_leaves_sympy_unloaded():
-    # sympy is imported on first factorization, not by "import arcurves".
+    # Nothing in arcurves imports sympy; test_cli_loads_no_sympy covers
+    # the commands that factor.
     import os
     import subprocess
     import sys
@@ -153,6 +154,50 @@ def test_import_leaves_sympy_unloaded():
          "import sys, arcurves; print('sympy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("text", [CUSP, TWO_BRANCH.replace(
+    "field = Q", "field = F101")], ids=["cusp_q", "two_branch_f101"])
+def test_cli_loads_no_sympy(cfg, text):
+    # Factoring binary forms and minimal polynomials is done in-house:
+    # no command that factors loads sympy.
+    import os
+    import subprocess
+    import sys
+
+    import arcurves
+    path = cfg(text)
+    commands = [["ring-info", path], ["push", path], ["decompose", path],
+                ["verify", "trace-oracle", path]]
+    script = ("import contextlib, io, json, sys\n"
+              "from arcurves import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "    assert 'sympy' not in sys.modules, argv\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(arcurves.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ring_info_over_mersenne_61_field(cfg, capsys):
+    # 2^61 - 1 is certified prime without trial division, and the
+    # branch's p-th root is found in F_(2^61 - 1).
+    code, out, err = _run(capsys, ["ring-info", cfg(CUSP.replace(
+        "field = Q", "field = F2305843009213693951"))])
+    assert code == 0 and err == ""
+    assert json.loads(out)["branches"][0]["frobenius"] == 5
+
+
+def test_field_beyond_the_primality_test_is_input_error(cfg, capsys):
+    code, out, err = _run(capsys, ["ring-info", cfg(CUSP.replace(
+        "field = Q", "field = F%d" % (2**127 - 1)))])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
 
 
 def test_unexpected_exception_is_internal_error(cfg, capsys, monkeypatch):
