@@ -152,7 +152,7 @@ def _alpha_beta(M: GradedModule, gd: GammaDatum):
     D, G = ring.deg_g, ring.gamma_degree
     Gamma = _in_ring_matrix(gd, psi)
     Gphi = _in_ring_matrix(gd, phi)
-    sol, _ = solve_graded_system(
+    sol = solve_graded_system(
         ring,
         {"A": (psi.cols, tuple(c + G for c in psi.cols))},
         [([("L", psi, "A")], -Gamma),
@@ -320,7 +320,7 @@ def solve_W(seq: ARSequence):
     eta = seq.middle.mf.psi
     Gb = _in_ring_matrix(gd, beta)
     const = -(Gb + beta.mul(beta.shift(G)))
-    sol, _ = solve_graded_system(
+    sol = solve_graded_system(
         ring,
         {"Zp": (psi.cols, tuple(c + 2 * G for c in phi.cols)),
          "Z": (tuple(c + G for c in psi.cols),
@@ -375,7 +375,7 @@ def syz_transport(h, target: GradedModule | None = None):
     Solves H phi = phi B modulo g and reads B as an endomorphism of the
     syzygy module (the cokernel of psi).  The identity transports to the
     identity and multiplications to themselves, because the solution is
-    unique up to presentation artifacts.
+    unique up to matrices psi C, which present zero maps of the syzygy.
     """
     M = h.source
     if M is not h.target:
@@ -388,7 +388,7 @@ def syz_transport(h, target: GradedModule | None = None):
     N = target if target is not None else M.syz()
     if not N.matrix == M.mf.psi.nf():
         raise InputError("target is not the syzygy presented by psi")
-    sol, _ = solve_graded_system(
+    sol = solve_graded_system(
         ring,
         {"B": (phi.cols, tuple(c + d for c in phi.cols))},
         [([("L", phi, "B")], -h.H.mul(phi.shift(d)))],

@@ -64,14 +64,6 @@ class GradedMatrix:
                 for i in range(len(degs))]
         return cls(ring, degs, degs, ents)
 
-    @classmethod
-    def scalar(cls, ring, degs, value):
-        c = ring.monomial(0, 0, value)
-        z = ring.zero_poly()
-        ents = [[c if i == j else z for j in range(len(degs))]
-                for i in range(len(degs))]
-        return cls(ring, degs, degs, ents)
-
     def shift(self, s: int) -> "GradedMatrix":
         return GradedMatrix(self.ring, [r + s for r in self.rows],
                             [c + s for c in self.cols], self.entries)
@@ -94,17 +86,18 @@ class GradedMatrix:
         ents = [[e * value for e in row] for row in self.entries]
         return GradedMatrix(self.ring, self.rows, self.cols, ents)
 
-    def mul(self, other: "GradedMatrix", shift=None) -> "GradedMatrix":
+    def mul(self, other: "GradedMatrix") -> "GradedMatrix":
         """Exact product over the polynomial ring.
 
         The column degrees of self must exceed the row degrees of other
-        by one constant (the composition shift); the result's columns
-        are other's columns raised by that constant.
+        by one constant (the composition shift, 0 for an empty inner
+        dimension); the result's columns are other's columns raised by
+        that constant.
         """
         if len(self.cols) != len(other.rows):
             raise InputError("inner dimensions differ in matrix product")
         if len(self.cols) == 0:
-            c0 = shift or 0
+            c0 = 0
         else:
             diffs = {self.cols[t] - other.rows[t] for t in range(len(self.cols))}
             if len(diffs) != 1:
@@ -212,8 +205,7 @@ def block_matrix(ring, blocks, rows, cols) -> GradedMatrix:
 # the graded linear solver
 
 
-def solve_graded_system(ring, unknowns, equations, mode="mod_g",
-                        want_kernel=False):
+def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
     """Solve linear matrix equations over R (mod g) or over S (exact).
 
     unknowns: dict name -> (row_degrees, col_degrees); the unknown entry
@@ -224,10 +216,10 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g",
     contributes C X, each ("R", C, name) contributes X C, and const is a
     GradedMatrix or None.  Every equation asserts that the sum vanishes.
 
-    Returns (solution, kernel): solution maps names to GradedMatrix (the
-    canonical particular solution, free variables zero) or is None when
-    the system is inconsistent; kernel lists such dicts spanning the
-    homogeneous solutions (only when want_kernel).
+    Returns the canonical particular solution, a dict mapping names to
+    GradedMatrix with free variables zero, or None when the system is
+    inconsistent.  Hom spaces are kernels of precomposition and are not
+    built here (see HomSpace).
     """
     basis_of = ring.graded_piece if mode == "mod_g" else ring.s_piece
     K = ring.field
@@ -293,30 +285,19 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g",
                     if cell:
                         sys_rows.append(cell)
 
-    particular, kernel = solve_sparse_system(sys_rows, nvars, K,
-                                             const_index=const_index)
-
-    def materialize(vec: dict):
-        staged = {}
-        for name in sorted(unknowns):
-            rdegs, cdegs = unknowns[name]
-            staged[name] = (rdegs, cdegs,
-                            [[dict() for _ in cdegs] for _ in rdegs])
-        for vk, value in vec.items():
-            if vk == const_index:
-                continue
-            name, i, j, mono = var_list[vk]
-            staged[name][2][i][j][mono] = value
-        result = {}
-        for name, (rdegs, cdegs, ents) in staged.items():
-            polys = [[WPoly(K, ring.q, ring.p, ents[i][j])
-                      for j in range(len(cdegs))] for i in range(len(rdegs))]
-            result[name] = GradedMatrix(ring, rdegs, cdegs, polys)
-        return result
-
-    solution = materialize(particular) if particular is not None else None
-    kern = [materialize(v) for v in kernel] if want_kernel else []
-    return solution, kern
+    particular, _ = solve_sparse_system(sys_rows, nvars, K,
+                                        const_index=const_index)
+    if particular is None:
+        return None
+    ents = {name: [[dict() for _ in cdegs] for _ in rdegs]
+            for name, (rdegs, cdegs) in unknowns.items()}
+    for vk, value in particular.items():
+        name, i, j, mono = var_list[vk]
+        ents[name][i][j][mono] = value
+    return {name: GradedMatrix(ring, rdegs, cdegs,
+                               [[WPoly(K, ring.q, ring.p, e) for e in row]
+                                for row in ents[name]])
+            for name, (rdegs, cdegs) in unknowns.items()}
 
 
 def _equation_shape(unknowns, terms, const):
@@ -412,9 +393,6 @@ class MatrixFactorization:
     def syz(self) -> "MatrixFactorization":
         return MatrixFactorization(self.psi, self.phi.shift(self.ring.deg_g))
 
-    def syz_inverse(self) -> "MatrixFactorization":
-        return MatrixFactorization(self.psi.shift(-self.ring.deg_g), self.phi)
-
     def __repr__(self):
         return f"MatrixFactorization(rows={self.phi.rows}, cols={self.phi.cols})"
 
@@ -446,8 +424,8 @@ def mf_complete(A: GradedMatrix) -> MatrixFactorization:
         raise InputError("only square matrices can be completed")
     unknowns = {"B": (A.cols, tuple(r + ring.deg_g for r in A.rows))}
     const = g_identity(ring, A.rows)
-    sol, _ = solve_graded_system(ring, unknowns,
-                                 [([("L", A, "B")], -const)], mode="exact")
+    sol = solve_graded_system(ring, unknowns, [([("L", A, "B")], -const)],
+                              mode="exact")
     if sol is None:
         raise CertificationError(
             "presentation does not complete to a factorization of g")
@@ -565,11 +543,6 @@ class GradedModule:
             raise InputError("syzygy requires a matrix factorization backing")
         return self.mf.syz().cok(label=_wrap_label(self.label, "syz"))
 
-    def syz_inverse(self) -> "GradedModule":
-        if self.mf is None:
-            raise InputError("cosyzygy requires a matrix factorization backing")
-        return self.mf.syz_inverse().cok(label=_wrap_label(self.label, "cosyz"))
-
     def describe(self) -> dict:
         return {
             "label": self.label,
@@ -661,9 +634,12 @@ class GradedHom:
 class HomSpace:
     """The k-vector space of degree-d homomorphisms between two modules.
 
-    The basis is canonical: solution matrices are reduced modulo the
-    presentation-artifact subspace (columns moved by the target's
-    relations) and put in reduced row echelon form.
+    Hom(cok A, N)_d is the kernel of precomposition X -> X A on the sum
+    of the pieces N_(w_j + d) over the generator degrees w_j of cok A
+    (see _precomposition).  Its vectors live on the nonpivot coordinates
+    of N, so they are already reduced modulo N's relations; the basis is
+    their reduced row echelon form in the flat coordinates of a hom
+    matrix, and is therefore canonical.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int):
@@ -671,41 +647,28 @@ class HomSpace:
         self.target = target
         self.degree = degree
         ring = source.ring
-        K = ring.field
-        ns = len(source.gens)
         # Coordinates of a hom matrix flattened row-major: entry (i, j)
-        # is component i * ns + j.
+        # runs over the monomials of degree ws + degree - wt.
         entry_index = {}
         entry_list = []
         for i, wt in enumerate(target.gens):
             for j, ws in enumerate(source.gens):
                 for mono in ring.graded_piece(ws + degree - wt):
-                    entry_index[(i * ns + j, mono)] = len(entry_list)
+                    entry_index[(i, j, mono)] = len(entry_list)
                     entry_list.append((i, j, mono))
         self._entry_list = entry_list
-        self._coords = _scatter(entry_index)
+        # _flat[j][t]: flat coordinate of the t-th ambient basis element
+        # of the target in degree w_j + degree, as column j.
+        self._flat = [[entry_index[(i, j, mono)]
+                       for i, mono in target.ambient_basis(ws + degree)]
+                      for j, ws in enumerate(source.gens)]
 
-        # Presentation artifacts: matrices of the form B C with C over R,
-        # spanned by column j of B placed in column l, times monomials.
-        B = target.matrix
-        z = ring.zero_poly()
-        artifacts = [(u - ws, [B.entries[i][j] if t == l else z
-                               for i in range(len(target.gens))
-                               for t in range(ns)])
-                     for j, u in enumerate(target.rels)
-                     for l, ws in enumerate(source.gens)]
-        self._w0 = _span_rref(ring, degree, artifacts, self._coords)
-
-        unknowns = {
-            "H": (target.gens, tuple(w + degree for w in source.gens)),
-            "K": (target.rels, tuple(u + degree for u in source.rels)),
-        }
-        eq = ([("R", source.matrix, "H"), ("L", -B, "K")], None)
-        _, kernel = solve_graded_system(ring, unknowns, [eq], mode="mod_g",
-                                        want_kernel=True)
-        reduced = SparseRREF(K)
+        variables, rows = _precomposition(source.matrix, target, degree)
+        _, kernel = solve_sparse_system(rows, len(variables), ring.field)
+        flat = [self._flat[j][t] for j, t in variables]
+        reduced = SparseRREF(ring.field)
         for vec in kernel:
-            reduced.insert(self._w0.reduce(self._matrix_coords(vec["H"])))
+            reduced.insert({flat[v]: c for v, c in vec.items()})
         self._span = reduced
         self.basis = []
         for piv in sorted(reduced.pivots):
@@ -717,9 +680,6 @@ class HomSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _matrix_coords(self, H: GradedMatrix) -> dict:
-        return self._coords([e for row in H.entries for e in row])
 
     def _matrix_from_coords(self, coords: dict) -> GradedMatrix:
         ring = self.source.ring
@@ -735,7 +695,16 @@ class HomSpace:
                             polys)
 
     def coords_of(self, H: GradedMatrix):
-        return _freeze(self._w0.reduce(self._matrix_coords(H.nf())))
+        """Canonical coordinates of a hom matrix: each column reduced in
+        the target's piece."""
+        H = H.nf()
+        out = {}
+        for j, ws in enumerate(self.source.gens):
+            column = [row[j] for row in H.entries]
+            for t, c in self.target.element_coords(
+                    column, ws + self.degree).items():
+                out[self._flat[j][t]] = c
+        return _freeze(out)
 
     def from_matrix(self, H: GradedMatrix) -> GradedHom:
         coords = self.coords_of(H)
@@ -803,20 +772,17 @@ def _stably_zero_span(space: HomSpace) -> SparseRREF:
     A map between MCM modules factors through some free module exactly
     when it factors through the free cover of its target: H = L + B C
     with L A = 0 mod g, where A and B present source and target.  The
-    coordinates of a hom are taken modulo the matrices B C, so the span
-    is that of the maps L.  Built once per hom space.
+    maps L are the homs into that free cover, and coords_of reduces
+    modulo the matrices B C, so the span is that of their coordinates.
+    Built once per hom space.
     """
     span = getattr(space, "_stably_zero", None)
     if span is not None:
         return span
     M, N, d = space.source, space.target, space.degree
-    unknowns = {"L": (N.gens, tuple(w + d for w in M.gens))}
-    _, kernel = solve_graded_system(M.ring, unknowns,
-                                    [([("R", M.matrix, "L")], None)],
-                                    mode="mod_g", want_kernel=True)
     span = SparseRREF(M.ring.field)
-    for vec in kernel:
-        span.insert(dict(space.coords_of(vec["L"])))
+    for L in HomSpace(M, free_module(M.ring, N.gens), d).basis:
+        span.insert(dict(space.coords_of(L.H)))
     space._stably_zero = span
     return span
 
@@ -833,6 +799,29 @@ def stable_end_dim(M: GradedModule, d: int) -> int:
     return space.dim - _stably_zero_span(space).rank
 
 
+def _precomposition(A: GradedMatrix, N: GradedModule, d: int):
+    """The map X -> X A from Hom(F(A.rows), N)_d to Hom(F(A.cols), N)_d.
+
+    Variable (i, t) sends generator i to the t-th nonpivot basis element
+    of N_(A.rows[i] + d).  Returns the variables and the rows of the map,
+    one per (column of A, coordinate in N); the kernel is Hom(cok A, N)_d.
+    """
+    ring = A.ring
+    variables = [(i, t) for i, w in enumerate(A.rows)
+                 for t in N.nonpivot_basis(w + d)]
+    rows: dict = {}
+    for v, (i, t) in enumerate(variables):
+        gen, mono = N.ambient_basis(A.rows[i] + d)[t]
+        for j, e in enumerate(A.entries[i]):
+            if e.is_zero():
+                continue
+            polys = [ring.zero_poly()] * len(N.gens)
+            polys[gen] = ring.normal_form(e.shift_monomial(*mono))
+            for tt, c in N.element_coords(polys, A.cols[j] + d).items():
+                rows.setdefault((j, tt), {})[v] = c
+    return variables, list(rows.values())
+
+
 def ext1_dim(mf: MatrixFactorization, N: GradedModule, d: int) -> int:
     """dim Ext^1(cosyzygy of cok phi, N) in degree d.
 
@@ -840,32 +829,14 @@ def ext1_dim(mf: MatrixFactorization, N: GradedModule, d: int) -> int:
     ... -> F(cols) --phi--> F(rows) --psi(-D)--> F(cols - D), so Ext^1
     in degree d is ker(-o phi) / im(-o psi(-D)) inside Hom(F(rows), N)_d.
     """
-    ring = mf.ring
-
-    def rank_of_precomposition(A: GradedMatrix) -> int:
-        """Rank of -o A from Hom(F(A.rows), N)_d to Hom(F(A.cols), N)_d.
-
-        A basis element sends generator i to a basis element of N; its
-        image is keyed by (column of A, coordinate in N).
-        """
-        rr = SparseRREF(ring.field)
-        for i, w in enumerate(A.rows):
-            for t in N.nonpivot_basis(w + d):
-                gen, mono = N.ambient_basis(w + d)[t]
-                row = {}
-                for j, e in enumerate(A.entries[i]):
-                    if e.is_zero():
-                        continue
-                    polys = [ring.zero_poly()] * len(N.gens)
-                    polys[gen] = ring.normal_form(e * ring.monomial(*mono))
-                    for tt, c in N.element_coords(polys, A.cols[j] + d).items():
-                        row[(j, tt)] = c
-                rr.insert(row)
+    def rank(A: GradedMatrix) -> int:
+        rr = SparseRREF(mf.ring.field)
+        for row in _precomposition(A, N, d)[1]:
+            rr.insert(row)
         return rr.rank
 
     mid = sum(N.piece_dim(w + d) for w in mf.phi.rows)
-    return (mid - rank_of_precomposition(mf.phi)
-            - rank_of_precomposition(mf.psi.shift(-ring.deg_g)))
+    return mid - rank(mf.phi) - rank(mf.psi.shift(-mf.ring.deg_g))
 
 
 # ----------------------------------------------------------------------
@@ -1253,7 +1224,11 @@ def _evaluate_in_algebra(coeffs, elem, mult, identity, K):
     return acc
 
 
-def _candidate_elements(alg: EndAlgebra, rng, max_random):
+# Random End_0 elements tried after the structured candidates.
+_RANDOM_CANDIDATES = 120
+
+
+def _candidate_elements(alg: EndAlgebra, rng):
     K = alg.module.ring.field
     n = alg.dim
     for i in range(n):
@@ -1271,11 +1246,11 @@ def _candidate_elements(alg: EndAlgebra, rng, max_random):
             vec[j] = K.one
             yield vec
     span = 7 if K.char == 0 else min(K.char, 7)
-    for _ in range(max_random):
+    for _ in range(_RANDOM_CANDIDATES):
         yield [K(rng.randrange(span)) for _ in range(n)]
 
 
-def decompose(M: GradedModule, rng=None, max_random=120):
+def decompose(M: GradedModule, rng=None):
     """Split a module into indecomposable summands, exactly.
 
     Returns (parts, free_shifts): parts are the nonfree indecomposable
@@ -1292,7 +1267,7 @@ def decompose(M: GradedModule, rng=None, max_random=120):
     core, frees = _minimal_core(M)
     if core is None:
         return [], frees
-    parts = _indecomposable_parts(core, rng, max_random)
+    parts = _indecomposable_parts(core, rng)
     parts.sort(key=_module_sort_key)
     return parts, frees
 
@@ -1313,7 +1288,7 @@ def _minimal_core(M: GradedModule):
     return mf_complete(pruned).cok(label=M.label), frees
 
 
-def _indecomposable_parts(M: GradedModule, rng, max_random):
+def _indecomposable_parts(M: GradedModule, rng):
     alg = EndAlgebra(M)
     radical = algebra_radical(alg)
     quotient = _QuotientAlgebra(alg, radical)
@@ -1321,7 +1296,7 @@ def _indecomposable_parts(M: GradedModule, rng, max_random):
         return [M]
     K = M.ring.field
     certified = False
-    for cand in _candidate_elements(alg, rng, max_random):
+    for cand in _candidate_elements(alg, rng):
         mu = _min_poly(alg.mult, alg.identity, cand, alg.dim, K)
         factors = upoly.factor(mu, K)
         if len(factors) >= 2:
@@ -1337,7 +1312,7 @@ def _indecomposable_parts(M: GradedModule, rng, max_random):
                 if sub_frees or sub_core is None:
                     raise CertificationError(
                         "free summand surfaced inside a split part")
-                out.extend(_indecomposable_parts(sub_core, rng, max_random))
+                out.extend(_indecomposable_parts(sub_core, rng))
             return out
         if not certified:
             mu_bar = _min_poly(quotient.mult, quotient.identity(),
@@ -1368,7 +1343,7 @@ def _module_sort_key(M: GradedModule):
 # isomorphism up to shift
 
 
-def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None, tries=40):
+def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None):
     """Find s with M isomorphic to N(s), or None if the search fails.
 
     Only minimal data decides: both modules are reduced first, candidate
@@ -1394,9 +1369,9 @@ def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None, tries=40):
         if sorted(frees_m) != sorted(w - s for w in frees_n):
             continue
         shifted = core_n.shift(s)
-        if _find_scalar_invertible(core_m, shifted, rng, tries) is None:
+        if _find_scalar_invertible(core_m, shifted, rng) is None:
             continue
-        if _find_scalar_invertible(shifted, core_m, rng, tries) is not None:
+        if _find_scalar_invertible(shifted, core_m, rng) is not None:
             return s
     return None
 
@@ -1420,7 +1395,11 @@ def _scalar_part(hom: GradedHom):
             for i, wt in enumerate(hom.target.gens)]
 
 
-def _find_scalar_invertible(A: GradedModule, B: GradedModule, rng, tries):
+# Random combinations of the hom basis tried for an invertible scalar part.
+_SCALAR_TRIES = 40
+
+
+def _find_scalar_invertible(A: GradedModule, B: GradedModule, rng):
     space = hom_graded(A, B, 0)
     if space.dim == 0:
         return None
@@ -1430,7 +1409,7 @@ def _find_scalar_invertible(A: GradedModule, B: GradedModule, rng, tries):
         if rank_dense(_scalar_part(hom), K) == n:
             return hom
     span = 7 if K.char == 0 else min(K.char, 7)
-    for _ in range(tries):
+    for _ in range(_SCALAR_TRIES):
         coeffs = [K(rng.randrange(span)) for _ in range(space.dim)]
         hom = hom_from_coefficients(space, coeffs)
         if rank_dense(_scalar_part(hom), K) == n:

@@ -341,9 +341,6 @@ class HypersurfaceRing:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def poly(self, text: str) -> WPoly:
-        return poly_from_string(self.field, self.q, self.p, text)
-
     def zero_poly(self) -> WPoly:
         return WPoly.zero(self.field, self.q, self.p)
 

@@ -250,7 +250,7 @@ class EndGenerators:
         }
 
 
-def end_generators(M: GradedModule, cache=True) -> EndGenerators:
+def end_generators(M: GradedModule) -> EndGenerators:
     """Minimal R-module generators of End(M) modulo stably zero maps.
 
     Degrees run from -spread, below which End(M) vanishes, to
@@ -265,10 +265,9 @@ def end_generators(M: GradedModule, cache=True) -> EndGenerators:
     set therefore generates End(M) modulo maps through frees, which is
     all the trace and socle tests need.
     """
-    if cache:
-        cached = getattr(M, "_end_generators", None)
-        if cached is not None:
-            return cached
+    cached = getattr(M, "_end_generators", None)
+    if cached is not None:
+        return cached
     ring = M.ring
     K = ring.field
     spread = max(M.gens) - min(M.gens)
@@ -294,8 +293,7 @@ def end_generators(M: GradedModule, cache=True) -> EndGenerators:
                 span.insert(vec)
                 gens.append(b)
     result = EndGenerators(M, gens, lo, hi, dims)
-    if cache:
-        M._end_generators = result
+    M._end_generators = result
     return result
 
 
@@ -338,8 +336,9 @@ def stably_zero_trace(h: GradedHom, branches=None) -> bool:
 def _product_stably_zero(g: GradedHom, h: GradedHom, branches) -> bool:
     """Whether g h is stably zero, by the trace criterion, without forming it.
 
-    The branch coefficients of g h are read off the matrix product: its
-    normal form and presentation artifacts change no branch trace.
+    The branch coefficients of g h are read off the matrix product:
+    neither its normal form nor a matrix B C added to it, with B the
+    target's presentation, changes a branch trace.
     """
     gh = g.H.mul(h.H)
     coeffs = [_coefficient_matrix(b, gh) for b in branches]

@@ -2,14 +2,19 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import pytest
 
 from arcurves import (GradedMatrix, GradedModule, InputError,
                       MatrixFactorization, block_matrix, decompose, ext1_dim,
-                      free_module, hom_graded, iso_up_to_shift, mf_check,
-                      mf_complete, mf_from_ideal, multiplicity, rank_vector,
+                      field_from_string, free_module, hom_graded,
+                      iso_up_to_shift, mf_check, mf_complete, mf_from_ideal,
+                      multiplicity, random_ring, rank_vector,
                       solve_graded_system, stably_zero_bruteforce,
                       factor_hypersurface)
+from arcurves import modmat
 from arcurves.modmat import _stably_zero_span
 
 
@@ -60,20 +65,18 @@ def test_solve_exact_and_mod_g(two_branch_ring):
     r = two_branch_ring
     xmat = GradedMatrix(r, (0,), (4,), [[r.x_poly()]])
     xy2 = GradedMatrix(r, (0,), (10,), [[r.monomial(1, 2)]])
-    sol, kern = solve_graded_system(
+    sol = solve_graded_system(
         r, {"X": ((4,), (10,))}, [([("L", xmat, "X")], -xy2)], mode="exact")
     assert sol["X"].entries[0][0] == r.monomial(0, 2)
-    assert kern == []
 
     # X x = y^5 has no exact solution but one modulo g = x^3 y + y^5
     y5 = GradedMatrix(r, (0,), (15,), [[r.monomial(0, 5)]])
-    none, _ = solve_graded_system(
+    none = solve_graded_system(
         r, {"X": ((0,), (11,))}, [([("R", xmat, "X")], -y5)], mode="exact")
     assert none is None
-    sol, kern = solve_graded_system(
+    sol = solve_graded_system(
         r, {"X": ((0,), (11,))}, [([("R", xmat, "X")], -y5)], mode="mod_g")
     assert sol["X"].entries[0][0] == r.monomial(2, 1, r.field(-1))
-    assert kern == []
 
 
 def test_free_module_piece_dims(cusp_ring):
@@ -144,6 +147,65 @@ def test_stably_zero_between_different_modules(cusp_ideal, two_branch_ideal):
         ident = hom_graded(M, M, 0).from_matrix(
             GradedMatrix.identity(M.ring, M.gens))
         assert not stably_zero_bruteforce(ident)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_hom_basis_lifts_to_the_relations(seed, field):
+    # H is a hom cok A -> cok B exactly when H A = B C mod g for some C;
+    # solve for C with the general matrix-equation solver.
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    I = mf_from_ideal(ring).cok(label="I")
+    D = ring.deg_g
+    checked = 0
+    for M in (I, I.syz()):
+        for N in (I, I.syz()):
+            A, B = M.matrix, N.matrix
+            for d in range(-(D // 2), D // 2 + 1):
+                for h in hom_graded(M, N, d).basis:
+                    sol = solve_graded_system(
+                        ring, {"C": (N.rels, tuple(u + d for u in M.rels))},
+                        [([("L", B, "C")], -h.H.mul(A))])
+                    assert sol is not None
+                    checked += 1
+    assert checked > 0
+
+
+# Sums over |d| <= deg g of dim Hom(M, N)_d and of the rank of the
+# stably-zero span, for M, N in {I, syz I}.
+_HOM_TOTALS = {
+    "cusp": {("I", "I"): (12, 8), ("I", "syz"): (6, 2),
+             ("syz", "I"): (18, 14), ("syz", "syz"): (12, 8)},
+    "two_branch": {("I", "I"): (16, 12), ("I", "syz"): (8, 4),
+                   ("syz", "I"): (25, 21), ("syz", "syz"): (16, 12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOM_TOTALS))
+def test_hom_and_stably_zero_totals(name, request):
+    ring = request.getfixturevalue(name + "_ring")
+    I = mf_from_ideal(ring).cok(label="I")
+    modules = {"I": I, "syz": I.syz()}
+    D = ring.deg_g
+    for (m, n), expected in _HOM_TOTALS[name].items():
+        spaces = [hom_graded(modules[m], modules[n], d)
+                  for d in range(-D, D + 1)]
+        assert (sum(s.dim for s in spaces),
+                sum(_stably_zero_span(s).rank for s in spaces)) == expected
+
+
+def test_hom_spaces_solve_no_matrix_equation(monkeypatch, two_branch_ring):
+    I = mf_from_ideal(two_branch_ring).cok(label="I")
+    modules = (I, I.syz())
+    calls = []
+    solve = modmat.solve_graded_system
+    monkeypatch.setattr(modmat, "solve_graded_system",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    for M in modules:
+        for N in modules:
+            for d in range(-4, 5):
+                _stably_zero_span(hom_graded(M, N, d))
+    assert calls == []
 
 
 def test_block_matrix_and_decompose(cusp_ring, cusp_ideal):
