@@ -372,30 +372,26 @@ def double_extension(seq: ARSequence, W: GradedMatrix) -> MatrixFactorization:
 def syz_transport(h, target: GradedModule | None = None):
     """Move an endomorphism across the factorization to the syzygy side.
 
-    Solves H phi = phi B modulo g and reads B as an endomorphism of the
-    syzygy module (the cokernel of psi).  The identity transports to the
-    identity and multiplications to themselves, because the solution is
-    unique up to matrices psi C, which present zero maps of the syzygy.
+    B = psi H phi / g, exactly over S, read as an endomorphism of the
+    syzygy module (the cokernel of psi).  H is a homomorphism, so
+    H phi = phi B' + g C for some B' and C, and then psi H phi equals
+    g (B' + psi C).  Every solution of H phi = phi B modulo g differs
+    from B' by a matrix psi C, which presents the zero map of the
+    syzygy; so the identity transports to the identity and
+    multiplications to themselves.
     """
     M = h.source
     if M is not h.target:
         raise InputError("only endomorphisms transport")
     if M.mf is None:
         raise InputError("transport needs a matrix factorization backing")
-    ring = M.ring
-    phi = M.mf.phi
-    d = h.degree
+    phi, psi = M.mf.phi, M.mf.psi
+    d, D = h.degree, M.ring.deg_g
     N = target if target is not None else M.syz()
-    if not N.matrix == M.mf.psi.nf():
+    if not N.matrix == psi.nf():
         raise InputError("target is not the syzygy presented by psi")
-    sol = solve_graded_system(
-        ring,
-        {"B": (phi.cols, tuple(c + d for c in phi.cols))},
-        [([("L", phi, "B")], -h.H.mul(phi.shift(d)))],
-        mode="mod_g")
-    if sol is None:
-        raise VerificationError("transport system has no solution")
-    return hom_graded(N, N, d).from_matrix(sol["B"])
+    B = psi.mul(h.H.shift(D)).mul(phi.shift(d + D)).div_exact_g()
+    return hom_graded(N, N, d).from_matrix(B)
 
 
 def verify_main_theorem(M: GradedModule, gd: GammaDatum) -> dict:

@@ -840,7 +840,7 @@ def ext1_dim(mf: MatrixFactorization, N: GradedModule, d: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# presentation minimization and unit splitting
+# unit splitting of factorizations
 
 
 def _find_unit(ents, rows, cols):
@@ -855,8 +855,8 @@ def _find_unit(ents, rows, cols):
 def _pair_eliminate(a_ents, a_rows, a_cols, b_ents, i, j, field):
     """Clear row i and column j of matrix a around the unit at (i, j).
 
-    b is the partner factorization matrix (or None); row operations on a
-    are mirrored as inverse column operations on b and vice versa, which
+    b is the partner factorization matrix; row operations on a are
+    mirrored as inverse column operations on b and vice versa, which
     keeps both products of the pair unchanged.
     """
     uinv = field.inv(a_ents[i][j].coeff(0, 0))
@@ -867,9 +867,8 @@ def _pair_eliminate(a_ents, a_rows, a_cols, b_ents, i, j, field):
         # a: row_r -= c row_i;  b: col_i += c col_r.
         for t in range(len(a_cols)):
             a_ents[r][t] = a_ents[r][t] - c * a_ents[i][t]
-        if b_ents is not None:
-            for s in range(len(b_ents)):
-                b_ents[s][i] = b_ents[s][i] + c * b_ents[s][r]
+        for s in range(len(b_ents)):
+            b_ents[s][i] = b_ents[s][i] + c * b_ents[s][r]
     for t in range(len(a_cols)):
         if t == j or a_ents[i][t].is_zero():
             continue
@@ -877,9 +876,8 @@ def _pair_eliminate(a_ents, a_rows, a_cols, b_ents, i, j, field):
         # a: col_t -= c col_j;  b: row_j += c row_t.
         for r in range(len(a_rows)):
             a_ents[r][t] = a_ents[r][t] - c * a_ents[r][j]
-        if b_ents is not None:
-            for s in range(len(b_ents[j])):
-                b_ents[j][s] = b_ents[j][s] + c * b_ents[t][s]
+        for s in range(len(b_ents[j])):
+            b_ents[j][s] = b_ents[j][s] + c * b_ents[t][s]
 
 
 def _drop(ents, i, j):
@@ -931,71 +929,6 @@ def mf_reduce(mf: MatrixFactorization):
     return MatrixFactorization(phi, psi), frees
 
 
-def minimize_presentation(A: GradedMatrix):
-    """Prune a presentation: unit entries, redundant columns, zero rows.
-
-    Returns (pruned matrix or None, free generator degrees).  The result
-    has all entries in the maximal ideal, a minimal relation set, and no
-    zero rows; zero rows correspond to free summands and their degrees
-    are reported separately.
-    """
-    ring = A.ring
-    K = ring.field
-    ents = [[ring.normal_form(e) for e in row] for row in A.entries]
-    rows = list(A.rows)
-    cols = list(A.cols)
-    while True:
-        hit = _find_unit(ents, rows, cols)
-        if hit is None:
-            break
-        i, j = hit
-        _pair_eliminate(ents, rows, cols, None, i, j, K)
-        ents = _drop(ents, i, j)
-        del rows[i], cols[j]
-        ents = [[ring.normal_form(e) for e in row] for row in ents]
-
-    keep = [j for j in range(len(cols))
-            if any(not ents[i][j].is_zero() for i in range(len(rows)))]
-    ents = [[row[j] for j in keep] for row in ents]
-    cols = [cols[j] for j in keep]
-
-    order = sorted(range(len(cols)), key=lambda j: (cols[j], j))
-    kept: list[int] = []
-    for j in order:
-        if not _column_in_span(ring, ents, rows, cols, kept, j):
-            kept.append(j)
-    kept.sort()
-    ents = [[row[j] for j in kept] for row in ents]
-    cols = [cols[j] for j in kept]
-
-    frees = []
-    keep_rows = []
-    for i in range(len(rows)):
-        if any(not e.is_zero() for e in ents[i]):
-            keep_rows.append(i)
-        else:
-            frees.append(rows[i])
-    ents = [ents[i] for i in keep_rows]
-    rows = [rows[i] for i in keep_rows]
-    frees.sort()
-    if not rows:
-        return None, frees
-    return GradedMatrix(ring, rows, cols, ents), frees
-
-
-def _column_in_span(ring, ents, rows, cols, kept, j) -> bool:
-    """Whether column j lies in the R-span of the kept columns in F(rows)."""
-    d = cols[j]
-    pos = {}
-    for i, w in enumerate(rows):
-        for mono in ring.graded_piece(d - w):
-            pos[(i, mono)] = len(pos)
-    coords = _scatter(pos)
-    columns = [(cols[jj], [row[jj] for row in ents]) for jj in kept]
-    span = _span_rref(ring, d, columns, coords)
-    return span.contains(coords([row[j] for row in ents]))
-
-
 # ----------------------------------------------------------------------
 # submodules and direct-sum splitting
 
@@ -1004,10 +937,15 @@ def submodule_presentation(M: GradedModule, elements, label=None):
     """Present the submodule of M generated by the given elements.
 
     elements: list of (degree, tuple of normal-form polys over the
-    generators of M).  Relations are collected degreewise up to the
-    bound max(gens) + deg(g) - 1, which covers every minimal relation
-    of a maximal Cohen-Macaulay module; the result's Hilbert function
-    is verified degreewise against the span beyond that bound.
+    generators of M).  Generators are kept greedily by degree, so no
+    relation has a unit entry.  Relations are collected degreewise up to
+    the bound max(gens) + deg(g) - 1, which covers every minimal relation
+    of a maximal Cohen-Macaulay module, and a kernel vector is kept only
+    when it leaves the R-span of the relations kept so far; the kept set
+    is therefore minimal.  A maximal Cohen-Macaulay submodule has as many
+    minimal relations as generators, and the square presentation is
+    completed to a matrix factorization.  The result's Hilbert function
+    is verified degreewise against the span beyond the bound.
     """
     ring = M.ring
     K = ring.field
@@ -1025,8 +963,7 @@ def submodule_presentation(M: GradedModule, elements, label=None):
 
     gdegs = tuple(deg for deg, _ in gens)
     bound = max(gdegs) + D - 1
-    rel_cols = []
-    rel_degs = []
+    rels = []
     for d in range(min(gdegs) + 1, bound + 1):
         var_slots = []
         for t, (wdeg, _) in enumerate(gens):
@@ -1042,22 +979,27 @@ def submodule_presentation(M: GradedModule, elements, label=None):
                 rows.setdefault(cc, {})[vk] = val
         _, kernel = solve_sparse_system(list(rows.values()), len(var_slots),
                                         K, const_index=None)
+        pos = {slot: vk for vk, slot in enumerate(var_slots)}
+        span = _span_rref(ring, d, rels, _scatter(pos))
         for vec in kernel:
+            if span.insert(vec) is None:
+                continue
             col = [ring.zero_poly()] * len(gens)
             for vk, val in vec.items():
                 t, mono = var_slots[vk]
                 col[t] = col[t] + ring.monomial(*mono, coeff=val)
-            rel_cols.append(col)
-            rel_degs.append(d)
+            rels.append((d, col))
 
-    ents = [[rel_cols[jj][i] for jj in range(len(rel_cols))]
-            for i in range(len(gens))]
-    A = GradedMatrix(ring, gdegs, tuple(rel_degs), ents)
-    pruned, frees = minimize_presentation(A)
-    if frees or pruned is None:
+    ents = [[col[i] for _, col in rels] for i in range(len(gens))]
+    if any(all(e.is_zero() for e in row) for row in ents):
         raise CertificationError(
             "submodule presentation found a generator without relations")
-    sub = GradedModule(ring, pruned, label=label)
+    if len(rels) != len(gens):
+        raise CertificationError(
+            "minimized presentation is not square, so the module cannot "
+            "be maximal Cohen-Macaulay")
+    A = GradedMatrix(ring, gdegs, tuple(d for d, _ in rels), ents)
+    sub = mf_complete(A).cok(label=label)
     for d in range(min(gdegs), bound + D + 1):
         if sub.piece_dim(d) != _span_dim(M, gens, d):
             raise CertificationError(
@@ -1251,7 +1193,7 @@ def _candidate_elements(alg: EndAlgebra, rng):
 
 
 def decompose(M: GradedModule, rng=None):
-    """Split a module into indecomposable summands, exactly.
+    """Split a factorization-backed module into indecomposable summands.
 
     Returns (parts, free_shifts): parts are the nonfree indecomposable
     summands (with factorization backing) and free_shifts the generator
@@ -1273,19 +1215,12 @@ def decompose(M: GradedModule, rng=None):
 
 
 def _minimal_core(M: GradedModule):
-    if M.mf is not None:
-        mf, frees = mf_reduce(M.mf)
-        if mf is None:
-            return None, frees
-        return mf.cok(label=M.label), frees
-    pruned, frees = minimize_presentation(M.matrix)
-    if pruned is None:
+    if M.mf is None:
+        raise InputError("splitting needs a matrix factorization backing")
+    mf, frees = mf_reduce(M.mf)
+    if mf is None:
         return None, frees
-    if len(pruned.rows) != len(pruned.cols):
-        raise CertificationError(
-            "minimized presentation is not square, so the module cannot "
-            "be maximal Cohen-Macaulay")
-    return mf_complete(pruned).cok(label=M.label), frees
+    return mf.cok(label=M.label), frees
 
 
 def _indecomposable_parts(M: GradedModule, rng):
@@ -1346,8 +1281,9 @@ def _module_sort_key(M: GradedModule):
 def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None):
     """Find s with M isomorphic to N(s), or None if the search fails.
 
-    Only minimal data decides: both modules are reduced first, candidate
-    shifts come from matching generator-degree multisets, and a shift is
+    Both modules must be factorization-backed.  Only minimal data
+    decides: both factorizations are reduced first, candidate shifts
+    come from matching generator-degree multisets, and a shift is
     confirmed by degree-zero maps both ways with invertible scalar part
     (each is then surjective by the graded Nakayama lemma, and a
     surjective endomorphism of a noetherian module is injective).

@@ -1,12 +1,16 @@
 """Sequence construction: gamma data, pushes, transports, reports."""
 
+import random
+
 import pytest
 
-from arcurves import (GradedMatrix, InputError, decompose,
+from arcurves import (GradedMatrix, InputError, VerificationError, decompose,
                       double_push_report, e_avg, explore_component,
-                      factor_hypersurface, gamma_endo, gamma_for, hom_graded,
-                      mf_from_ideal, push, stably_zero_bruteforce,
-                      syz_transport, verify_main_theorem, verify_syz_gamma)
+                      factor_hypersurface, field_from_string, gamma_endo,
+                      gamma_for, hom_graded, mf_from_ideal, push, random_ring,
+                      stably_zero_bruteforce, syz_transport,
+                      verify_main_theorem, verify_syz_gamma)
+from arcurves import arengine, modmat
 
 
 def test_gamma_datum_two_branch(two_branch_datum):
@@ -88,6 +92,36 @@ def test_syz_transport_of_identity(cusp_ideal):
     assert xs == ident_N.times_monomial(1, 0)
 
 
+def test_syz_transport_is_closed_form(monkeypatch, cusp_ideal, cusp_datum,
+                                      two_branch_ideal):
+    # B = psi H phi / g needs no linear solve, and phi B = H phi mod g.
+    modules = [cusp_ideal, cusp_ideal.syz(), two_branch_ideal,
+               push(cusp_ideal, cusp_datum).middle]
+    calls = []
+
+    def counting(solve):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return wrapped
+
+    for owner in (arengine, modmat):
+        monkeypatch.setattr(owner, "solve_graded_system",
+                            counting(owner.solve_graded_system))
+    transported = 0
+    for M in modules:
+        N = M.syz()
+        phi = M.mf.phi
+        D = M.ring.deg_g
+        for d in range(-D, D + 1):
+            for h in hom_graded(M, M, d).basis:
+                t = syz_transport(h, N)
+                assert phi.mul(t.H).eq_mod_g(h.H.mul(phi.shift(d)))
+                transported += 1
+    assert transported > 50
+    assert calls == []
+
+
 def test_syz_transport_negates_gamma(cusp_ideal, cusp_datum):
     M = cusp_ideal
     N = M.syz()
@@ -122,6 +156,55 @@ def test_syz_gamma_on_the_cusp(cusp_ideal, cusp_datum):
     assert rep2["ranks"] == [2, 2]
 
 
+# The split parts of the second middle terms, in decompose's order:
+# generator and relation degrees, presentation phi, and psi.
+_TWO_BRANCH_PARTS = [
+    ([3, 8], [12, 14],
+     [['-1*x^0*y^3', '1*x^2*y^1'], ['1*x^1*y^0', '1*x^0*y^2']],
+     [['-1*x^0*y^2', '1*x^2*y^1'], ['1*x^1*y^0', '1*x^0*y^3']]),
+    ([3, 4, 5, 6, 7, 8], [10, 11, 12, 14, 15, 16],
+     [['0', '0', '-1*x^0*y^3', '2*x^2*y^1', '0', '2*x^1*y^3'],
+      ['-1*x^0*y^2', '1/2*x^1*y^1', '0', '1*x^1*y^2', '1*x^2*y^1',
+       '1*x^0*y^4'],
+      ['0', '1/2*x^0*y^2', '0', '-1*x^0*y^3', '0', '1*x^2*y^1'],
+      ['1*x^1*y^0', '0', '-1*x^0*y^2', '0', '1*x^0*y^3', '0'],
+      ['0', '-1/2*x^1*y^0', '0', '1*x^1*y^1', '0', '1*x^0*y^3'],
+      ['0', '1*x^0*y^1', '1*x^1*y^0', '0', '0', '0']],
+     [['0', '-1*x^0*y^3', '0', '1*x^2*y^1', '1*x^0*y^4', '1*x^1*y^3'],
+      ['1*x^1*y^1', '0', '0', '0', '-2*x^2*y^1', '1*x^0*y^4'],
+      ['-1*x^0*y^2', '0', '0', '0', '2*x^1*y^2', '1*x^2*y^1'],
+      ['1/2*x^1*y^0', '0', '-1*x^0*y^2', '0', '0', '1/2*x^0*y^3'],
+      ['-1*x^0*y^1', '1*x^1*y^0', '0', '1*x^0*y^2', '1*x^1*y^1', '0'],
+      ['0', '0', '1*x^1*y^0', '0', '1*x^0*y^2', '0']]),
+]
+_CUSP_PARTS = [
+    ([3, 5], [9, 11],
+     [['-1*x^0*y^2', '1*x^2*y^0'], ['1*x^1*y^0', '1*x^0*y^2']],
+     [['-1*x^0*y^2', '1*x^2*y^0'], ['1*x^1*y^0', '1*x^0*y^2']]),
+    ([2, 3, 4], [10, 11, 12],
+     [['1/2*x^2*y^0', '-1/2*x^0*y^3', '-1/2*x^1*y^2'],
+      ['1*x^1*y^1', '1*x^2*y^0', '-1*x^0*y^3'],
+      ['1*x^0*y^2', '1*x^1*y^1', '1*x^2*y^0']],
+     [['2*x^1*y^0', '0', '1*x^0*y^2'],
+      ['-2*x^0*y^1', '1*x^1*y^0', '0'],
+      ['0', '-1*x^0*y^1', '1*x^1*y^0']]),
+    ([4, 5, 6], [8, 9, 10],
+     [['1*x^1*y^0', '0', '-1*x^0*y^2'],
+      ['1*x^0*y^1', '-1*x^1*y^0', '0'],
+      ['0', '1*x^0*y^1', '1*x^1*y^0']],
+     [['1*x^2*y^0', '1*x^0*y^3', '1*x^1*y^2'],
+      ['1*x^1*y^1', '-1*x^2*y^0', '1*x^0*y^3'],
+      ['-1*x^0*y^2', '1*x^1*y^1', '1*x^2*y^0']]),
+]
+
+
+def _presented(part):
+    desc = part.describe()
+    assert desc["label"] is None
+    return (desc["generator_degrees"], desc["relation_degrees"],
+            desc["presentation"], part.mf.psi.entry_strings())
+
+
 def test_double_push_summands(two_branch_ideal, two_branch_datum,
                               cusp_ideal, cusp_datum):
     seq = push(two_branch_ideal, two_branch_datum)
@@ -131,6 +214,7 @@ def test_double_push_summands(two_branch_ideal, two_branch_datum,
     assert sorted(tuple(p.gens) for p in parts) == [(3, 4, 5, 6, 7, 8),
                                                     (3, 8)]
     assert frees == []
+    assert [_presented(p) for p in parts] == _TWO_BRANCH_PARTS
 
     seqc = push(cusp_ideal, cusp_datum)
     seqc2 = push(seqc.middle, cusp_datum)
@@ -138,6 +222,24 @@ def test_double_push_summands(two_branch_ideal, two_branch_datum,
     assert sorted(tuple(p.gens) for p in partsc) == [(2, 3, 4), (3, 5),
                                                      (4, 5, 6)]
     assert freesc == []
+    assert [_presented(p) for p in partsc] == _CUSP_PARTS
+
+
+# random_ring seeds whose depth-1 middle term is indecomposable but
+# cannot be pushed: the joint gamma system of _alpha_beta (one matrix
+# for psi A = gamma psi and A phi = -gamma phi) has no solution.
+@pytest.mark.xfail(strict=True, raises=VerificationError,
+                   reason="push of the depth-1 summand: joint gamma system")
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("seed", [42, 55, 58])
+def test_push_on_the_depth_one_summand(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    gd = gamma_for(ring)
+    seq = push(mf_from_ideal(ring).cok(label="I"), gd)
+    parts, frees = decompose(seq.middle)
+    assert len(parts) == 1 and frees == []
+    seq2 = push(parts[0], gd, summands=parts)
+    assert seq2.left is parts[0]
 
 
 def test_multiplicity_averages(two_branch_ideal, cusp_ideal):

@@ -9,9 +9,9 @@ import pytest
 
 from arcurves import (GradedMatrix, GradedModule, InputError,
                       MatrixFactorization, block_matrix, decompose, ext1_dim,
-                      field_from_string, free_module, hom_graded,
+                      field_from_string, free_module, gamma_for, hom_graded,
                       iso_up_to_shift, mf_check, mf_complete, mf_from_ideal,
-                      multiplicity, random_ring, rank_vector,
+                      multiplicity, push, random_ring, rank_vector,
                       solve_graded_system, stably_zero_bruteforce,
                       factor_hypersurface)
 from arcurves import modmat
@@ -208,20 +208,19 @@ def test_hom_spaces_solve_no_matrix_equation(monkeypatch, two_branch_ring):
     assert calls == []
 
 
-def test_block_matrix_and_decompose(cusp_ring, cusp_ideal):
+def _direct_sum(a: MatrixFactorization, b: MatrixFactorization):
+    ring = a.ring
+
+    def diag(x, y):
+        return block_matrix(ring, [[x, None], [None, y]],
+                            rows=x.rows + y.rows, cols=x.cols + y.cols)
+
+    return MatrixFactorization(diag(a.phi, b.phi), diag(a.psi, b.psi))
+
+
+def test_block_matrix_and_decompose(cusp_ideal):
     mf = cusp_ideal.mf
-    D = cusp_ring.deg_g
-    phi2 = block_matrix(
-        cusp_ring,
-        [[mf.phi, None], [None, mf.psi]],
-        rows=tuple(mf.phi.rows) + tuple(mf.psi.rows),
-        cols=tuple(mf.phi.cols) + tuple(mf.psi.cols))
-    psi2 = block_matrix(
-        cusp_ring,
-        [[mf.psi, None], [None, mf.phi.shift(D)]],
-        rows=tuple(mf.psi.rows) + tuple(r + D for r in mf.phi.rows),
-        cols=tuple(mf.psi.cols) + tuple(c + D for c in mf.phi.cols))
-    pair = MatrixFactorization(phi2, psi2)
+    pair = _direct_sum(mf, mf.syz())
     parts, frees = decompose(pair.cok("sum"))
     assert frees == []
     assert sorted(tuple(sorted(p.gens)) for p in parts) == sorted(
@@ -239,3 +238,53 @@ def test_rank_and_multiplicity(two_branch_ring, two_branch_ideal):
 
 def test_iso_up_to_shift_identity(cusp_ideal):
     assert iso_up_to_shift(cusp_ideal, cusp_ideal, random.Random(0)) == 0
+
+
+def _relation_in_span_of_the_others(A: GradedMatrix, j: int) -> bool:
+    ring = A.ring
+    d = A.cols[j]
+    pos = {}
+    for i, w in enumerate(A.rows):
+        for mono in ring.graded_piece(d - w):
+            pos[(i, mono)] = len(pos)
+    coords = modmat._scatter(pos)
+    others = [(u, [row[t] for row in A.entries])
+              for t, u in enumerate(A.cols) if t != j]
+    span = modmat._span_rref(ring, d, others, coords)
+    return span.contains(coords([row[j] for row in A.entries]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_split_parts_are_minimal_factorizations(seed, field):
+    # Split I + push(I).middle and check every presented summand: a
+    # reduced factorization backs it, and its relations are minimal.
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    I = mf_from_ideal(ring).cok(label="I")
+    middle = push(I, gamma_for(ring)).middle
+    presented = []
+    present = modmat.submodule_presentation
+
+    def record(*args, **kwargs):
+        presented.append(present(*args, **kwargs))
+        return presented[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modmat, "submodule_presentation", record)
+        parts, frees = decompose(_direct_sum(I.mf, middle.mf).cok("sum"))
+    assert frees == [] and len(parts) >= 2
+    assert presented
+    for sub in presented:
+        assert sub.mf is not None and sub.mf.is_reduced()
+        assert not any(_relation_in_span_of_the_others(sub.matrix, j)
+                       for j in range(len(sub.rels)))
+
+
+def test_splitting_needs_a_factorization(cusp_ideal):
+    bare = GradedModule(cusp_ideal.ring, cusp_ideal.matrix)
+    with pytest.raises(InputError):
+        decompose(bare)
+    with pytest.raises(InputError):
+        iso_up_to_shift(bare, cusp_ideal)
+    with pytest.raises(InputError):
+        iso_up_to_shift(cusp_ideal, bare)
