@@ -1,9 +1,9 @@
 """Almost split sequences over graded hypersurface curves.
 
 The engine turns the conductor fraction gamma of a branch into an exact
-degree-G endomorphism of any factorization-backed module, doubles the
-factorization into the middle term of an almost split sequence, iterates
-that construction to walk a component of the stable quiver, and certifies
+degree-G endomorphism of a module, doubles the module's factorization
+into the middle term of an almost split sequence, iterates that
+construction to walk a component of the stable quiver, and certifies
 the resulting sequences and the double-extension normal form exactly.
 """
 
@@ -144,8 +144,6 @@ def _alpha_beta(M: GradedModule, gd: GammaDatum):
     beta psi = psi alpha on the nose and phi beta = -gamma phi modulo g.
     """
     ring = M.ring
-    if M.mf is None:
-        raise InputError("gamma endomorphism needs a matrix factorization")
     if not M.mf.is_reduced():
         raise InputError("factorization has unit entries; reduce it first")
     phi, psi = M.mf.phi, M.mf.psi
@@ -240,7 +238,7 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     window of width three times deg g are all verified on the way out.
     """
     ring = M.ring
-    if M.mf is None or not M.mf.is_reduced():
+    if not M.mf.is_reduced():
         raise InputError("push needs a module backed by a reduced factorization")
     if summands is None:
         parts, frees = decompose(M)
@@ -383,8 +381,6 @@ def syz_transport(h, target: GradedModule | None = None):
     M = h.source
     if M is not h.target:
         raise InputError("only endomorphisms transport")
-    if M.mf is None:
-        raise InputError("transport needs a matrix factorization backing")
     phi, psi = M.mf.phi, M.mf.psi
     d, D = h.degree, M.ring.deg_g
     N = target if target is not None else M.syz()
@@ -402,7 +398,7 @@ def verify_main_theorem(M: GradedModule, gd: GammaDatum) -> dict:
     criterion and the brute-force lifting criterion, on gamma_M itself
     and on its products with every nonunit generator of End(M).
     """
-    if M.mf is None or not M.mf.is_reduced():
+    if not M.mf.is_reduced():
         raise InputError("the theorem needs a reduced nonfree module")
     parts, frees = decompose(M)
     indecomposable = not frees and len(parts) == 1
@@ -438,7 +434,7 @@ def verify_syz_gamma(M: GradedModule, gd: GammaDatum) -> dict:
     ring = M.ring
     if len(factor_hypersurface(ring)) != 1:
         raise InputError("ring not a domain")
-    if M.mf is None or not M.mf.is_reduced():
+    if not M.mf.is_reduced():
         raise InputError("needs a module backed by a reduced factorization")
     N = M.syz()
     h = gamma_endo(M, gd)

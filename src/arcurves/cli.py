@@ -19,8 +19,7 @@ from .arengine import (double_push_report, e_avg, explore_component,
                        gamma_for, push, verify_main_theorem,
                        verify_syz_gamma)
 from .branches import factor_hypersurface, gamma_prime
-from .errors import (ArcError, CertificationError, InputError,
-                     VerificationError)
+from .errors import CertificationError, InputError, VerificationError
 from .fields import field_from_string
 from .linalg import rank_dense
 from .modmat import (_scalar_part, decompose, hom_graded, mf_from_ideal,
@@ -100,8 +99,12 @@ def ring_from_config(text: str) -> HypersurfaceRing:
 
 
 def _config_payload(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(
+            f"config {path} is not UTF-8 text: {e.reason}") from None
     sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return text, sha
 
@@ -352,11 +355,7 @@ def main(argv=None) -> int:
         doc["config_sha256"] = sha
         doc["seed"] = args.resolved_seed
         _write(args.out, _render(doc))
-    except OSError as e:
-        sys.stderr.write(json.dumps({"error": "input", "message": str(e)},
-                                    sort_keys=True) + "\n")
-        return 2
-    except InputError as e:
+    except (OSError, InputError) as e:
         sys.stderr.write(json.dumps({"error": "input", "message": str(e)},
                                     sort_keys=True) + "\n")
         return 2

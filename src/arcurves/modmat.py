@@ -388,7 +388,7 @@ class MatrixFactorization:
         return self.phi.is_reduced() and self.psi.is_reduced()
 
     def cok(self, label=None) -> "GradedModule":
-        return GradedModule(self.ring, self.phi, mf=self, label=label)
+        return GradedModule(self, label=label)
 
     def syz(self) -> "MatrixFactorization":
         return MatrixFactorization(self.psi, self.phi.shift(self.ring.deg_g))
@@ -475,14 +475,15 @@ def _ideal_piece_dim(ring, m, n, d) -> int:
 
 
 class GradedModule:
-    """A finitely presented graded R-module, given by a presentation matrix."""
+    """The cokernel of a matrix factorization (phi, psi), built by its cok.
 
-    def __init__(self, ring: HypersurfaceRing, matrix: GradedMatrix,
-                 mf: MatrixFactorization | None = None, label=None):
-        self.ring = ring
-        self.matrix = matrix.nf()
-        self.gens = matrix.rows
-        self.rels = matrix.cols
+    The presentation over R is phi in normal form."""
+
+    def __init__(self, mf: MatrixFactorization, label=None):
+        self.ring = mf.ring
+        self.matrix = mf.phi.nf()
+        self.gens = mf.phi.rows
+        self.rels = mf.phi.cols
         self.mf = mf
         self.label = label
         self._ambient_cache: dict = {}
@@ -514,7 +515,16 @@ class GradedModule:
         return rr
 
     def piece_dim(self, d: int) -> int:
-        return len(self.ambient_basis(d)) - self._image_rref(d).rank
+        """dim M_d = sum_i |S_(d - w_i)| - sum_j |S_(d - u_j)|, over the
+        degrees w of phi's rows and u of its columns.
+
+        phi psi = g Id exactly, so phi is injective over the domain S, and
+        g F(w) lies in its image, so cok phi is the same over S as over R:
+        0 -> S(-u) -> S(-w) -> M -> 0 is exact.
+        """
+        s_piece = self.ring.s_piece
+        return (sum(len(s_piece(d - w)) for w in self.gens)
+                - sum(len(s_piece(d - u)) for u in self.rels))
 
     def nonpivot_basis(self, d: int):
         """Indices into the ambient basis giving a basis of M_d."""
@@ -531,16 +541,10 @@ class GradedModule:
         return self._image_rref(d).reduce(_scatter(pos)(polys))
 
     def shift(self, s: int) -> "GradedModule":
-        mf = None
-        if self.mf is not None:
-            mf = MatrixFactorization(self.mf.phi.shift(-s),
-                                     self.mf.psi.shift(-s))
-        return GradedModule(self.ring, self.matrix.shift(-s), mf=mf,
-                            label=self.label)
+        mf = MatrixFactorization(self.mf.phi.shift(-s), self.mf.psi.shift(-s))
+        return mf.cok(label=self.label)
 
     def syz(self) -> "GradedModule":
-        if self.mf is None:
-            raise InputError("syzygy requires a matrix factorization backing")
         return self.mf.syz().cok(label=_wrap_label(self.label, "syz"))
 
     def describe(self) -> dict:
@@ -561,8 +565,11 @@ def _wrap_label(label, op):
 
 
 def free_module(ring, shifts=(0,)) -> GradedModule:
-    mat = GradedMatrix(ring, tuple(shifts), (), [[] for _ in shifts])
-    return GradedModule(ring, mat, label="free")
+    """sum_i R(-shifts[i]) as the cokernel of (g Id, Id): its presentation
+    over R is the zero matrix, with relation degrees shifts + deg g."""
+    ident = GradedMatrix.identity(ring, [w + ring.deg_g for w in shifts])
+    return MatrixFactorization(g_identity(ring, tuple(shifts)),
+                               ident).cok(label="free")
 
 
 # ----------------------------------------------------------------------
@@ -1193,15 +1200,14 @@ def _candidate_elements(alg: EndAlgebra, rng):
 
 
 def decompose(M: GradedModule, rng=None):
-    """Split a factorization-backed module into indecomposable summands.
+    """Split a module into indecomposable summands.
 
     Returns (parts, free_shifts): parts are the nonfree indecomposable
-    summands (with factorization backing) and free_shifts the generator
-    degrees of split-off free summands.  Splitting is driven by
-    idempotents found through minimal polynomials in End_0; a module is
-    only certified indecomposable when End_0 modulo its radical is k or
-    is generated by one element with irreducible minimal polynomial of
-    full degree.  When neither outcome can be certified the function
+    summands and free_shifts the generator degrees of split-off free
+    summands.  Splitting is driven by idempotents found through minimal
+    polynomials in End_0; a module is only certified indecomposable when
+    End_0 modulo its radical is k or is generated by one element with
+    irreducible minimal polynomial of full degree.  When neither outcome can be certified the function
     raises InconclusiveSplitError rather than guessing.
     """
     if rng is None:
@@ -1215,12 +1221,10 @@ def decompose(M: GradedModule, rng=None):
 
 
 def _minimal_core(M: GradedModule):
-    if M.mf is None:
-        raise InputError("splitting needs a matrix factorization backing")
-    mf, frees = mf_reduce(M.mf)
-    if mf is None:
+    core, frees = mf_reduce(M.mf)
+    if core is None:
         return None, frees
-    return mf.cok(label=M.label), frees
+    return core.cok(label=M.label), frees
 
 
 def _indecomposable_parts(M: GradedModule, rng):
@@ -1281,12 +1285,11 @@ def _module_sort_key(M: GradedModule):
 def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None):
     """Find s with M isomorphic to N(s), or None if the search fails.
 
-    Both modules must be factorization-backed.  Only minimal data
-    decides: both factorizations are reduced first, candidate shifts
-    come from matching generator-degree multisets, and a shift is
-    confirmed by degree-zero maps both ways with invertible scalar part
-    (each is then surjective by the graded Nakayama lemma, and a
-    surjective endomorphism of a noetherian module is injective).
+    Only minimal data decides: both factorizations are reduced first,
+    candidate shifts come from matching generator-degree multisets, and
+    a shift is confirmed by degree-zero maps both ways with invertible
+    scalar part (each is then surjective by the graded Nakayama lemma,
+    and a surjective endomorphism of a noetherian module is injective).
     """
     if rng is None:
         rng = random.Random(0)

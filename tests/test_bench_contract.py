@@ -1,0 +1,42 @@
+"""The benchmark's view of the package: the layers it wraps and the
+known-defect jobs it classifies against the golden reports.
+
+perfbench/ is read, never changed: a renamed function or a reworded
+error message shows here instead of as a benchmark failure.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads"), importlib.import_module("traced")
+
+
+def test_every_traced_layer_resolves(bench):
+    _, traced = bench
+    assert len(traced.LAYERS) == 26
+    for modname, path in traced.LAYERS:
+        owner = importlib.import_module("arcurves." + modname)
+        for attr in path.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (modname, path)
+
+
+def test_known_defect_jobs_match_the_golden_reports(bench, monkeypatch):
+    workloads, traced = bench
+    jobs = [workloads.SECTION7_DEFECT, workloads.EXPLORE_DEFECT]
+    golden = workloads.load_golden()
+    monkeypatch.chdir(workloads.ROOT)
+    for job, result in zip(jobs, traced.run_pass(jobs, seed=0)):
+        verdict = workloads.check(job, golden, result["rc"],
+                                  result["stdout"], result["stderr"])
+        assert verdict in ("known", "pass"), (job.id, result["stderr"])

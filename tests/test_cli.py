@@ -215,6 +215,15 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_non_utf8_config_is_input_error(tmp_path, capsys):
+    path = tmp_path / "ring.cfg"
+    path.write_bytes(CUSP.encode() + b"\xff\n")
+    code, out, err = _run(capsys, ["ring-info", str(path)])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and str(path) in doc["message"]
+
+
 def test_unwritable_out_is_input_error(cfg, capsys, tmp_path):
     out_path = str(tmp_path / "missing" / "report.json")
     code, out, err = _run(capsys, ["ring-info", cfg(CUSP), "--out", out_path])

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 import pytest
 
-from arcurves import (GradedMatrix, GradedModule, InputError,
-                      MatrixFactorization, block_matrix, decompose, ext1_dim,
-                      field_from_string, free_module, gamma_for, hom_graded,
-                      iso_up_to_shift, mf_check, mf_complete, mf_from_ideal,
-                      multiplicity, push, random_ring, rank_vector,
-                      solve_graded_system, stably_zero_bruteforce,
-                      factor_hypersurface)
+from arcurves import (GradedMatrix, InputError, MatrixFactorization,
+                      block_matrix, decompose, ext1_dim, field_from_string,
+                      free_module, gamma_for, hom_graded, iso_up_to_shift,
+                      mf_check, mf_complete, mf_from_ideal, multiplicity,
+                      push, random_ring, rank_vector, solve_graded_system,
+                      stably_zero_bruteforce, factor_hypersurface)
 from arcurves import modmat
 from arcurves.modmat import _stably_zero_span
 
@@ -280,11 +279,33 @@ def test_split_parts_are_minimal_factorizations(seed, field):
                        for j in range(len(sub.rels)))
 
 
-def test_splitting_needs_a_factorization(cusp_ideal):
-    bare = GradedModule(cusp_ideal.ring, cusp_ideal.matrix)
-    with pytest.raises(InputError):
-        decompose(bare)
-    with pytest.raises(InputError):
-        iso_up_to_shift(bare, cusp_ideal)
-    with pytest.raises(InputError):
-        iso_up_to_shift(cusp_ideal, bare)
+def test_free_modules_are_factorizations(cusp_ring):
+    F = free_module(cusp_ring, (0, 3))
+    assert mf_check(F.mf.phi, F.mf.psi) and not F.mf.is_reduced()
+    assert decompose(F) == ([], [0, 3])
+    assert iso_up_to_shift(free_module(cusp_ring, (0,)),
+                           free_module(cusp_ring, (5,))) == 5
+
+
+def _elimination_dim(M, d):
+    return len(M.ambient_basis(d)) - M._image_rref(d).rank
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_piece_dim_is_read_off_the_degrees(seed, field):
+    # dim M_d = sum |S_(d - w)| - sum |S_(d - u)| agrees with eliminating
+    # the presentation over R, and computing it eliminates nothing.
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    D = ring.deg_g
+    I = mf_from_ideal(ring).cok(label="I")
+    seq = push(I, gamma_for(ring))
+    parts, _ = decompose(seq.middle)
+    modules = [I, I.syz(), I.shift(3), seq.middle, seq.right, *parts,
+               free_module(ring, (0, 3))]
+    for M in modules:
+        window = range(min(M.gens) - D, max(M.gens) + 3 * D + 1)
+        fresh = M.mf.cok()
+        dims = [fresh.piece_dim(d) for d in window]
+        assert fresh._image_cache == {}
+        assert dims == [_elimination_dim(fresh, d) for d in window]
