@@ -234,8 +234,10 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     shifted down by gamma's degree.  Preconditions: M carries a reduced
     factorization and every indecomposable summand (the list may be
     supplied to skip a fresh decomposition) has branch rank nonzero in k.
-    The section maps, rank additivity, and dimension additivity over a
-    window of width three times deg g are all verified on the way out.
+    The section maps and rank additivity are verified on the way out, and
+    so is dimension additivity in degree min(gens) + deg g of the middle
+    term: there dim cok xi is found by eliminating xi over R, not read
+    off xi's block degrees, and must equal dim M_d plus the right term's.
     """
     ring = M.ring
     if not M.mf.is_reduced():
@@ -290,11 +292,11 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     if any(m != a + b for m, a, b in zip(r_mid, r_left, r_right)):
         raise VerificationError(
             "middle ranks %s differ from %s + %s" % (r_mid, r_left, r_right))
-    lo = min(middle.gens)
-    for d in range(lo, lo + 3 * D + 1):
-        if middle.piece_dim(d) != M.piece_dim(d) + right.piece_dim(d):
-            raise VerificationError(
-                "dimension additivity fails in degree %d" % d)
+    # dim (cok xi)_d by eliminating xi over R, against the Hilbert
+    # functions of the outer terms read off their degrees.
+    d = min(middle.gens) + D
+    if len(middle.nonpivot_basis(d)) != M.piece_dim(d) + right.piece_dim(d):
+        raise VerificationError("dimension additivity fails in degree %d" % d)
     return ARSequence(M, middle, right, inj, proj, gd, alpha, beta)
 
 

@@ -17,6 +17,8 @@ class RationalField:
     """The field of rational numbers, elements represented as Fraction."""
 
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, value):
         if isinstance(value, Fraction):
@@ -26,14 +28,6 @@ class RationalField:
         if isinstance(value, str):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -80,6 +74,9 @@ class RationalField:
 class PrimeField:
     """The field with ell elements, ell an odd prime; elements are ints in [0, ell)."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, ell: int):
         if ell < 3 or not is_prime(ell):
             raise ValueError(f"{ell} is not an odd prime")
@@ -97,14 +94,6 @@ class PrimeField:
                 return self.div(self(int(num)), self(int(den)))
             return int(value) % self.ell
         raise TypeError(f"cannot coerce {value!r} into F_{self.ell}")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.ell

@@ -6,73 +6,145 @@ Solutions must be canonical: reduced row echelon form is unique for a
 given row space, so every routine here funnels through RREF and reads
 particular solutions and kernel bases off it with free variables set to
 zero.  That makes all downstream output independent of row order.
-The dense helpers at the end only convert lists to sparse rows and back.
+
+Elimination is fraction-free, on integer rows (as in Bareiss, Math.
+Comp. 22 (1968)).  Over Q a stored row is a primitive integer vector
+with a positive pivot entry, standing for that vector divided by its
+pivot entry; over F_ell its entries lie in [0, ell) and its pivot entry
+is 1.  The fields differ only in how a whole row is normalised, and
+field elements (Fraction over Q, int over F_ell) are made only where
+rows enter and leave.  The dense helpers at the end only convert lists
+to sparse rows and back.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def _cancel(u: dict, v: dict, col) -> int:
+    """Replace u by a u - c v in place, where c/a is u[col]/v[col] in
+    lowest terms with a > 0, so that u loses column col.  Returns a."""
+    a, c = v[col], u[col]
+    g = gcd(a, c)
+    if g != 1:
+        a, c = a // g, c // g
+    if a != 1:
+        for k in u:
+            u[k] *= a
+    for k, w in v.items():
+        new = u.get(k, 0) - c * w
+        if new:
+            u[k] = new
+        else:
+            del u[k]
+    return a
 
 
 class SparseRREF:
     """Incrementally maintained reduced row echelon form with dict rows.
 
-    Rows are dicts mapping column index to a nonzero field element.  The
-    invariant after every insert: each stored pivot row has coefficient 1
-    in its pivot column and zero in every other pivot column.
+    rows maps each pivot column to its stored integer row, which has no
+    entry in any other pivot column.  pivots is the same echelon form
+    with field entries and coefficient 1 in each pivot column; it is
+    built on first use after an insert.
     """
 
     def __init__(self, field):
         self.field = field
-        self.pivots: dict[int, dict[int, object]] = {}
+        self._ell = field.char  # 0 over Q
+        self.rows: dict[int, dict[int, int]] = {}
+        self._pivots = None
+
+    # -- the boundary between field elements and integer rows ----------
+
+    def _integral(self, row: dict):
+        """An integer vector and a denominator d > 0 with row = vector / d."""
+        ell = self._ell
+        if ell:
+            return {c: r for c, v in row.items() if (r := v % ell)}, 1
+        den = lcm(*(v.denominator for v in row.values()))
+        return {c: v.numerator * (den // v.denominator)
+                for c, v in row.items() if v}, den
+
+    def element(self, num: int, den: int):
+        """The field element num / den."""
+        return num % self._ell if self._ell else Fraction(num, den)
+
+    def _normalise(self, vec: dict) -> dict:
+        """The stored form of vec's row (empty if vec is zero in k)."""
+        ell = self._ell
+        if ell:
+            vec = {c: r for c, v in vec.items() if (r := v % ell)}
+            if vec:
+                lead = vec[min(vec)]
+                if lead != 1:
+                    inv = pow(lead, -1, ell)
+                    vec = {c: v * inv % ell for c, v in vec.items()}
+        elif vec:
+            g = gcd(*vec.values())
+            if vec[min(vec)] < 0:
+                g = -g
+            if g != 1:
+                vec = {c: v // g for c, v in vec.items()}
+        return vec
+
+    # -- elimination ---------------------------------------------------
+
+    def _eliminate(self, vec: dict) -> int:
+        """Reduce an integer vector in place against the stored rows;
+        returns the factor the vector was multiplied by."""
+        rows = self.rows
+        scale = 1
+        # Stored rows contain no other pivot columns, so clearing the
+        # pivot columns present in the snapshot is a complete reduction.
+        for col in sorted(c for c in vec if c in rows):
+            scale *= _cancel(vec, rows[col], col)
+        return scale
 
     def reduce(self, row: dict) -> dict:
         """Fully reduce a row against the stored pivot rows."""
-        K = self.field
-        out = dict(row)
-        # Pivot rows contain no other pivot columns, so eliminating the
-        # pivot columns present in the snapshot is a complete reduction.
-        for col in sorted(c for c in row if c in self.pivots):
-            coeff = out.get(col)
-            if coeff is None or K.is_zero(coeff):
-                out.pop(col, None)
-                continue
-            for c2, v2 in self.pivots[col].items():
-                cur = out.get(c2, K.zero)
-                new = K.sub(cur, K.mul(coeff, v2))
-                if K.is_zero(new):
-                    out.pop(c2, None)
-                else:
-                    out[c2] = new
-        return {c: v for c, v in out.items() if not K.is_zero(v)}
+        vec, den = self._integral(row)
+        den *= self._eliminate(vec)
+        element = self.element
+        return {c: e for c, v in vec.items() if (e := element(v, den))}
 
     def insert(self, row: dict):
         """Insert a row; return its pivot column, or None if dependent."""
-        K = self.field
-        red = self.reduce(row)
-        if not red:
+        vec, _ = self._integral(row)
+        self._eliminate(vec)
+        vec = self._normalise(vec)
+        if not vec:
             return None
-        piv = min(red)
-        inv = K.inv(red[piv])
-        red = {c: K.mul(v, inv) for c, v in red.items()}
-        for other in self.pivots.values():
-            coeff = other.get(piv)
-            if coeff is None:
-                continue
-            for c2, v2 in red.items():
-                cur = other.get(c2, K.zero)
-                new = K.sub(cur, K.mul(coeff, v2))
-                if K.is_zero(new):
-                    other.pop(c2, None)
-                else:
-                    other[c2] = new
-        self.pivots[piv] = red
+        piv = min(vec)
+        rows = self.rows
+        for col, other in rows.items():
+            if piv in other:
+                _cancel(other, vec, piv)
+                rows[col] = self._normalise(other)
+        rows[piv] = vec
+        self._pivots = None
         return piv
 
     @property
+    def pivots(self) -> dict:
+        """pivot column -> its row of the RREF, with field entries."""
+        if self._pivots is None:
+            element = self.element
+            self._pivots = {piv: {c: element(v, row[piv])
+                                  for c, v in row.items()}
+                            for piv, row in self.rows.items()}
+        return self._pivots
+
+    @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        vec, _ = self._integral(row)
+        self._eliminate(vec)
+        return not self._normalise(vec)
 
 
 def solve_sparse_system(rows, nvars, field, const_index=None):
@@ -85,33 +157,30 @@ def solve_sparse_system(rows, nvars, field, const_index=None):
     canonical RREF-derived basis of the homogeneous solution space,
     ordered by free column index.
     """
-    K = field
-    rr = SparseRREF(K)
+    rr = SparseRREF(field)
     for row in rows:
         rr.insert(row)
-    if const_index is not None and const_index in rr.pivots:
-        return None, _kernel_from_rref(rr, nvars, K, const_index)
+    kernel = _kernel_from_rref(rr, nvars, const_index)
+    if const_index is not None and const_index in rr.rows:
+        return None, kernel
     particular = {}
     if const_index is not None:
-        for piv, row in rr.pivots.items():
+        for piv, row in rr.rows.items():
             c = row.get(const_index)
-            if c is not None and not K.is_zero(c):
-                particular[piv] = K.neg(c)
-    return particular, _kernel_from_rref(rr, nvars, K, const_index)
+            if c is not None:
+                particular[piv] = rr.element(-c, row[piv])
+    return particular, kernel
 
 
-def _kernel_from_rref(rr: SparseRREF, nvars, field, const_index):
-    K = field
-    free_cols = [c for c in range(nvars) if c not in rr.pivots and c != const_index]
-    basis = []
-    for f in free_cols:
-        vec = {f: K.one}
-        for piv, row in rr.pivots.items():
-            coeff = row.get(f)
-            if coeff is not None and not K.is_zero(coeff):
-                vec[piv] = K.neg(coeff)
-        basis.append(vec)
-    return basis
+def _kernel_from_rref(rr: SparseRREF, nvars, const_index):
+    basis = {f: {f: rr.field.one} for f in range(nvars)
+             if f not in rr.rows and f != const_index}
+    for piv, row in rr.rows.items():
+        for c, v in row.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[piv] = rr.element(-v, row[piv])
+    return list(basis.values())
 
 
 def sparse_vector(vec, field) -> dict:

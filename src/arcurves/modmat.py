@@ -529,7 +529,7 @@ class GradedModule:
     def nonpivot_basis(self, d: int):
         """Indices into the ambient basis giving a basis of M_d."""
         amb = self.ambient_basis(d)
-        pivots = set(self._image_rref(d).pivots)
+        pivots = self._image_rref(d).rows
         return [t for t in range(len(amb)) if t not in pivots]
 
     def element_coords(self, polys, d: int) -> dict:
@@ -952,7 +952,9 @@ def submodule_presentation(M: GradedModule, elements, label=None):
     is therefore minimal.  A maximal Cohen-Macaulay submodule has as many
     minimal relations as generators, and the square presentation is
     completed to a matrix factorization.  The result's Hilbert function
-    is verified degreewise against the span beyond the bound.
+    is verified degreewise against the span from min(gens) to bound +
+    deg(g); the span's dimension in each degree is the rank of the
+    system whose kernel gives the relations there.
     """
     ring = M.ring
     K = ring.field
@@ -970,22 +972,34 @@ def submodule_presentation(M: GradedModule, elements, label=None):
 
     gdegs = tuple(deg for deg, _ in gens)
     bound = max(gdegs) + D - 1
+    window = range(min(gdegs), bound + D + 1)
     rels = []
-    for d in range(min(gdegs) + 1, bound + 1):
+    span_dims = []
+    for d in window:
         var_slots = []
         for t, (wdeg, _) in enumerate(gens):
             for mono in ring.graded_piece(d - wdeg):
                 var_slots.append((t, mono))
         if not var_slots:
+            span_dims.append(0)
             continue
         rows: dict[int, dict] = {}
         for vk, (t, mono) in enumerate(var_slots):
-            polys = [ring.normal_form(pp.shift_monomial(*mono))
+            polys = [pp if pp.is_zero()
+                     else ring.normal_form(pp.shift_monomial(*mono))
                      for pp in gens[t][1]]
             for cc, val in M.element_coords(polys, d).items():
                 rows.setdefault(cc, {})[vk] = val
+        # The span in degree d is the image of the map whose rows these are.
+        if d > bound:
+            image = SparseRREF(K)
+            for row in rows.values():
+                image.insert(row)
+            span_dims.append(image.rank)
+            continue
         _, kernel = solve_sparse_system(list(rows.values()), len(var_slots),
                                         K, const_index=None)
+        span_dims.append(len(var_slots) - len(kernel))
         pos = {slot: vk for vk, slot in enumerate(var_slots)}
         span = _span_rref(ring, d, rels, _scatter(pos))
         for vec in kernel:
@@ -1007,8 +1021,8 @@ def submodule_presentation(M: GradedModule, elements, label=None):
             "be maximal Cohen-Macaulay")
     A = GradedMatrix(ring, gdegs, tuple(d for d, _ in rels), ents)
     sub = mf_complete(A).cok(label=label)
-    for d in range(min(gdegs), bound + D + 1):
-        if sub.piece_dim(d) != _span_dim(M, gens, d):
+    for d, span_dim in zip(window, span_dims):
+        if sub.piece_dim(d) != span_dim:
             raise CertificationError(
                 f"submodule presentation disagrees with its span in degree {d}")
     return sub
@@ -1023,10 +1037,6 @@ def _element_in_span(M: GradedModule, gens, element) -> bool:
     deg, polys = element
     target = M.element_coords(polys, deg)
     return not target or _element_span(M, gens, deg).contains(target)
-
-
-def _span_dim(M: GradedModule, gens, d: int) -> int:
-    return _element_span(M, gens, d).rank
 
 
 def _hom_columns(h: GradedHom):

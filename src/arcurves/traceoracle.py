@@ -79,7 +79,7 @@ class _BranchTrace:
         # generator j there is X[j][j] minus the pivot rows' share of X e_j.
         projector = {}
         for j in range(ngens):
-            if rank[j] in image.pivots:
+            if rank[j] in image.rows:
                 continue
             projector[(j, j)] = K.one
             for prank, pcol in image.pivots.items():

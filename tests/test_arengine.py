@@ -277,3 +277,21 @@ def test_push_refuses_free_summands(cusp_ring, cusp_datum):
     from arcurves import free_module
     with pytest.raises(InputError):
         push(free_module(cusp_ring, (0,)), cusp_datum)
+
+
+def test_push_counts_the_middle_by_elimination(monkeypatch, cusp_ring,
+                                               cusp_datum):
+    # dim (cok xi)_d comes from eliminating xi, so an elimination that
+    # finds one pivot too many is caught by the additivity check
+    real = modmat.GradedModule.nonpivot_basis
+
+    def lossy(self, d):
+        basis = real(self, d)
+        checked = (self.label == "push(I)"
+                   and d == min(self.gens) + self.ring.deg_g)
+        return basis[1:] if checked else basis
+
+    monkeypatch.setattr(modmat.GradedModule, "nonpivot_basis", lossy)
+    ideal = mf_from_ideal(cusp_ring).cok(label="I")
+    with pytest.raises(VerificationError, match="dimension additivity fails"):
+        push(ideal, cusp_datum)

@@ -1,17 +1,21 @@
 """The elimination engine against the defining properties of its answers.
 
-Random small matrices over Q and over prime fields; every check reads a
+Random small matrices over Q and over prime fields; most checks read a
 property off the answer (A x = b, A k = 0, rank-nullity, an explicit
-certificate of inconsistency) rather than comparing with another solver.
+certificate of inconsistency).  The last one compares the integer-row
+engine with the Fraction-based SparseRREF it replaced, kept below
+verbatim as a differential oracle.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcurves import QQ, PrimeField
-from arcurves.linalg import SparseRREF, kernel_dense, rank_dense, solve_dense
+from arcurves.linalg import (SparseRREF, kernel_dense, rank_dense, solve_dense,
+                             solve_sparse_system)
 
 FIELDS = [QQ, PrimeField(3), PrimeField(7), PrimeField(101)]
 
@@ -118,3 +122,199 @@ def test_sparse_rref_pivots_ignore_insertion_order(system, rnd):
         assert K.eq(prow[piv], K.one)
         assert all(c not in prow for c in a.pivots if c != piv)
     assert all(a.contains(row) for row in rows)
+
+
+# ----------------------------------------------------------------------
+# the reference: the Fraction-based engine, verbatim but for its names
+
+
+class _ReferenceRREF:
+    """Incrementally maintained reduced row echelon form with dict rows.
+
+    Rows are dicts mapping column index to a nonzero field element.  The
+    invariant after every insert: each stored pivot row has coefficient 1
+    in its pivot column and zero in every other pivot column.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots: dict[int, dict[int, object]] = {}
+
+    def reduce(self, row: dict) -> dict:
+        """Fully reduce a row against the stored pivot rows."""
+        K = self.field
+        out = dict(row)
+        # Pivot rows contain no other pivot columns, so eliminating the
+        # pivot columns present in the snapshot is a complete reduction.
+        for col in sorted(c for c in row if c in self.pivots):
+            coeff = out.get(col)
+            if coeff is None or K.is_zero(coeff):
+                out.pop(col, None)
+                continue
+            for c2, v2 in self.pivots[col].items():
+                cur = out.get(c2, K.zero)
+                new = K.sub(cur, K.mul(coeff, v2))
+                if K.is_zero(new):
+                    out.pop(c2, None)
+                else:
+                    out[c2] = new
+        return {c: v for c, v in out.items() if not K.is_zero(v)}
+
+    def insert(self, row: dict):
+        """Insert a row; return its pivot column, or None if dependent."""
+        K = self.field
+        red = self.reduce(row)
+        if not red:
+            return None
+        piv = min(red)
+        inv = K.inv(red[piv])
+        red = {c: K.mul(v, inv) for c, v in red.items()}
+        for other in self.pivots.values():
+            coeff = other.get(piv)
+            if coeff is None:
+                continue
+            for c2, v2 in red.items():
+                cur = other.get(c2, K.zero)
+                new = K.sub(cur, K.mul(coeff, v2))
+                if K.is_zero(new):
+                    other.pop(c2, None)
+                else:
+                    other[c2] = new
+        self.pivots[piv] = red
+        return piv
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+
+def _reference_solve(rows, nvars, field, const_index=None):
+    """Solve a sparse affine system given as rows meaning sum a_j x_j + c = 0.
+
+    The constant term c is stored under column index ``const_index``
+    (pass None for a homogeneous system).  Returns a pair
+    ``(particular, kernel)`` where ``particular`` is a dict (free
+    variables zero) or None if inconsistent, and ``kernel`` is the
+    canonical RREF-derived basis of the homogeneous solution space,
+    ordered by free column index.
+    """
+    K = field
+    rr = _ReferenceRREF(K)
+    for row in rows:
+        rr.insert(row)
+    if const_index is not None and const_index in rr.pivots:
+        return None, _reference_kernel(rr, nvars, K, const_index)
+    particular = {}
+    if const_index is not None:
+        for piv, row in rr.pivots.items():
+            c = row.get(const_index)
+            if c is not None and not K.is_zero(c):
+                particular[piv] = K.neg(c)
+    return particular, _reference_kernel(rr, nvars, K, const_index)
+
+
+def _reference_kernel(rr: _ReferenceRREF, nvars, field, const_index):
+    K = field
+    free_cols = [c for c in range(nvars) if c not in rr.pivots and c != const_index]
+    basis = []
+    for f in free_cols:
+        vec = {f: K.one}
+        for piv, row in rr.pivots.items():
+            coeff = row.get(f)
+            if coeff is not None and not K.is_zero(coeff):
+                vec[piv] = K.neg(coeff)
+        basis.append(vec)
+    return basis
+
+
+
+# ----------------------------------------------------------------------
+# the integer-row engine against the reference
+
+BIG = 10 ** 12
+WIDE_FIELDS = [QQ, PrimeField(101), PrimeField(1000000007),
+               PrimeField(2305843009213693951)]
+
+
+def _wide_element(K):
+    if K.char == 0:
+        return st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+    return st.integers(0, K.char - 1)
+
+
+def _sparse(K, vec):
+    return {j: v for j, v in enumerate(vec) if not K.is_zero(v)}
+
+
+@st.composite
+def _wide_system(draw):
+    """Rows over a field with large entries, a third of them or more
+    combinations of earlier rows, so that dependent rows are common."""
+    K = draw(st.sampled_from(WIDE_FIELDS))
+    ncols = draw(st.integers(1, 7))
+    elem = st.one_of(st.just(K.zero), _wide_element(K))
+    rows = [[draw(elem) for _ in range(ncols)]
+            for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 4))):
+        combo = [K.zero] * ncols
+        for row in rows:
+            c = draw(elem)
+            combo = [K.add(a, K.mul(c, b)) for a, b in zip(combo, row)]
+        rows.append(combo)
+    probes = [[draw(elem) for _ in range(ncols)]
+              for _ in range(draw(st.integers(1, 3)))]
+    return K, ncols, [_sparse(K, r) for r in rows], [_sparse(K, r) for r in probes]
+
+
+def _typed(vec: dict):
+    return sorted((c, type(v).__name__, v) for c, v in vec.items())
+
+
+def _typed_pivots(rr):
+    return sorted((piv, _typed(row)) for piv, row in rr.pivots.items())
+
+
+def _typed_solution(solution):
+    particular, kernel = solution
+    return (None if particular is None else _typed(particular),
+            [_typed(vec) for vec in kernel])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_wide_system(), st.randoms(use_true_random=False))
+def test_integer_rows_match_the_fraction_engine(system, rnd):
+    K, ncols, rows, probes = system
+    ref, new = _ReferenceRREF(K), SparseRREF(K)
+    for row in rows:
+        assert new.insert(dict(row)) == ref.insert(dict(row))
+        assert new.rank == ref.rank
+        assert _typed_pivots(new) == _typed_pivots(ref)
+    for piv, row in new.rows.items():
+        assert min(row) == piv
+        assert all(type(v) is int for v in row.values())
+        if K.char:
+            assert row[piv] == 1 and all(0 < v < K.char for v in row.values())
+        else:
+            assert row[piv] > 0 and gcd(*row.values()) == 1
+    for row in probes + rows:
+        assert _typed(new.reduce(row)) == _typed(ref.reduce(row))
+        assert new.contains(row) == ref.contains(row)
+
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    again = SparseRREF(K)
+    for row in shuffled:
+        again.insert(row)
+    assert _typed_pivots(again) == _typed_pivots(ref)
+    for row in probes:
+        assert _typed(again.reduce(row)) == _typed(ref.reduce(row))
+
+    for nvars, const_index in ((ncols, None), (ncols - 1, ncols - 1)):
+        for order in (rows, shuffled):
+            assert (_typed_solution(solve_sparse_system(order, nvars, K,
+                                                        const_index))
+                    == _typed_solution(_reference_solve(rows, nvars, K,
+                                                        const_index)))
