@@ -147,34 +147,32 @@ class SparseRREF:
         return not self._normalise(vec)
 
 
-def solve_sparse_system(rows, nvars, field, const_index=None):
-    """Solve a sparse affine system given as rows meaning sum a_j x_j + c = 0.
-
-    The constant term c is stored under column index ``const_index``
-    (pass None for a homogeneous system).  Returns a pair
-    ``(particular, kernel)`` where ``particular`` is a dict (free
-    variables zero) or None if inconsistent, and ``kernel`` is the
-    canonical RREF-derived basis of the homogeneous solution space,
-    ordered by free column index.
-    """
+def _rref_of(rows, field) -> SparseRREF:
     rr = SparseRREF(field)
     for row in rows:
         rr.insert(row)
-    kernel = _kernel_from_rref(rr, nvars, const_index)
-    if const_index is not None and const_index in rr.rows:
-        return None, kernel
-    particular = {}
-    if const_index is not None:
-        for piv, row in rr.rows.items():
-            c = row.get(const_index)
-            if c is not None:
-                particular[piv] = rr.element(-c, row[piv])
-    return particular, kernel
+    return rr
 
 
-def _kernel_from_rref(rr: SparseRREF, nvars, const_index):
-    basis = {f: {f: rr.field.one} for f in range(nvars)
-             if f not in rr.rows and f != const_index}
+def solve_sparse_system(rows, nvars, field):
+    """Solve a sparse affine system given as rows meaning sum a_j x_j + c = 0.
+
+    The unknowns are columns 0 .. nvars - 1 and the constant term c is
+    stored under column nvars.  Returns the particular solution with the
+    free variables zero, as a dict, or None if the system is inconsistent.
+    """
+    rr = _rref_of(rows, field)
+    if nvars in rr.rows:
+        return None
+    return {piv: rr.element(-row[nvars], row[piv])
+            for piv, row in rr.rows.items() if nvars in row}
+
+
+def kernel_sparse(rows, nvars, field):
+    """The canonical basis of the solutions of sum a_j x_j = 0, one vector
+    per free column in increasing order, read off the RREF of the rows."""
+    rr = _rref_of(rows, field)
+    basis = {f: {f: field.one} for f in range(nvars) if f not in rr.rows}
     for piv, row in rr.rows.items():
         for c, v in row.items():
             vec = basis.get(c)
@@ -200,8 +198,8 @@ def kernel_dense(mat, field):
     """Canonical kernel basis of a dense matrix, as lists."""
     ncols = len(mat[0]) if mat else 0
     rows = [sparse_vector(row, field) for row in mat]
-    _, kernel = solve_sparse_system(rows, ncols, field)
-    return [dense_vector(vec, ncols, field) for vec in kernel]
+    return [dense_vector(vec, ncols, field)
+            for vec in kernel_sparse(rows, ncols, field)]
 
 
 def solve_dense(mat, rhs, field):
@@ -211,12 +209,9 @@ def solve_dense(mat, rhs, field):
     for row, b in zip(rows, rhs):
         if not field.is_zero(b):
             row[ncols] = field.neg(b)
-    sol, _ = solve_sparse_system(rows, ncols, field, const_index=ncols)
+    sol = solve_sparse_system(rows, ncols, field)
     return None if sol is None else dense_vector(sol, ncols, field)
 
 
 def rank_dense(mat, field) -> int:
-    rr = SparseRREF(field)
-    for row in mat:
-        rr.insert(sparse_vector(row, field))
-    return rr.rank
+    return _rref_of((sparse_vector(row, field) for row in mat), field).rank

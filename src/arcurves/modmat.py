@@ -23,8 +23,9 @@ import random
 from . import upoly
 from .errors import (CertificationError, FieldTooSmallError,
                      InconclusiveSplitError, InputError, VerificationError)
-from .linalg import (SparseRREF, dense_vector, kernel_dense, rank_dense,
-                     solve_dense, solve_sparse_system, sparse_vector)
+from .linalg import (SparseRREF, dense_vector, kernel_dense, kernel_sparse,
+                     rank_dense, solve_dense, solve_sparse_system,
+                     sparse_vector)
 from .ring import HypersurfaceRing, WPoly
 
 
@@ -285,8 +286,7 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
                     if cell:
                         sys_rows.append(cell)
 
-    particular, _ = solve_sparse_system(sys_rows, nvars, K,
-                                        const_index=const_index)
+    particular = solve_sparse_system(sys_rows, nvars, K)
     if particular is None:
         return None
     ents = {name: [[dict() for _ in cdegs] for _ in rdegs]
@@ -671,7 +671,7 @@ class HomSpace:
                       for j, ws in enumerate(source.gens)]
 
         variables, rows = _precomposition(source.matrix, target, degree)
-        _, kernel = solve_sparse_system(rows, len(variables), ring.field)
+        kernel = kernel_sparse(rows, len(variables), ring.field)
         flat = [self._flat[j][t] for j, t in variables]
         reduced = SparseRREF(ring.field)
         for vec in kernel:
@@ -778,18 +778,34 @@ def _stably_zero_span(space: HomSpace) -> SparseRREF:
 
     A map between MCM modules factors through some free module exactly
     when it factors through the free cover of its target: H = L + B C
-    with L A = 0 mod g, where A and B present source and target.  The
-    maps L are the homs into that free cover, and coords_of reduces
-    modulo the matrices B C, so the span is that of their coordinates.
-    Built once per hom space.
+    with L A = 0 mod g, where A and B present source and target.  For the
+    factorization (phi, psi) behind the source, a map cok phi -> R is a
+    row x with x phi = g z over S, so x = x phi psi / g = z psi: the maps
+    into the free cover are spanned over R by the matrices with the row
+    psi_r of psi in row k and zeros elsewhere, of degree w_k + deg g - u_r.
+    coords_of reduces modulo the matrices B C, so the span is that of
+    their coordinates.  Built once per hom space.
     """
     span = getattr(space, "_stably_zero", None)
     if span is not None:
         return span
     M, N, d = space.source, space.target, space.degree
-    span = SparseRREF(M.ring.field)
-    for L in HomSpace(M, free_module(M.ring, N.gens), d).basis:
-        span.insert(dict(space.coords_of(L.H)))
+    ring = M.ring
+    psi = M.mf.psi
+    zero = ring.zero_poly()
+    columns = [(wk + ring.deg_g - u,
+                [e if i == k else zero
+                 for i in range(len(N.gens)) for e in prow])
+               for k, wk in enumerate(N.gens)
+               for u, prow in zip(psi.rows, psi.entries)]
+    cols = tuple(w + d for w in M.gens)
+    width = len(cols)
+
+    def coords(polys):
+        ents = [polys[i:i + width] for i in range(0, len(polys), width)]
+        return dict(space.coords_of(GradedMatrix(ring, N.gens, cols, ents)))
+
+    span = _span_rref(ring, d, columns, coords)
     space._stably_zero = span
     return span
 
@@ -897,8 +913,11 @@ def mf_reduce(mf: MatrixFactorization):
 
     Returns (reduced factorization or None, free generator degrees):
     a unit in phi is a trivial (1)-block, a unit in psi is a (g)-block
-    of phi, i.e. a free summand of cok phi.
+    of phi, i.e. a free summand of cok phi.  A factorization without
+    units comes back as it is.
     """
+    if mf.is_reduced():
+        return mf, []
     ring = mf.ring
     K = ring.field
     phi_ents = [list(r) for r in mf.phi.entries]
@@ -997,8 +1016,7 @@ def submodule_presentation(M: GradedModule, elements, label=None):
                 image.insert(row)
             span_dims.append(image.rank)
             continue
-        _, kernel = solve_sparse_system(list(rows.values()), len(var_slots),
-                                        K, const_index=None)
+        kernel = kernel_sparse(list(rows.values()), len(var_slots), K)
         span_dims.append(len(var_slots) - len(kernel))
         pos = {slot: vk for vk, slot in enumerate(var_slots)}
         span = _span_rref(ring, d, rels, _scatter(pos))
@@ -1231,7 +1249,11 @@ def decompose(M: GradedModule, rng=None):
 
 
 def _minimal_core(M: GradedModule):
+    """M without its trivial blocks, and the degrees of its free summands;
+    M itself, with its caches, when its factorization is reduced."""
     core, frees = mf_reduce(M.mf)
+    if core is M.mf:
+        return M, frees
     if core is None:
         return None, frees
     return core.cok(label=M.label), frees
@@ -1297,9 +1319,11 @@ def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None):
 
     Only minimal data decides: both factorizations are reduced first,
     candidate shifts come from matching generator-degree multisets, and
-    a shift is confirmed by degree-zero maps both ways with invertible
-    scalar part (each is then surjective by the graded Nakayama lemma,
-    and a surjective endomorphism of a noetherian module is injective).
+    a shift s is confirmed by maps of degree s from M to N and -s back
+    with invertible scalar part (each is then surjective by the graded
+    Nakayama lemma, and a surjective endomorphism of a noetherian module
+    is injective).  Hom_s(M, N) is Hom_0(M, N(s)) with the same matrices,
+    so no shifted copy of N is built.
     """
     if rng is None:
         rng = random.Random(0)
@@ -1317,10 +1341,9 @@ def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None):
             continue
         if sorted(frees_m) != sorted(w - s for w in frees_n):
             continue
-        shifted = core_n.shift(s)
-        if _find_scalar_invertible(core_m, shifted, rng) is None:
+        if _find_scalar_invertible(core_m, core_n, s, rng) is None:
             continue
-        if _find_scalar_invertible(shifted, core_m, rng) is not None:
+        if _find_scalar_invertible(core_n, core_m, -s, rng) is not None:
             return s
     return None
 
@@ -1348,8 +1371,11 @@ def _scalar_part(hom: GradedHom):
 _SCALAR_TRIES = 40
 
 
-def _find_scalar_invertible(A: GradedModule, B: GradedModule, rng):
-    space = hom_graded(A, B, 0)
+def _find_scalar_invertible(A: GradedModule, B: GradedModule, degree, rng):
+    """A hom of the given degree from A to B whose scalar part is
+    invertible, or None.  The space is built afresh rather than through
+    hom_graded, so that A's hom cache does not keep B alive."""
+    space = HomSpace(A, B, degree)
     if space.dim == 0:
         return None
     K = A.ring.field

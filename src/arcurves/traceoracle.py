@@ -160,7 +160,7 @@ def _ring_preimage(ring, branches, images, w):
             row = dict(row)
             row[len(basis)] = K.neg(img[0])
         rows.append(row)
-    sol, _ = solve_sparse_system(rows, len(basis), K, const_index=len(basis))
+    sol = solve_sparse_system(rows, len(basis), K)
     if sol is None:
         return None
     return WPoly(K, ring.q, ring.p,

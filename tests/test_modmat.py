@@ -14,7 +14,9 @@ from arcurves import (GradedMatrix, InputError, MatrixFactorization,
                       push, random_ring, rank_vector, solve_graded_system,
                       stably_zero_bruteforce, factor_hypersurface)
 from arcurves import modmat
-from arcurves.modmat import _stably_zero_span
+from arcurves.linalg import SparseRREF, rank_dense
+from arcurves.modmat import (GradedModule, HomSpace, _stably_zero_span,
+                             hom_from_coefficients)
 
 
 def test_entry_degree_validation(cusp_ring):
@@ -309,3 +311,148 @@ def test_piece_dim_is_read_off_the_degrees(seed, field):
         dims = [fresh.piece_dim(d) for d in window]
         assert fresh._image_cache == {}
         assert dims == [_elimination_dim(fresh, d) for d in window]
+
+
+# ----------------------------------------------------------------------
+# the stably-zero span against the free-cover construction it replaced
+
+
+def _free_cover_span(space):
+    """The stably-zero span built from Hom(M, F)_d, F the free cover of
+    the target, verbatim but for its name and the cache."""
+    M, N, d = space.source, space.target, space.degree
+    span = SparseRREF(M.ring.field)
+    for L in HomSpace(M, free_module(M.ring, N.gens), d).basis:
+        span.insert(dict(space.coords_of(L.H)))
+    return span
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_stably_zero_span_matches_the_free_cover(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    I = mf_from_ideal(ring).cok(label="I")
+    seq = push(I, gamma_for(ring))
+    modules = (I, I.syz(), seq.middle, seq.right)
+    D = ring.deg_g
+    nonzero = 0
+    for M in modules:
+        for N in modules:
+            for d in range(-D, D + 1):
+                space = hom_graded(M, N, d)
+                span = _stably_zero_span(space)
+                assert span.rows == _free_cover_span(space).rows
+                nonzero += span.rank > 0
+    assert nonzero > 0
+
+
+def test_stably_zero_span_builds_no_hom_space(monkeypatch, two_branch_ideal):
+    M, N = two_branch_ideal, two_branch_ideal.syz()
+    D = M.ring.deg_g
+    spaces = [HomSpace(M, N, d) for d in range(-D, D + 1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the span built a module or a hom space")
+
+    monkeypatch.setattr(modmat, "HomSpace", refuse)
+    monkeypatch.setattr(modmat, "free_module", refuse)
+    assert sum(_stably_zero_span(space).rank for space in spaces) > 0
+
+
+# ----------------------------------------------------------------------
+# identification up to shift against the shifted-copy search it replaced
+
+
+def _reference_minimal_core(M):
+    core, frees = modmat.mf_reduce(M.mf)
+    if core is None:
+        return None, frees
+    return core.cok(label=M.label), frees
+
+
+def _reference_iso_up_to_shift(M, N, rng=None):
+    """iso_up_to_shift on fresh cores and a shifted copy of N, verbatim
+    but for the names of the copied helpers."""
+    if rng is None:
+        rng = random.Random(0)
+    core_m, frees_m = _reference_minimal_core(M)
+    core_n, frees_n = _reference_minimal_core(N)
+    if (core_m is None) != (core_n is None):
+        return None
+    if core_m is None:
+        return modmat._shift_matching(frees_m, frees_n)
+    if len(core_m.gens) != len(core_n.gens):
+        return None
+    cands = sorted({wn - wm for wn in core_n.gens for wm in core_m.gens})
+    for s in cands:
+        if sorted(core_m.gens) != sorted(w - s for w in core_n.gens):
+            continue
+        if sorted(frees_m) != sorted(w - s for w in frees_n):
+            continue
+        shifted = core_n.shift(s)
+        if _reference_find_scalar_invertible(core_m, shifted, rng) is None:
+            continue
+        if _reference_find_scalar_invertible(shifted, core_m, rng) is not None:
+            return s
+    return None
+
+
+def _reference_find_scalar_invertible(A, B, rng):
+    space = hom_graded(A, B, 0)
+    if space.dim == 0:
+        return None
+    K = A.ring.field
+    n = len(B.gens)
+    for hom in space.basis:
+        if rank_dense(modmat._scalar_part(hom), K) == n:
+            return hom
+    span = 7 if K.char == 0 else min(K.char, 7)
+    for _ in range(modmat._SCALAR_TRIES):
+        coeffs = [K(rng.randrange(span)) for _ in range(space.dim)]
+        hom = hom_from_coefficients(space, coeffs)
+        if rank_dense(modmat._scalar_part(hom), K) == n:
+            return hom
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_iso_up_to_shift_matches_the_shifted_copy(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    I = mf_from_ideal(ring).cok(label="I")
+    seq = push(I, gamma_for(ring))
+    parts, _ = decompose(seq.middle)
+    modules = [I, I.syz(), I.syz().syz(), I.shift(3), seq.middle, seq.right,
+               *parts]
+    found = 0
+    for k, M in enumerate(modules):
+        for N in modules:
+            s = iso_up_to_shift(M, N, random.Random(k))
+            assert s == _reference_iso_up_to_shift(M, N, random.Random(k))
+            found += s is not None
+    assert found >= len(modules)
+
+
+def test_identification_keeps_the_module_and_its_caches(monkeypatch,
+                                                        two_branch_ideal):
+    M = two_branch_ideal.syz().syz()
+    N = two_branch_ideal
+    assert M.mf.is_reduced()
+    core, frees = modmat.mf_reduce(M.mf)
+    assert core is M.mf and frees == []
+    for d in range(min(M.gens), max(M.gens) + M.ring.deg_g):
+        M.nonpivot_basis(d)
+    cache = M._image_cache
+    before = dict(cache)
+    core, frees = modmat._minimal_core(M)
+    assert core is M and frees == []
+
+    def refuse(self, s):
+        raise AssertionError("a shifted copy was built")
+
+    monkeypatch.setattr(GradedModule, "shift", refuse)
+    homs_m, homs_n = dict(M._hom_cache), dict(N._hom_cache)
+    assert iso_up_to_shift(M, N, random.Random(0)) is not None
+    assert M._image_cache is cache
+    assert all(cache[d] is rr for d, rr in before.items())
+    assert M._hom_cache == homs_m and N._hom_cache == homs_n

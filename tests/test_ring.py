@@ -150,6 +150,7 @@ def test_window_parameter_bounds(cusp_ring):
         HypersurfaceRing(QQ, p=3, q=4, b=QQ(1), f=f, m=1, n=4)
 
 
+@settings(derandomize=True)
 @given(st.integers(min_value=0, max_value=60))
 def test_graded_piece_matches_semigroup_count(d):
     # monomial count in degree d with the y-exponent below q + v
@@ -166,6 +167,7 @@ def _cusp():
     return HypersurfaceRing(QQ, p=3, q=4, b=QQ(1), f=f)
 
 
+@settings(derandomize=True)
 @given(st.sampled_from([(3, 4), (3, 5), (4, 5), (5, 7)]),
        st.integers(min_value=0, max_value=80))
 def test_semigroup_membership_above_frobenius(pq, d):
@@ -179,7 +181,7 @@ def test_semigroup_membership_above_frobenius(pq, d):
                    for a in range(d // p + 1) for b in range(d // q + 1))
 
 
-@settings(deadline=None)
+@settings(derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=2**30))
 def test_random_ring_always_valid(seed):
     import random
