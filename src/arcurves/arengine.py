@@ -17,7 +17,7 @@ from .errors import CertificationError, InputError, VerificationError
 from .linalg import SparseRREF
 from .modmat import (GradedMatrix, GradedModule, MatrixFactorization,
                      block_matrix, decompose, hom_graded, iso_up_to_shift,
-                     mf_from_ideal, multiplicity, rank_vector,
+                     mf_from_ideal, rank_vector,
                      solve_graded_system, stably_zero_bruteforce)
 from .quiver import (TranslationQuiver, check_subadditive, classify_fragment,
                      orbit_collapse)
@@ -465,13 +465,12 @@ def verify_syz_gamma(M: GradedModule, gd: GammaDatum) -> dict:
 def e_avg(M: GradedModule) -> Fraction:
     """Average of the multiplicities of M and its syzygy.
 
-    When the syzygy is isomorphic to a shift of M the average equals
-    e(M) itself, so no isomorphism test is needed.
+    Rank is additive on 0 -> syz M -> R^r -> M -> 0, so the two
+    multiplicities add up to r e(R), with r the number of generators,
+    and neither the syzygy nor a rank is computed.
     """
-    branches = factor_hypersurface(M.ring)
-    e1 = multiplicity(M, branches)
-    e2 = multiplicity(M.syz(), branches)
-    return Fraction(e1 + e2, 2)
+    e_ring = sum(b.multiplicity for b in factor_hypersurface(M.ring))
+    return Fraction(len(M.gens) * e_ring, 2)
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +553,12 @@ def explore_component(M0: GradedModule, gd: GammaDatum, depth: int = 2) -> dict:
                             "mesh multiplicities disagree on %s -> %s"
                             % (table[a]["name"], table[b]["name"]))
         frontier = sorted(set(nxt))
+
+    # Omega^2 is a shift on a hypersurface and tau is Omega up to shift
+    for v, u in tau.items():
+        if tau.get(u, v) != v:
+            raise VerificationError("tau^2 is not the identity at %s"
+                                    % table[v]["name"])
 
     q = TranslationQuiver()
     for i, entry in enumerate(table):

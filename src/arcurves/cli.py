@@ -21,8 +21,7 @@ from .arengine import (double_push_report, e_avg, explore_component,
 from .branches import factor_hypersurface, gamma_prime
 from .errors import CertificationError, InputError, VerificationError
 from .fields import field_from_string
-from .linalg import rank_dense
-from .modmat import (_scalar_part, decompose, hom_graded, mf_from_ideal,
+from .modmat import (decompose, hom_graded, invertible_on_top, mf_from_ideal,
                      rank_vector, stably_zero_bruteforce)
 from .quiver import to_dot, to_json
 from .ring import HypersurfaceRing, poly_from_string
@@ -170,9 +169,7 @@ def _endo_corpus(ring):
 
 def _is_unit_endo(h) -> bool:
     """Degree-zero endomorphisms are units exactly when invertible mod m."""
-    if h.degree != 0:
-        return False
-    return rank_dense(_scalar_part(h), h.source.ring.field) == len(h.source.gens)
+    return h.degree == 0 and invertible_on_top(h)
 
 
 def cmd_verify_trace_oracle(ring, args) -> dict:

@@ -1314,49 +1314,50 @@ def _module_sort_key(M: GradedModule):
 # isomorphism up to shift
 
 
-def iso_up_to_shift(M: GradedModule, N: GradedModule, rng=None):
-    """Find s with M isomorphic to N(s), or None if the search fails.
+def iso_up_to_shift(M: GradedModule, N: GradedModule):
+    """The s with M isomorphic to N(s), or None when there is none.
 
     Only minimal data decides: both factorizations are reduced first,
-    candidate shifts come from matching generator-degree multisets, and
-    a shift s is confirmed by maps of degree s from M to N and -s back
-    with invertible scalar part (each is then surjective by the graded
+    and the generator-degree multisets fix the only candidate s.  The
+    shift is confirmed by maps of degree s from M to N and -s back that
+    are invertible on the top (each is then surjective by the graded
     Nakayama lemma, and a surjective endomorphism of a noetherian module
-    is injective).  Hom_s(M, N) is Hom_0(M, N(s)) with the same matrices,
-    so no shifted copy of N is built.
+    is injective).  Hom_s(M, N) is Hom_0(M, N(s)) with the same
+    matrices, so no shifted copy of N is built.  The answer is exact:
+    between indecomposables the maps that are not isomorphisms form a
+    subspace (the endomorphism rings are local), so a hom basis holds an
+    isomorphism whenever one exists; otherwise both sides are split and
+    their parts matched by Krull-Schmidt.
     """
-    if rng is None:
-        rng = random.Random(0)
     core_m, frees_m = _minimal_core(M)
     core_n, frees_n = _minimal_core(N)
     if (core_m is None) != (core_n is None):
         return None
     if core_m is None:
-        return _shift_matching(frees_m, frees_n)
-    if len(core_m.gens) != len(core_n.gens):
+        return _degree_shift(frees_m, frees_n)
+    s = _degree_shift(core_m.gens, core_n.gens)
+    if s is None or sorted(frees_m) != sorted(w - s for w in frees_n):
         return None
-    cands = sorted({wn - wm for wn in core_n.gens for wm in core_m.gens})
-    for s in cands:
-        if sorted(core_m.gens) != sorted(w - s for w in core_n.gens):
-            continue
-        if sorted(frees_m) != sorted(w - s for w in frees_n):
-            continue
-        if _find_scalar_invertible(core_m, core_n, s, rng) is None:
-            continue
-        if _find_scalar_invertible(core_n, core_m, -s, rng) is not None:
-            return s
-    return None
-
-
-def _shift_matching(frees_m, frees_n):
-    if len(frees_m) != len(frees_n):
-        return None
-    if not frees_m:
-        return 0
-    s = frees_n[0] - frees_m[0]
-    if sorted(frees_m) == sorted(w - s for w in frees_n):
+    if _top_isomorphic(core_m, core_n, s):
         return s
-    return None
+    parts_n = decompose(core_n)[0]
+    for part in decompose(core_m)[0]:
+        k = next((k for k, other in enumerate(parts_n)
+                  if _top_isomorphic(part, other, s)), None)
+        if k is None:
+            return None
+        del parts_n[k]
+    return None if parts_n else s
+
+
+def _degree_shift(ms, ns):
+    """The s with sorted(ms) == sorted(w - s for w in ns), or None."""
+    if len(ms) != len(ns):
+        return None
+    if not ms:
+        return 0
+    s = min(ns) - min(ms)
+    return s if sorted(ms) == sorted(w - s for w in ns) else None
 
 
 def _scalar_part(hom: GradedHom):
@@ -1367,29 +1368,19 @@ def _scalar_part(hom: GradedHom):
             for i, wt in enumerate(hom.target.gens)]
 
 
-# Random combinations of the hom basis tried for an invertible scalar part.
-_SCALAR_TRIES = 40
+def invertible_on_top(hom: GradedHom) -> bool:
+    """Whether the scalar part of hom is square and of full rank."""
+    n = len(hom.source.gens)
+    return (len(hom.target.gens) == n
+            and rank_dense(_scalar_part(hom), hom.source.ring.field) == n)
 
 
-def _find_scalar_invertible(A: GradedModule, B: GradedModule, degree, rng):
-    """A hom of the given degree from A to B whose scalar part is
-    invertible, or None.  The space is built afresh rather than through
-    hom_graded, so that A's hom cache does not keep B alive."""
-    space = HomSpace(A, B, degree)
-    if space.dim == 0:
-        return None
-    K = A.ring.field
-    n = len(B.gens)
-    for hom in space.basis:
-        if rank_dense(_scalar_part(hom), K) == n:
-            return hom
-    span = 7 if K.char == 0 else min(K.char, 7)
-    for _ in range(_SCALAR_TRIES):
-        coeffs = [K(rng.randrange(span)) for _ in range(space.dim)]
-        hom = hom_from_coefficients(space, coeffs)
-        if rank_dense(_scalar_part(hom), K) == n:
-            return hom
-    return None
+def _top_isomorphic(A: GradedModule, B: GradedModule, s) -> bool:
+    """Whether basis maps of degree s from A to B and -s back are
+    invertible on the top.  The spaces are built afresh rather than
+    through hom_graded, so that A's hom cache does not keep B alive."""
+    return (any(map(invertible_on_top, HomSpace(A, B, s).basis))
+            and any(map(invertible_on_top, HomSpace(B, A, -s).basis)))
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Sequence construction: gamma data, pushes, transports, reports."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcurves import (GradedMatrix, InputError, VerificationError, decompose,
                       double_push_report, e_avg, explore_component,
                       factor_hypersurface, field_from_string, gamma_endo,
-                      gamma_for, hom_graded, mf_from_ideal, push, random_ring,
+                      gamma_for, hom_graded, mf_from_ideal, multiplicity,
+                      push, random_ring,
                       stably_zero_bruteforce, syz_transport,
                       verify_main_theorem, verify_syz_gamma)
 from arcurves import arengine, modmat
@@ -247,6 +251,20 @@ def test_multiplicity_averages(two_branch_ideal, cusp_ideal):
     assert e_avg(cusp_ideal) == 3
 
 
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101", "F7"]))
+def test_e_avg_is_the_two_multiplicity_average(seed, field):
+    # oracle: the average of e(M) and e(syz M), each read off the ranks
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    branches = factor_hypersurface(ring)
+    I = mf_from_ideal(ring).cok(label="I")
+    seq = push(I, gamma_for(ring))
+    parts, _ = decompose(seq.middle)
+    for M in (I, I.syz(), seq.middle, seq.right, *parts):
+        assert e_avg(M) == Fraction(multiplicity(M, branches)
+                                    + multiplicity(M.syz(), branches), 2)
+
+
 def test_double_push_report_passes(two_branch_ring):
     rep = double_push_report(two_branch_ring)
     assert rep["pass"]
@@ -257,6 +275,15 @@ def test_double_push_report_passes(two_branch_ring):
     assert rep["block_triangular"]
     assert len(rep["summands"]) == 2
     assert rep["free_summands"] == []
+
+
+def test_explore_certifies_tau_squared(monkeypatch, two_branch_ideal,
+                                      two_branch_datum):
+    # an identification that never matches splits each vertex, so
+    # pushing twice no longer comes back to where it started
+    monkeypatch.setattr(arengine, "iso_up_to_shift", lambda M, N: None)
+    with pytest.raises(VerificationError, match="tau\\^2"):
+        explore_component(two_branch_ideal, two_branch_datum, depth=2)
 
 
 def test_explore_finds_the_tube(two_branch_ideal, two_branch_datum):
