@@ -27,7 +27,8 @@ class FormSplitError(InputError):
 
 
 class FieldTooSmallError(InputError):
-    """The prime field is too small for radical computations to be valid."""
+    """The characteristic is at most the dimension of a module's top
+    algebra (modmat.TopAlgebra), whose radical the trace form misses."""
 
 
 class VerificationError(ArcError):

@@ -24,8 +24,7 @@ from . import upoly
 from .errors import (CertificationError, FieldTooSmallError,
                      InconclusiveSplitError, InputError, VerificationError)
 from .linalg import (SparseRREF, dense_vector, kernel_dense, kernel_sparse,
-                     rank_dense, solve_dense, solve_sparse_system,
-                     sparse_vector)
+                     rank_dense, solve_sparse_system, sparse_vector)
 from .ring import HypersurfaceRing, WPoly
 
 
@@ -1082,149 +1081,168 @@ def split_by_idempotent(M: GradedModule, e: GradedHom):
 
 
 # ----------------------------------------------------------------------
-# the degree-zero endomorphism algebra
+# the degree-zero endomorphism algebra, read on the top
 
 
-class EndAlgebra:
-    """Structure constants of End_0(M) in the canonical hom basis."""
-
-    __slots__ = ("module", "space", "dim", "identity", "table")
-
-    def __init__(self, module: GradedModule):
-        self.module = module
-        self.space = hom_graded(module, module, 0)
-        self.dim = self.space.dim
-        self.identity = self.space.expand(identity_hom(module))
-        self.table = [[self.space.expand(bi.compose(bj))
-                       for bj in self.space.basis]
-                      for bi in self.space.basis]
-
-    def mult(self, u, v):
-        K = self.module.ring.field
-        out = [K.zero] * self.dim
-        for i, ci in enumerate(u):
-            if K.is_zero(ci):
+def _matmul(a, b, K):
+    out = [[K.zero] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for t, c in enumerate(row):
+            if K.is_zero(c):
                 continue
-            for j, cj in enumerate(v):
-                if K.is_zero(cj):
-                    continue
-                coeff = K.mul(ci, cj)
-                for s, val in enumerate(self.table[i][j]):
-                    out[s] = K.add(out[s], K.mul(coeff, val))
-        return out
-
-    def hom(self, coords) -> GradedHom:
-        return hom_from_coefficients(self.space, coords)
+            for j, v in enumerate(b[t]):
+                out[i][j] = K.add(out[i][j], K.mul(c, v))
+    return out
 
 
-def algebra_radical(alg: EndAlgebra):
-    """Basis of the Jacobson radical via the regular trace form.
+def _flat(a, K) -> dict:
+    """The nonzero entries of a square matrix, keyed row-major."""
+    return sparse_vector([v for row in a for v in row], K)
 
-    The kernel of (a, b) -> trace(L_a L_b) is the radical over fields of
-    characteristic zero or characteristic above the algebra dimension;
-    smaller prime fields raise FieldTooSmallError.
+
+def _unflat(vec: dict, r, K):
+    out = [[K.zero] * r for _ in range(r)]
+    for c, v in vec.items():
+        out[c // r][c % r] = v
+    return out
+
+
+class TopAlgebra:
+    """End_0(M) as it acts on the top M/mM.
+
+    The scalar part s (`_scalar_part`) is an algebra map from End_0(M)
+    onto A, an algebra of k-matrices of the size of the generator count.
+    Its kernel J is nilpotent: a map in J raises generator degrees by at
+    least min(p, q), so J^k = 0 once k > (max gens - min gens)/min(p, q)
+    (graded Nakayama).  So rad End_0 is the preimage of rad A, and
+    End_0/rad is A/rad A.  rad A is the kernel of the regular trace form
+    (a, b) -> trace(L_a L_b) of A, which is the radical when char k is 0
+    or above dim A; smaller prime fields raise FieldTooSmallError.
     """
-    K = alg.module.ring.field
-    n = alg.dim
-    if K.char != 0 and K.char <= n:
-        raise FieldTooSmallError(
-            f"characteristic {K.char} too small for a {n}-dimensional "
-            "endomorphism algebra")
-    # lmats[i][s][t] = coefficient of basis s in b_i b_t.
-    lmats = [[[alg.table[i][t][s] for t in range(n)] for s in range(n)]
-             for i in range(n)]
-    gram = []
-    for i in range(n):
-        grow = []
-        for j in range(n):
-            acc = K.zero
-            for s in range(n):
-                for t in range(n):
-                    acc = K.add(acc, K.mul(lmats[i][s][t], lmats[j][t][s]))
-            grow.append(acc)
-        gram.append(grow)
-    return kernel_dense(gram, K)
+
+    __slots__ = ("space", "scalars", "dim", "rad", "quotient_dim")
+
+    def __init__(self, M: GradedModule):
+        K = M.ring.field
+        self.space = hom_graded(M, M, 0)
+        self.scalars = [_scalar_part(b) for b in self.space.basis]
+        span = SparseRREF(K)
+        for a in self.scalars:
+            span.insert(_flat(a, K))
+        self.dim = n = span.rank
+        if K.char != 0 and K.char <= n:
+            raise FieldTooSmallError(
+                f"characteristic {K.char} too small for a {n}-dimensional "
+                "top algebra")
+        # The RREF coordinates of an element of A are its pivot entries;
+        # table[i][t][s] is coordinate s of basis_i basis_t.
+        pivots = sorted(span.pivots)
+        basis = [_unflat(span.pivots[c], len(M.gens), K) for c in pivots]
+        table = [[_flat(_matmul(a, b, K), K) for b in basis] for a in basis]
+        gram = [[K.zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for s, cs in enumerate(pivots):
+                    for t, ct in enumerate(pivots):
+                        gram[i][j] = K.add(gram[i][j], K.mul(
+                            table[i][t].get(cs, K.zero),
+                            table[j][s].get(ct, K.zero)))
+        self.rad = SparseRREF(K)
+        for vec in kernel_dense(gram, K):
+            elem = {}
+            for x, c in zip(vec, pivots):
+                for col, v in span.pivots[c].items():
+                    elem[col] = K.add(elem.get(col, K.zero), K.mul(x, v))
+            self.rad.insert(elem)
+        self.quotient_dim = n - self.rad.rank
+
+    def end_radical(self):
+        """A basis of rad End_0: the kernel of End_0 -> A/rad A."""
+        K = self.space.source.ring.field
+        n = self.space.dim
+        rows = {}
+        for i, a in enumerate(self.scalars):
+            for c, v in self.rad.reduce(_flat(a, K)).items():
+                rows.setdefault(c, {})[i] = v
+        return [hom_from_coefficients(self.space, dense_vector(vec, n, K))
+                for vec in kernel_sparse(list(rows.values()), n, K)]
 
 
-class _QuotientAlgebra:
-    """End_0 modulo its radical, multiplying by lift-then-reduce."""
-
-    def __init__(self, alg: EndAlgebra, radical):
-        self.alg = alg
-        self.K = alg.module.ring.field
-        self.rref = SparseRREF(self.K)
-        for vec in radical:
-            self.rref.insert(sparse_vector(vec, self.K))
-        self.dim = alg.dim - self.rref.rank
-
-    def reduce(self, coords):
-        return dense_vector(self.rref.reduce(sparse_vector(coords, self.K)),
-                            self.alg.dim, self.K)
-
-    def mult(self, u, v):
-        return self.reduce(self.alg.mult(u, v))
-
-    def identity(self):
-        return self.reduce(self.alg.identity)
+def _min_poly(a, K):
+    """Monic minimal polynomial (coefficients low to high) of a square
+    matrix."""
+    r = len(a)
+    power = [[K.one if i == j else K.zero for j in range(r)]
+             for i in range(r)]
+    powers = []
+    span = SparseRREF(K)
+    while span.insert(flat := _flat(power, K)) is not None:
+        powers.append(flat)
+        power = _matmul(a, power, K)
+    # a^d + sum_s c_s a^s = 0, one row per nonzero entry
+    rows = {}
+    for s, vec in enumerate(powers + [flat]):
+        for c, v in vec.items():
+            rows.setdefault(c, {})[s] = v
+    sol = solve_sparse_system(list(rows.values()), len(powers), K)
+    return [sol.get(s, K.zero) for s in range(len(powers))] + [K.one]
 
 
-def _min_poly(mult, identity, start, dim, K):
-    """Monic minimal polynomial (coefficients low to high) of an element."""
-    powers = [identity]
-    rr = SparseRREF(K)
-    rr.insert(sparse_vector(identity, K))
-    current = identity
-    while True:
-        current = mult(start, current)
-        vec = sparse_vector(current, K)
-        if rr.contains(vec):
-            break
-        rr.insert(vec)
-        powers.append(current)
-        if len(powers) > dim + 1:
-            raise CertificationError("minimal polynomial search ran away")
-    cols = len(powers)
-    rows = [[powers[s][t] for s in range(cols)] for t in range(dim)]
-    rhs = [current[t] for t in range(dim)]
-    sol = solve_dense(rows, rhs, K)
-    if sol is None:
-        raise CertificationError("minimal polynomial solve failed")
-    return [K.neg(c) for c in sol] + [K.one]
+def _lift_idempotent(a: GradedHom, coeffs):
+    """The idempotent of k[a] whose scalar part is that of coeffs(a).
 
-
-def _evaluate_in_algebra(coeffs, elem, mult, identity, K):
-    # Horner evaluation: ((c_n h + c_{n-1}) h + ...) + c_0.
-    acc = [K.mul(coeffs[-1], c) for c in identity]
-    for s in range(len(coeffs) - 2, -1, -1):
-        acc = mult(acc, elem)
-        acc = [K.add(a, K.mul(coeffs[s], e)) for a, e in zip(acc, identity)]
-    return acc
+    coeffs(a) is idempotent modulo the nilpotent ideal J of maps with
+    zero scalar part, and e -> 3e^2 - 2e^3 squares the defect e^2 - e,
+    so it reaches the unique idempotent of k[a] over it: after t steps
+    the defect lies in J^(2^t), which is 0 once 2^t exceeds the spread
+    of the generator degrees (see TopAlgebra).
+    """
+    one = identity_hom(a.source)
+    e = one.scale(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        e = e.compose(a) + one.scale(c)
+    spread = max(a.source.gens) - min(a.source.gens)
+    for _ in range(spread.bit_length() + 1):
+        square = e.compose(e)
+        if square == e:
+            return e
+        e = square.scale(3) - square.compose(e).scale(2)
+    raise CertificationError("idempotent lift did not converge")
 
 
 # Random End_0 elements tried after the structured candidates.
 _RANDOM_CANDIDATES = 120
 
 
-def _candidate_elements(alg: EndAlgebra, rng):
-    K = alg.module.ring.field
-    n = alg.dim
+def _candidates(top: TopAlgebra, rng):
+    """Scalar part and a maker of each candidate End_0 element: the basis,
+    the products of two basis maps, the sums of two, then random draws.
+    A candidate's map is only made when it splits the module."""
+    basis, bars = top.space.basis, top.scalars
+    K = top.space.source.ring.field
+    n = len(basis)
+
+    def combination(vec):
+        bar = [[K.zero] * len(bars[0]) for _ in bars[0]]
+        for c, a in zip(vec, bars):
+            bar = [[K.add(x, K.mul(c, y)) for x, y in zip(row, arow)]
+                   for row, arow in zip(bar, a)]
+        return bar, lambda: hom_from_coefficients(top.space, vec)
+
     for i in range(n):
-        vec = [K.zero] * n
-        vec[i] = K.one
-        yield vec
+        yield bars[i], lambda i=i: basis[i]
     for i in range(n):
         for j in range(n):
             if i != j:
-                yield list(alg.table[i][j])
+                yield (_matmul(bars[i], bars[j], K),
+                       lambda i=i, j=j: basis[i].compose(basis[j]))
     for i in range(n):
         for j in range(i + 1, n):
-            vec = [K.zero] * n
-            vec[i] = K.one
-            vec[j] = K.one
-            yield vec
+            yield combination([K.one if t in (i, j) else K.zero
+                               for t in range(n)])
     span = 7 if K.char == 0 else min(K.char, 7)
     for _ in range(_RANDOM_CANDIDATES):
-        yield [K(rng.randrange(span)) for _ in range(n)]
+        yield combination([K(rng.randrange(span)) for _ in range(n)])
 
 
 def decompose(M: GradedModule, rng=None):
@@ -1232,11 +1250,13 @@ def decompose(M: GradedModule, rng=None):
 
     Returns (parts, free_shifts): parts are the nonfree indecomposable
     summands and free_shifts the generator degrees of split-off free
-    summands.  Splitting is driven by idempotents found through minimal
-    polynomials in End_0; a module is only certified indecomposable when
-    End_0 modulo its radical is k or is generated by one element with
-    irreducible minimal polynomial of full degree.  When neither outcome can be certified the function
-    raises InconclusiveSplitError rather than guessing.
+    summands.  Everything is decided on the top algebra A (TopAlgebra):
+    a candidate a of End_0 whose scalar part has a minimal polynomial
+    with two coprime factors gives an idempotent of k[a] that splits M;
+    one irreducible factor of degree dim A/rad A makes A/rad A a field,
+    so End_0 is local and M indecomposable.  When neither outcome can be
+    certified the function raises InconclusiveSplitError rather than
+    guessing.
     """
     if rng is None:
         rng = random.Random(0)
@@ -1260,49 +1280,26 @@ def _minimal_core(M: GradedModule):
 
 
 def _indecomposable_parts(M: GradedModule, rng):
-    alg = EndAlgebra(M)
-    radical = algebra_radical(alg)
-    quotient = _QuotientAlgebra(alg, radical)
-    if quotient.dim == 1:
-        return [M]
+    top = TopAlgebra(M)
     K = M.ring.field
-    certified = False
-    for cand in _candidate_elements(alg, rng):
-        mu = _min_poly(alg.mult, alg.identity, cand, alg.dim, K)
+    for bar, make in _candidates(top, rng):
+        mu = _min_poly(bar, K)
         factors = upoly.factor(mu, K)
-        if len(factors) >= 2:
-            coeffs = upoly.idempotent(mu, factors, K)
-            idem = _evaluate_in_algebra(coeffs, cand, alg.mult,
-                                        alg.identity, K)
-            if _is_trivial_idempotent(alg, idem):
-                continue
-            part1, part2 = split_by_idempotent(M, alg.hom(idem))
-            out = []
-            for part in (part1, part2):
-                sub_core, sub_frees = _minimal_core(part)
-                if sub_frees or sub_core is None:
-                    raise CertificationError(
-                        "free summand surfaced inside a split part")
-                out.extend(_indecomposable_parts(sub_core, rng))
-            return out
-        if not certified:
-            mu_bar = _min_poly(quotient.mult, quotient.identity(),
-                               quotient.reduce(cand), alg.dim, K)
-            factors_bar = upoly.factor(mu_bar, K)
-            if (len(factors_bar) == 1 and factors_bar[0][1] == 1
-                    and len(factors_bar[0][0]) - 1 == quotient.dim):
-                certified = True
-    if certified:
-        return [M]
+        if len(factors) == 1:
+            if len(factors[0][0]) - 1 == top.quotient_dim:
+                return [M]
+            continue
+        idem = _lift_idempotent(make(), upoly.idempotent(mu, factors, K))
+        out = []
+        for part in split_by_idempotent(M, idem):
+            sub_core, sub_frees = _minimal_core(part)
+            if sub_frees or sub_core is None:
+                raise CertificationError(
+                    "free summand surfaced inside a split part")
+            out.extend(_indecomposable_parts(sub_core, rng))
+        return out
     raise InconclusiveSplitError(
         "could not split the module or certify it indecomposable")
-
-
-def _is_trivial_idempotent(alg: EndAlgebra, idem) -> bool:
-    K = alg.module.ring.field
-    if all(K.is_zero(c) for c in idem):
-        return True
-    return all(K.eq(a, b) for a, b in zip(idem, alg.identity))
 
 
 def _module_sort_key(M: GradedModule):

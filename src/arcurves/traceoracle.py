@@ -30,8 +30,8 @@ from __future__ import annotations
 from .branches import Branch, factor_hypersurface
 from .errors import CertificationError, InputError
 from .linalg import SparseRREF, solve_sparse_system
-from .modmat import (EndAlgebra, GradedHom, GradedModule, _coefficient_matrix,
-                     algebra_radical, hom_graded, stably_zero_bruteforce)
+from .modmat import (GradedHom, GradedModule, TopAlgebra, _coefficient_matrix,
+                     hom_graded, stably_zero_bruteforce)
 from .ring import QElement, WPoly
 
 __all__ = [
@@ -350,19 +350,17 @@ def _nonunit_generators(M: GradedModule):
 
     The nonunits form the two-sided ideal J with J_0 the radical of the
     degree-zero part and J_d the whole of End_d for d nonzero; as an
-    R-module J is generated by a basis of J_0, the nonzero-degree End
-    generators, and x g, y g for each degree-zero generator g, modulo
-    stably zero maps as the End generators are.
+    R-module J is generated by a basis of J_0 (read on the top algebra,
+    see TopAlgebra), the nonzero-degree End generators, and x g, y g for
+    each degree-zero generator g, modulo stably zero maps as the End
+    generators are.
     """
     eg = end_generators(M)
     out = [g for g in eg.gens if g.degree != 0]
     for g in (g for g in eg.gens if g.degree == 0):
         out.append(g.times_monomial(1, 0))
         out.append(g.times_monomial(0, 1))
-    alg = EndAlgebra(M)
-    for vec in algebra_radical(alg):
-        out.append(alg.hom(vec))
-    return out
+    return out + TopAlgebra(M).end_radical()
 
 
 def socle_test(h: GradedHom, branches=None) -> bool:

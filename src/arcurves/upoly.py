@@ -2,7 +2,8 @@
 
 All the factoring the engine does is univariate: the branches are the
 linear factors of one binary form, and ``decompose`` splits minimal
-polynomials of degree at most dim End_0.  [] is the zero polynomial.
+polynomials of degree at most dim A, the top algebra of a module.  [] is
+the zero polynomial.
 Square-free parts are Yun's, valid when char k is 0 or above the degree.
 Over F_ell the roots of f are those of gcd(f, T^ell - T), and factors
 come from distinct-degree then Cantor-Zassenhaus splitting.  Over Q the

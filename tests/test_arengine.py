@@ -322,3 +322,17 @@ def test_push_counts_the_middle_by_elimination(monkeypatch, cusp_ring,
     ideal = mf_from_ideal(cusp_ring).cok(label="I")
     with pytest.raises(VerificationError, match="dimension additivity fails"):
         push(ideal, cusp_datum)
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_small_field_walks_report_as_over_f101(seed):
+    # Over F7 the regular trace form only finds the radical of algebras
+    # of dimension below 7.  These walks reach modules with dim End_0 of
+    # 7 or 8, but every top algebra stays below 7, so they report.
+    found = {}
+    for field in ("F7", "F101"):
+        ring = random_ring(random.Random(seed), field_from_string(field))
+        rep = explore_component(mf_from_ideal(ring).cok(label="I"),
+                                gamma_for(ring), depth=3)
+        found[field] = (rep["classification"], len(rep["modules"]))
+    assert found["F7"] == found["F101"]

@@ -285,6 +285,19 @@ def test_explore_requires_ideal_exponents(cfg, capsys):
     assert "'m' or 'n'" in err
 
 
+def test_top_algebra_too_large_for_the_field_is_input_error(cfg, capsys):
+    # The two-branch ring over F5 reports at depth 3; at depth 4 a module
+    # has a 6-dimensional top algebra, beyond the trace form over F5.
+    text = TWO_BRANCH.replace("field = Q", "field = F5")
+    code, out, _ = _run(capsys, ["explore", cfg(text), "--depth", "3"])
+    assert code == 0 and json.loads(out)["classification"] == "tube(2)"
+    code, out, err = _run(capsys, ["explore", cfg(text), "--depth", "4"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "characteristic 5 too small for a 6-dimensional top algebra"}
+
+
 def test_explore_reports_classification(cfg, capsys):
     code, out, _ = _run(capsys, ["explore", cfg(TWO_BRANCH), "--depth", "3"])
     assert code == 0

@@ -14,10 +14,16 @@ from arcurves import (GradedMatrix, InputError, MatrixFactorization,
                       poly_from_string, push, random_ring, rank_vector,
                       solve_graded_system,
                       stably_zero_bruteforce, factor_hypersurface)
-from arcurves import modmat
-from arcurves.linalg import SparseRREF, rank_dense
-from arcurves.modmat import (GradedModule, HomSpace, _stably_zero_span,
-                             hom_from_coefficients)
+from arcurves import (QQ, HypersurfaceRing, arengine, explore_component,
+                      modmat, upoly)
+from arcurves.errors import (CertificationError, FieldTooSmallError,
+                             InconclusiveSplitError)
+from arcurves.linalg import (SparseRREF, dense_vector, kernel_dense,
+                             kernel_sparse, rank_dense, solve_dense,
+                             sparse_vector)
+from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
+                             _stably_zero_span, hom_from_coefficients,
+                             identity_hom)
 
 
 def test_entry_degree_validation(cusp_ring):
@@ -504,3 +510,347 @@ def test_identification_keeps_the_module_and_its_caches(monkeypatch,
     assert M._image_cache is cache
     assert all(cache[d] is rr for d, rr in before.items())
     assert M._hom_cache == homs_m and N._hom_cache == homs_n
+
+
+# ----------------------------------------------------------------------
+# decompose on the top algebra against the End_0 structure table it
+# replaced
+
+
+class _ReferenceEndAlgebra:
+    """Structure constants of End_0(M) in the canonical hom basis."""
+
+    __slots__ = ("module", "space", "dim", "identity", "table")
+
+    def __init__(self, module: GradedModule):
+        self.module = module
+        self.space = hom_graded(module, module, 0)
+        self.dim = self.space.dim
+        self.identity = self.space.expand(identity_hom(module))
+        self.table = [[self.space.expand(bi.compose(bj))
+                       for bj in self.space.basis]
+                      for bi in self.space.basis]
+
+    def mult(self, u, v):
+        K = self.module.ring.field
+        out = [K.zero] * self.dim
+        for i, ci in enumerate(u):
+            if K.is_zero(ci):
+                continue
+            for j, cj in enumerate(v):
+                if K.is_zero(cj):
+                    continue
+                coeff = K.mul(ci, cj)
+                for s, val in enumerate(self.table[i][j]):
+                    out[s] = K.add(out[s], K.mul(coeff, val))
+        return out
+
+    def hom(self, coords) -> GradedHom:
+        return hom_from_coefficients(self.space, coords)
+
+
+def _reference_algebra_radical(alg: _ReferenceEndAlgebra):
+    """Basis of the Jacobson radical via the regular trace form.
+
+    The kernel of (a, b) -> trace(L_a L_b) is the radical over fields of
+    characteristic zero or characteristic above the algebra dimension;
+    smaller prime fields raise FieldTooSmallError.
+    """
+    K = alg.module.ring.field
+    n = alg.dim
+    if K.char != 0 and K.char <= n:
+        raise FieldTooSmallError(
+            f"characteristic {K.char} too small for a {n}-dimensional "
+            "endomorphism algebra")
+    # lmats[i][s][t] = coefficient of basis s in b_i b_t.
+    lmats = [[[alg.table[i][t][s] for t in range(n)] for s in range(n)]
+             for i in range(n)]
+    gram = []
+    for i in range(n):
+        grow = []
+        for j in range(n):
+            acc = K.zero
+            for s in range(n):
+                for t in range(n):
+                    acc = K.add(acc, K.mul(lmats[i][s][t], lmats[j][t][s]))
+            grow.append(acc)
+        gram.append(grow)
+    return kernel_dense(gram, K)
+
+
+class _ReferenceQuotientAlgebra:
+    """End_0 modulo its radical, multiplying by lift-then-reduce."""
+
+    def __init__(self, alg: _ReferenceEndAlgebra, radical):
+        self.alg = alg
+        self.K = alg.module.ring.field
+        self.rref = SparseRREF(self.K)
+        for vec in radical:
+            self.rref.insert(sparse_vector(vec, self.K))
+        self.dim = alg.dim - self.rref.rank
+
+    def reduce(self, coords):
+        return dense_vector(self.rref.reduce(sparse_vector(coords, self.K)),
+                            self.alg.dim, self.K)
+
+    def mult(self, u, v):
+        return self.reduce(self.alg.mult(u, v))
+
+    def identity(self):
+        return self.reduce(self.alg.identity)
+
+
+def _reference_min_poly(mult, identity, start, dim, K):
+    """Monic minimal polynomial (coefficients low to high) of an element."""
+    powers = [identity]
+    rr = SparseRREF(K)
+    rr.insert(sparse_vector(identity, K))
+    current = identity
+    while True:
+        current = mult(start, current)
+        vec = sparse_vector(current, K)
+        if rr.contains(vec):
+            break
+        rr.insert(vec)
+        powers.append(current)
+        if len(powers) > dim + 1:
+            raise CertificationError("minimal polynomial search ran away")
+    cols = len(powers)
+    rows = [[powers[s][t] for s in range(cols)] for t in range(dim)]
+    rhs = [current[t] for t in range(dim)]
+    sol = solve_dense(rows, rhs, K)
+    if sol is None:
+        raise CertificationError("minimal polynomial solve failed")
+    return [K.neg(c) for c in sol] + [K.one]
+
+
+def _reference_evaluate_in_algebra(coeffs, elem, mult, identity, K):
+    # Horner evaluation: ((c_n h + c_{n-1}) h + ...) + c_0.
+    acc = [K.mul(coeffs[-1], c) for c in identity]
+    for s in range(len(coeffs) - 2, -1, -1):
+        acc = mult(acc, elem)
+        acc = [K.add(a, K.mul(coeffs[s], e)) for a, e in zip(acc, identity)]
+    return acc
+
+
+# Random End_0 elements tried after the structured candidates.
+_REFERENCE_RANDOM_CANDIDATES = 120
+
+
+def _reference_candidate_elements(alg: _ReferenceEndAlgebra, rng):
+    K = alg.module.ring.field
+    n = alg.dim
+    for i in range(n):
+        vec = [K.zero] * n
+        vec[i] = K.one
+        yield vec
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield list(alg.table[i][j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = [K.zero] * n
+            vec[i] = K.one
+            vec[j] = K.one
+            yield vec
+    span = 7 if K.char == 0 else min(K.char, 7)
+    for _ in range(_REFERENCE_RANDOM_CANDIDATES):
+        yield [K(rng.randrange(span)) for _ in range(n)]
+
+
+def _reference_indecomposable_parts(M: GradedModule, rng):
+    alg = _ReferenceEndAlgebra(M)
+    radical = _reference_algebra_radical(alg)
+    quotient = _ReferenceQuotientAlgebra(alg, radical)
+    if quotient.dim == 1:
+        return [M]
+    K = M.ring.field
+    certified = False
+    for cand in _reference_candidate_elements(alg, rng):
+        mu = _reference_min_poly(alg.mult, alg.identity, cand, alg.dim, K)
+        factors = upoly.factor(mu, K)
+        if len(factors) >= 2:
+            coeffs = upoly.idempotent(mu, factors, K)
+            idem = _reference_evaluate_in_algebra(coeffs, cand, alg.mult,
+                                                  alg.identity, K)
+            if _reference_is_trivial_idempotent(alg, idem):
+                continue
+            part1, part2 = modmat.split_by_idempotent(M, alg.hom(idem))
+            out = []
+            for part in (part1, part2):
+                sub_core, sub_frees = modmat._minimal_core(part)
+                if sub_frees or sub_core is None:
+                    raise CertificationError(
+                        "free summand surfaced inside a split part")
+                out.extend(_reference_indecomposable_parts(sub_core, rng))
+            return out
+        if not certified:
+            mu_bar = _reference_min_poly(quotient.mult, quotient.identity(),
+                                         quotient.reduce(cand), alg.dim, K)
+            factors_bar = upoly.factor(mu_bar, K)
+            if (len(factors_bar) == 1 and factors_bar[0][1] == 1
+                    and len(factors_bar[0][0]) - 1 == quotient.dim):
+                certified = True
+    if certified:
+        return [M]
+    raise InconclusiveSplitError(
+        "could not split the module or certify it indecomposable")
+
+
+def _reference_is_trivial_idempotent(alg: _ReferenceEndAlgebra, idem) -> bool:
+    K = alg.module.ring.field
+    if all(K.is_zero(c) for c in idem):
+        return True
+    return all(K.eq(a, b) for a, b in zip(idem, alg.identity))
+
+
+def _reference_decompose(M, rng=None):
+    """decompose through the structure table of End_0, verbatim but for
+    the names of the copied helpers."""
+    if rng is None:
+        rng = random.Random(0)
+    core, frees = modmat._minimal_core(M)
+    if core is None:
+        return [], frees
+    parts = _reference_indecomposable_parts(core, rng)
+    parts.sort(key=modmat._module_sort_key)
+    return parts, frees
+
+
+def _rref_rows(vectors, K):
+    rr = SparseRREF(K)
+    for vec in vectors:
+        rr.insert(sparse_vector(vec, K))
+    return sorted(sorted(row.items()) for row in rr.pivots.values())
+
+
+def _split_corpus(ring):
+    # I, the middle terms of the first two sequences of the walk from I,
+    # and two direct sums
+    gd = gamma_for(ring)
+    I = mf_from_ideal(ring).cok(label="I")
+    seq = push(I, gd)
+    middle = seq.middle
+    return [I, middle, push(seq.right, gd).middle,
+            _direct_sum(I.mf, middle.mf).cok("I+E"),
+            _direct_sum(I.mf, I.mf.syz()).cok("I+syz I")]
+
+
+def _assert_same_split(M):
+    (parts, frees), (ref_parts, ref_frees) = (decompose(M),
+                                              _reference_decompose(M))
+    assert frees == ref_frees
+    assert ([(p.describe(), p.mf.psi.entry_strings()) for p in parts]
+            == [(p.describe(), p.mf.psi.entry_strings()) for p in ref_parts])
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_decompose_matches_the_structure_table(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    K = ring.field
+    for M in _split_corpus(ring):
+        _assert_same_split(M)
+        core = modmat._minimal_core(M)[0]
+        space = hom_graded(core, core, 0)
+        radical = [space.expand(h) for h in TopAlgebra(core).end_radical()]
+        assert _rref_rows(radical, K) == _rref_rows(
+            _reference_algebra_radical(_ReferenceEndAlgebra(core)), K)
+
+
+def test_decompose_matches_the_structure_table_on_a_walk(monkeypatch):
+    # The last middle term of this walk (12 generators, dim End_0 = 16)
+    # is split by a candidate a whose idempotent on the top, evaluated at
+    # a, is not yet idempotent in End_0, so the lift has to iterate.
+    ring = random_ring(random.Random(20), field_from_string("Q"))
+    modules = []
+    split = arengine.decompose
+    monkeypatch.setattr(arengine, "decompose",
+                        lambda M, rng=None: modules.append(M) or split(M, rng))
+    explore_component(mf_from_ideal(ring).cok(label="I"), gamma_for(ring),
+                      depth=3)
+    assert max(len(M.gens) for M in modules) == 12
+    for M in modules:
+        _assert_same_split(M)
+
+
+def _matrix_product(a, b, K):
+    return [[sum((K.mul(x, b[t][j]) for t, x in enumerate(row)), K.zero)
+             for j in range(len(b[0]))] for row in a]
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_scalar_part_is_an_algebra_map_with_nilpotent_kernel(seed, field):
+    # s(g h) = s(g) s(h), and a map with zero scalar part raises generator
+    # degrees by at least min(p, q), so enough powers of it vanish.
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    K = ring.field
+    I = mf_from_ideal(ring).cok(label="I")
+    middle = modmat._minimal_core(push(I, gamma_for(ring)).middle)[0]
+    # I + I(-d) has maps of positive degree between its summands
+    step = min(ring.p, ring.q)
+    shifted = _direct_sum(I.mf, I.shift(-step).mf).cok("I+I(-d)")
+    for M in (I, I.syz(), middle, shifted):
+        space = hom_graded(M, M, 0)
+        bars = [modmat._scalar_part(b) for b in space.basis]
+        for g, sg in zip(space.basis, bars):
+            for h, sh in zip(space.basis, bars):
+                assert modmat._scalar_part(g.compose(h)) == _matrix_product(
+                    sg, sh, K)
+        rows = {}
+        for k, bar in enumerate(bars):
+            for i, row in enumerate(bar):
+                for j, v in enumerate(row):
+                    if not K.is_zero(v):
+                        rows.setdefault((i, j), {})[k] = v
+        kernel = [hom_from_coefficients(space, dense_vector(vec, space.dim, K))
+                  for vec in kernel_sparse(list(rows.values()), space.dim, K)]
+        if len(kernel) > 1:
+            kernel.append(sum(kernel[1:], kernel[0]))
+        assert kernel or M is not shifted
+        times = (max(M.gens) - min(M.gens)) // step + 1
+        for j in kernel:
+            assert all(K.is_zero(v) for row in modmat._scalar_part(j)
+                       for v in row)
+            power = j
+            for _ in range(times - 1):
+                power = power.compose(j)
+            assert power.is_zero()
+
+
+def _three_branch_ring():
+    f = poly_from_string(QQ, 5, 3, "1*x^0*y^5-1*x^3*y^0")
+    return HypersurfaceRing(QQ, p=3, q=5, b=QQ(1), f=f, m=1, n=2)
+
+
+def test_decompose_builds_no_structure_table(monkeypatch):
+    # Only the winning candidate is lifted to End_0: a module whose top
+    # algebra is local costs no composition at all, and the depth-3
+    # three-branch module with dim End_0 = 11 fewer than 11.
+    ring = _three_branch_ring()
+    modules = []
+    split = arengine.decompose
+    monkeypatch.setattr(arengine, "decompose",
+                        lambda M, rng=None: modules.append(M) or split(M, rng))
+    explore_component(mf_from_ideal(ring).cok(label="I"), gamma_for(ring),
+                      depth=3)
+    calls = []
+    compose = GradedHom.compose
+    monkeypatch.setattr(GradedHom, "compose",
+                        lambda self, first: calls.append(1)
+                        or compose(self, first))
+    local = large = 0
+    for M in modules:
+        top = TopAlgebra(modmat._minimal_core(M)[0])
+        calls.clear()
+        decompose(M)
+        if top.quotient_dim == 1:
+            assert calls == []
+            local += 1
+        if top.space.dim == 11:
+            assert top.dim == 2 and len(calls) < 11
+            large += 1
+    assert local and large
+
