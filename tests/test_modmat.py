@@ -1,6 +1,7 @@
 """Graded matrices, factorizations, hom spaces, decomposition."""
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +287,143 @@ def test_split_parts_are_minimal_factorizations(seed, field):
         assert sub.mf is not None and sub.mf.is_reduced()
         assert not any(_relation_in_span_of_the_others(sub.matrix, j)
                        for j in range(len(sub.rels)))
+
+
+def _reference_span_dims(M, elements):
+    """The kept generators of the submodule of M spanned by elements, and
+    its Hilbert function from min(gens) to max(gens) + 2 deg(g) - 1, as
+    submodule_presentation's removed per-part check computed them:
+    verbatim, less the relations it also collected."""
+    ring = M.ring
+    K = ring.field
+    D = ring.deg_g
+
+    elems = sorted(elements, key=lambda ev: ev[0])
+    gens = []
+    for deg, polys in elems:
+        if all(poly.is_zero() for poly in polys):
+            continue
+        if not modmat._element_in_span(M, gens, (deg, polys)):
+            gens.append((deg, polys))
+
+    gdegs = tuple(deg for deg, _ in gens)
+    bound = max(gdegs) + D - 1
+    window = range(min(gdegs), bound + D + 1)
+    span_dims = []
+    for d in window:
+        var_slots = []
+        for t, (wdeg, _) in enumerate(gens):
+            for mono in ring.graded_piece(d - wdeg):
+                var_slots.append((t, mono))
+        if not var_slots:
+            span_dims.append(0)
+            continue
+        rows: dict[int, dict] = {}
+        for vk, (t, mono) in enumerate(var_slots):
+            polys = [pp if pp.is_zero()
+                     else ring.normal_form(pp.shift_monomial(*mono))
+                     for pp in gens[t][1]]
+            for cc, val in M.element_coords(polys, d).items():
+                rows.setdefault(cc, {})[vk] = val
+        # The span in degree d is the image of the map whose rows these are.
+        if d > bound:
+            image = SparseRREF(K)
+            for row in rows.values():
+                image.insert(row)
+            span_dims.append(image.rank)
+            continue
+        kernel = kernel_sparse(list(rows.values()), len(var_slots), K)
+        span_dims.append(len(var_slots) - len(kernel))
+    return gens, dict(zip(window, span_dims))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_split_parts_are_their_spans(seed, field):
+    # The split's one dimension check certifies what the per-part check
+    # certified: each presented part has its span's Hilbert function
+    # from its lowest generator to its highest + 2 deg(g) - 1.
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    I = mf_from_ideal(ring).cok(label="I")
+    middle = push(I, gamma_for(ring)).middle
+    calls = []
+    present = modmat.submodule_presentation
+
+    def record(M, elements, label=None):
+        calls.append((M, elements, present(M, elements, label=label)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modmat, "submodule_presentation", record)
+        decompose(_direct_sum(I.mf, middle.mf).cok("sum"))
+    assert calls
+    for M, elements, part in calls:
+        gens, span_dims = _reference_span_dims(M, elements)
+        assert tuple(part.gens) == tuple(deg for deg, _ in gens)
+        assert min(span_dims) == min(part.gens)
+        assert max(span_dims) == max(part.gens) + 2 * ring.deg_g - 1
+        for d, span_dim in span_dims.items():
+            assert part.piece_dim(d) == span_dim
+            assert modmat._element_span(M, gens, d).rank == span_dim
+
+
+def _without_first_relation(part):
+    """A stand-in for part whose presentation lost its first relation."""
+    cover = SimpleNamespace(ring=part.ring, gens=part.gens,
+                            rels=part.rels[1:])
+    cover.piece_dim = lambda d: GradedModule.piece_dim(cover, d)
+    return cover
+
+
+@pytest.mark.parametrize("wrong", ["first part again", "relation dropped"])
+def test_split_rejects_a_wrong_second_part(wrong, two_branch_ideal):
+    I = two_branch_ideal
+    M = _direct_sum(I.mf, I.shift(3).mf).cok("sum")
+    present = modmat.submodule_presentation
+    parts = []
+
+    def second_part_wrong(M, elements, label=None):
+        parts.append(present(M, elements, label=label))
+        if len(parts) % 2:
+            return parts[-1]
+        if wrong == "first part again":
+            return parts[-2]
+        return _without_first_relation(parts[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modmat, "submodule_presentation", second_part_wrong)
+        with pytest.raises(CertificationError, match="not direct in degree"):
+            decompose(M)
+    assert len(parts) == 2
+
+
+def test_presentation_reads_no_degree_above_the_relation_bound(
+        monkeypatch, two_branch_ring):
+    # Relations are collected up to max(gens) + deg(g) - 1; the degrees
+    # above that are certified by the split, not by eliminating M again.
+    ring = two_branch_ring
+    I = mf_from_ideal(ring).cok(label="I")
+    middle = push(I, gamma_for(ring)).middle
+    present = modmat.submodule_presentation
+    element_coords = GradedModule.element_coords
+    checked = []
+
+    def traced(M, elements, label=None):
+        degrees = []
+
+        def record(self, polys, d):
+            degrees.append(d)
+            return element_coords(self, polys, d)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GradedModule, "element_coords", record)
+            part = present(M, elements, label=label)
+        checked.append((max(degrees), max(part.gens) + ring.deg_g - 1))
+        return part
+
+    monkeypatch.setattr(modmat, "submodule_presentation", traced)
+    decompose(_direct_sum(I.mf, middle.mf).cok("sum"))
+    assert checked and all(top <= bound for top, bound in checked)
 
 
 def test_free_modules_are_factorizations(cusp_ring):
