@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .branches import factor_hypersurface, gamma_prime, singular_branch
 from .errors import CertificationError, InputError, VerificationError
@@ -109,15 +110,15 @@ def gamma_for(ring: HypersurfaceRing, branch=None) -> GammaDatum:
 # the gamma endomorphism and the doubled factorization
 
 
-def _in_ring_matrix(gd: GammaDatum, A: GradedMatrix, sign=1) -> GradedMatrix:
-    """Entrywise representative of (sign * gamma) A inside R.
+def _in_ring_matrix(gd: GammaDatum, A: GradedMatrix) -> GradedMatrix:
+    """Entrywise representative of gamma A inside R.
 
     Requires every entry of A to lie in the maximal ideal; the result's
     column degrees rise by gamma's degree.
     """
     ring = A.ring
     G = ring.gamma_degree
-    num = gd.gamma.num if sign == 1 else -gd.gamma.num
+    num = gd.gamma.num
     ents = []
     for i in range(len(A.rows)):
         row = []
@@ -138,42 +139,46 @@ def _in_ring_matrix(gd: GammaDatum, A: GradedMatrix, sign=1) -> GradedMatrix:
 def _alpha_beta(M: GradedModule, gd: GammaDatum):
     """Solve the gamma endomorphism on M and its exact companion.
 
-    Returns (hom, alpha, beta): hom is the induced degree-G map on M in
-    canonical coordinates, alpha its matrix in the frame of psi's columns,
-    and beta = psi alpha phi / g, which satisfies phi beta = alpha phi and
-    beta psi = psi alpha on the nose and phi beta = -gamma phi modulo g.
+    Returns (alpha, beta): alpha, in the frame of psi's columns, solves
+    psi alpha = gamma psi and alpha phi = -gamma phi modulo g, and
+    beta = psi alpha phi / g.  The exact division certifies alpha as an
+    endomorphism of M: phi psi = psi phi = g Id (checked when the
+    factorization was built) and S a domain give phi beta = alpha phi
+    and beta psi = psi alpha on the nose.  Checked: the division, and
+    phi beta = -gamma phi modulo g.
     """
     ring = M.ring
     if not M.mf.is_reduced():
         raise InputError("factorization has unit entries; reduce it first")
     phi, psi = M.mf.phi, M.mf.psi
     D, G = ring.deg_g, ring.gamma_degree
-    Gamma = _in_ring_matrix(gd, psi)
     Gphi = _in_ring_matrix(gd, phi)
     sol = solve_graded_system(
         ring,
         {"A": (psi.cols, tuple(c + G for c in psi.cols))},
-        [([("L", psi, "A")], -Gamma),
+        [([("L", psi, "A")], -_in_ring_matrix(gd, psi)),
          ([("R", phi, "A")], Gphi)],
         mode="mod_g")
     if sol is None:
         raise VerificationError("gamma endomorphism system has no solution")
     alpha = sol["A"]
-    hom = hom_graded(M, M, G).from_matrix(alpha.shift(-D))
-    beta = psi.mul(alpha).mul(phi.shift(D + G)).div_exact_g()
-    if not phi.mul(beta) == alpha.shift(-D).mul(phi.shift(G)):
-        raise VerificationError("phi beta differs from alpha phi")
-    if not beta.mul(psi.shift(G)) == psi.mul(alpha):
-        raise VerificationError("beta psi differs from psi alpha")
-    if not phi.mul(beta).eq_mod_g(_in_ring_matrix(gd, phi, sign=-1)):
+    product = psi.mul(alpha).mul(phi.shift(D + G))
+    try:
+        beta = product.div_exact_g()
+    except InputError:
+        raise VerificationError(
+            "psi alpha phi is not divisible by g") from None
+    if not phi.mul(beta).eq_mod_g(-Gphi):
         raise VerificationError("phi beta is not -gamma phi modulo g")
-    return hom, alpha, beta
+    return alpha, beta
 
 
 def gamma_endo(M: GradedModule, gd: GammaDatum):
-    """The degree-G endomorphism induced by gamma on a reduced module."""
-    hom, _, _ = _alpha_beta(M, gd)
-    return hom
+    """The degree-G endomorphism induced by gamma on a reduced module,
+    the one place where gamma_M becomes a hom (certified by from_matrix)."""
+    alpha, _ = _alpha_beta(M, gd)
+    G = M.ring.gamma_degree
+    return hom_graded(M, M, G).from_matrix(alpha.shift(-M.ring.deg_g))
 
 
 # ----------------------------------------------------------------------
@@ -182,16 +187,30 @@ def gamma_endo(M: GradedModule, gd: GammaDatum):
 
 @dataclass
 class ARSequence:
-    """An exact sequence 0 -> left -> middle -> right -> 0, with maps."""
+    """An exact sequence 0 -> left -> middle -> right -> 0: its matrices
+    alpha and beta (see push), and maps inj and proj built on first read."""
 
     left: GradedModule
     middle: GradedModule
     right: GradedModule
-    inj: object
-    proj: object
     datum: GammaDatum
     alpha: GradedMatrix
     beta: GradedMatrix
+
+    @cached_property
+    def inj(self):
+        """left -> middle, onto the generators of the phi block."""
+        return _unit_hom(self.left, self.middle, 0)
+
+    @cached_property
+    def proj(self):
+        """middle -> right, onto the generators of the psi block."""
+        return _unit_hom(self.middle, self.right, len(self.left.gens))
+
+    @property
+    def additivity_degree(self) -> int:
+        """The degree in which push checks dimension additivity."""
+        return min(self.middle.gens) + self.left.ring.deg_g
 
     def factors_through_left(self, u) -> bool:
         """Does the endomorphism u of the left term extend to the middle?
@@ -202,8 +221,7 @@ class ARSequence:
         """
         if u.source is not self.left or u.target is not self.left:
             raise InputError("u must be an endomorphism of the left term")
-        K = self.left.ring.field
-        span = SparseRREF(K)
+        span = SparseRREF(self.left.ring.field)
         for b in hom_graded(self.middle, self.left, u.degree).basis:
             span.insert(dict(b.compose(self.inj).coords))
         return span.contains(dict(u.coords))
@@ -215,6 +233,16 @@ class ARSequence:
             "right": self.right.describe(),
             "gamma": self.datum.gamma.to_string(),
         }
+
+
+def _unit_hom(source, target, k):
+    """The degree-0 map whose matrix has ones where column - row = k."""
+    ring = source.ring
+    H = GradedMatrix(ring, target.gens, source.gens,
+                     [[ring.one() if j - i == k else ring.zero_poly()
+                       for j in range(len(source.gens))]
+                      for i in range(len(target.gens))])
+    return hom_graded(source, target, 0).from_matrix(H)
 
 
 def _rank_unit_check(module, gd, what):
@@ -230,14 +258,15 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     """The almost split sequence starting at M.
 
     The middle term is the cokernel of the doubled factorization
-    [[phi, -alpha], [0, psi]]; the right term is the cosyzygy of M
-    shifted down by gamma's degree.  Preconditions: M carries a reduced
-    factorization and every indecomposable summand (the list may be
-    supplied to skip a fresh decomposition) has branch rank nonzero in k.
-    The section maps and rank additivity are verified on the way out, and
-    so is dimension additivity in degree min(gens) + deg g of the middle
-    term: there dim cok xi is found by eliminating xi over R, not read
-    off xi's block degrees, and must equal dim M_d plus the right term's.
+    xi = [[phi, -alpha], [0, psi]], paired with eta = [[psi, beta],
+    [0, phi]]; the right term is the cosyzygy of M shifted down by
+    gamma's degree.  Preconditions: M carries a reduced factorization and
+    every indecomposable summand (the list may be supplied to skip a fresh
+    decomposition) has branch rank nonzero in k.  Certified: alpha and
+    beta (see _alpha_beta), rank additivity, and dimension additivity in
+    the degree min(gens) + deg g of the middle term, where dim cok xi is
+    found by eliminating xi over R and must equal dim M_d plus the right
+    term's.  No hom space is built: proj inj = [0 I][I; 0] = 0.
     """
     ring = M.ring
     if not M.mf.is_reduced():
@@ -249,7 +278,7 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
         summands = parts
     for part in summands:
         _rank_unit_check(part, gd, part.label or "a summand")
-    hom, alpha, beta = _alpha_beta(M, gd)
+    alpha, beta = _alpha_beta(M, gd)
     phi, psi = M.mf.phi, M.mf.psi
     D, G = ring.deg_g, ring.gamma_degree
     delta = G - D
@@ -263,27 +292,11 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
         [[psi, beta], [None, phi.shift(G)]],
         rows=psi.rows + tuple(r + G for r in phi.rows),
         cols=psi.cols + tuple(c + G for c in phi.cols))
-    mf_mid = MatrixFactorization(xi, eta)
     label = M.label or "M"
-    middle = mf_mid.cok(label="push(%s)" % label)
+    middle = MatrixFactorization(xi, eta).cok(label="push(%s)" % label)
     right_mf = MatrixFactorization(psi.shift(delta), phi.shift(delta + D))
     right = right_mf.cok(label="cosyz(%s)(%d)" % (label, -G))
-
-    low = tuple(r + delta for r in psi.rows)
-    inj_H = block_matrix(
-        ring,
-        [[GradedMatrix.identity(ring, phi.rows)],
-         [GradedMatrix.zero(ring, low, phi.rows)]],
-        rows=middle.gens, cols=phi.rows)
-    inj = hom_graded(M, middle, 0).from_matrix(inj_H)
-    proj_H = block_matrix(
-        ring,
-        [[GradedMatrix.zero(ring, low, phi.rows),
-          GradedMatrix.identity(ring, low)]],
-        rows=right.gens, cols=middle.gens)
-    proj = hom_graded(middle, right, 0).from_matrix(proj_H)
-    if not proj.compose(inj).is_zero():
-        raise VerificationError("section maps do not compose to zero")
+    seq = ARSequence(M, middle, right, gd, alpha, beta)
 
     branches = (factor_hypersurface(ring) if ring.is_reduced else [gd.branch])
     r_left = rank_vector(M, branches)
@@ -294,10 +307,10 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
             "middle ranks %s differ from %s + %s" % (r_mid, r_left, r_right))
     # dim (cok xi)_d by eliminating xi over R, against the Hilbert
     # functions of the outer terms read off their degrees.
-    d = min(middle.gens) + D
+    d = seq.additivity_degree
     if len(middle.nonpivot_basis(d)) != M.piece_dim(d) + right.piece_dim(d):
         raise VerificationError("dimension additivity fails in degree %d" % d)
-    return ARSequence(M, middle, right, inj, proj, gd, alpha, beta)
+    return seq
 
 
 # ----------------------------------------------------------------------
@@ -623,7 +636,8 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
     column degrees against their closed forms, the strict minimality of
     the fourth column, the shape of the lower corner entry of W, and the
     two-part decomposition of the double extension.  Any mismatch raises
-    VerificationError with an entrywise diff.
+    VerificationError with an entrywise diff.  windows names the degree
+    where the push of I checked dimension additivity.
     """
     if ring.m is None or ring.n is None:
         raise InputError("the double push needs the two-generator ideal data")
@@ -760,5 +774,6 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
         "summands": [{"gens": list(part.gens), "label": part.label}
                      for part in parts],
         "free_summands": frees,
+        "windows": {"hilbert_additivity": seq.additivity_degree},
         "pass": True,
     }

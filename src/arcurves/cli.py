@@ -210,9 +210,7 @@ def cmd_verify_trace_oracle(ring, args) -> dict:
 
 
 def cmd_verify_section7(ring, args) -> dict:
-    rep = double_push_report(ring)
-    rep["windows"] = {"hilbert_additivity": 3 * ring.deg_g}
-    return rep
+    return double_push_report(ring)
 
 
 def cmd_explore(ring, args) -> dict:
@@ -255,7 +253,7 @@ def cmd_push(ring, args) -> dict:
                   "middle": str(e_avg(seq.middle))} if ring.is_reduced else {},
         "middle_summands": [list(p.gens) for p in parts],
         "middle_free_summands": frees,
-        "windows": {"hilbert_additivity": 3 * ring.deg_g},
+        "windows": {"hilbert_additivity": seq.additivity_degree},
     }
 
 

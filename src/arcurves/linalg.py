@@ -202,16 +202,5 @@ def kernel_dense(mat, field):
             for vec in kernel_sparse(rows, ncols, field)]
 
 
-def solve_dense(mat, rhs, field):
-    """Solve mat . x = rhs; returns one solution (free vars zero) or None."""
-    ncols = len(mat[0]) if mat else 0
-    rows = [sparse_vector(row, field) for row in mat]
-    for row, b in zip(rows, rhs):
-        if not field.is_zero(b):
-            row[ncols] = field.neg(b)
-    sol = solve_sparse_system(rows, ncols, field)
-    return None if sol is None else dense_vector(sol, ncols, field)
-
-
 def rank_dense(mat, field) -> int:
     return _rref_of((sparse_vector(row, field) for row in mat), field).rank

@@ -578,7 +578,8 @@ def free_module(ring, shifts=(0,)) -> GradedModule:
 
 
 class GradedHom:
-    """A homomorphism cok(A) -> cok(B) of fixed degree, with its matrix."""
+    """A homomorphism cok(A) -> cok(B) of fixed degree, with its matrix;
+    sums and products of homs are homs, so arithmetic stays on coordinates."""
 
     __slots__ = ("source", "target", "degree", "H", "coords")
 
@@ -605,34 +606,32 @@ class GradedHom:
         """self after first."""
         if first.target is not self.source:
             raise InputError("composition chain mismatch")
-        H = self.H.mul(first.H).nf()
         space = hom_graded(first.source, self.target,
                            self.degree + first.degree)
-        return space.from_matrix(H)
+        return space._hom(space.coords_of(self.H.mul(first.H)))
 
     def __add__(self, other):
         if (self.source is not other.source or self.target is not other.target
                 or self.degree != other.degree):
             raise InputError("cannot add homs from different spaces")
         space = hom_graded(self.source, self.target, self.degree)
-        return space.from_matrix((self.H + other.H).nf())
+        return space._hom(_combine(((1, self), (1, other)), space))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, value):
         space = hom_graded(self.source, self.target, self.degree)
-        return space.from_matrix(self.H.scale(value).nf())
+        return space._hom(_combine(((value, self),), space))
 
     def times_monomial(self, i: int, j: int) -> "GradedHom":
         """The hom multiplied by the monomial x^i y^j (degree rises)."""
         ring = self.source.ring
         d = ring.wdeg(i, j)
-        ents = [[ring.normal_form(e.shift_monomial(i, j)) for e in row]
-                for row in self.H.entries]
+        ents = [[e.shift_monomial(i, j) for e in row] for row in self.H.entries]
         H = GradedMatrix(ring, self.H.rows, [c + d for c in self.H.cols], ents)
         space = hom_graded(self.source, self.target, self.degree + d)
-        return space.from_matrix(H)
+        return space._hom(space.coords_of(H))
 
     def __repr__(self):
         return (f"GradedHom(deg={self.degree}, "
@@ -678,29 +677,26 @@ class HomSpace:
         for vec in kernel:
             reduced.insert({flat[v]: c for v, c in vec.items()})
         self._span = reduced
-        self.basis = []
-        for piv in sorted(reduced.pivots):
-            row = reduced.pivots[piv]
-            self.basis.append(GradedHom(source, target, degree,
-                                        self._matrix_from_coords(row),
-                                        _freeze(row)))
+        self.basis = [self._hom(_freeze(reduced.pivots[piv]))
+                      for piv in sorted(reduced.pivots)]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def _matrix_from_coords(self, coords: dict) -> GradedMatrix:
+    def _hom(self, coords) -> GradedHom:
+        """The hom with these frozen coordinates; the caller certifies it."""
         ring = self.source.ring
         ents = [[dict() for _ in self.source.gens] for _ in self.target.gens]
-        for t, c in coords.items():
+        for t, c in coords:
             i, j, mono = self._entry_list[t]
             ents[i][j][mono] = c
-        polys = [[WPoly(ring.field, ring.q, ring.p, ents[i][j])
-                  for j in range(len(self.source.gens))]
-                 for i in range(len(self.target.gens))]
-        return GradedMatrix(ring, self.target.gens,
-                            tuple(w + self.degree for w in self.source.gens),
-                            polys)
+        polys = [[WPoly(ring.field, ring.q, ring.p, e) for e in row]
+                 for row in ents]
+        H = GradedMatrix(ring, self.target.gens,
+                         tuple(w + self.degree for w in self.source.gens),
+                         polys)
+        return GradedHom(self.source, self.target, self.degree, H, coords)
 
     def coords_of(self, H: GradedMatrix):
         """Canonical coordinates of a hom matrix: each column reduced in
@@ -715,16 +711,15 @@ class HomSpace:
         return _freeze(out)
 
     def from_matrix(self, H: GradedMatrix) -> GradedHom:
+        """The hom given by a matrix from outside the hom layer, certified
+        a hom by membership of its coordinates in this space's span."""
         coords = self.coords_of(H)
         if not self._span.contains(dict(coords)):
             raise InputError("matrix does not define a homomorphism here")
-        return GradedHom(self.source, self.target, self.degree,
-                         self._matrix_from_coords(dict(coords)), coords)
+        return self._hom(coords)
 
     def zero(self) -> GradedHom:
-        z = GradedMatrix.zero(self.source.ring, self.target.gens,
-                              tuple(w + self.degree for w in self.source.gens))
-        return GradedHom(self.source, self.target, self.degree, z, ())
+        return self._hom(())
 
     def expand(self, hom: GradedHom):
         """Coefficients of a hom of this space in the canonical basis."""
@@ -761,13 +756,17 @@ def identity_hom(M: GradedModule) -> GradedHom:
 
 
 def hom_from_coefficients(space: HomSpace, coeffs) -> GradedHom:
+    return space._hom(_combine(zip(coeffs, space.basis), space))
+
+
+def _combine(terms, space: HomSpace):
+    """Frozen coordinates of sum c h over the (c, h) pairs, h in space."""
     K = space.source.ring.field
-    H = GradedMatrix.zero(space.source.ring, space.target.gens,
-                          tuple(w + space.degree for w in space.source.gens))
-    for c, b in zip(coeffs, space.basis):
-        if not K.is_zero(c):
-            H = H + b.H.scale(c)
-    return space.from_matrix(H)
+    out: dict = {}
+    for c, h in terms:
+        for t, v in h.coords:
+            out[t] = K.add(out.get(t, K.zero), K.mul(K(c), v))
+    return _freeze({t: v for t, v in out.items() if not K.is_zero(v)})
 
 
 # ----------------------------------------------------------------------

@@ -288,9 +288,7 @@ def end_generators(M: GradedModule) -> EndGenerators:
             for b in hom_graded(M, M, dd).basis:
                 span.insert(dict(b.times_monomial(*mono).coords))
         for b in space.basis:
-            vec = dict(b.coords)
-            if not span.contains(vec):
-                span.insert(vec)
+            if span.insert(dict(b.coords)) is not None:
                 gens.append(b)
     result = EndGenerators(M, gens, lo, hi, dims)
     M._end_generators = result

@@ -68,6 +68,50 @@ def test_push_is_a_complex(cusp_ideal, cusp_datum):
     assert comp.is_zero()
 
 
+def test_push_builds_no_hom_space(monkeypatch, cusp_ring, cusp_datum):
+    # a fresh module, so that no cached space hides a build
+    M = mf_from_ideal(cusp_ring).cok(label="I")
+    built = []
+    init = modmat.HomSpace.__init__
+    monkeypatch.setattr(modmat.HomSpace, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    push(M, cusp_datum, summands=[M])
+    assert built == []
+
+
+def test_section_maps_are_certified_when_read(monkeypatch, cusp_ring,
+                                              cusp_datum):
+    M = mf_from_ideal(cusp_ring).cok(label="I")
+    seq = push(M, cusp_datum, summands=[M])
+    read = []
+    from_matrix = modmat.HomSpace.from_matrix
+    monkeypatch.setattr(
+        modmat.HomSpace, "from_matrix",
+        lambda self, H: read.append((self.source, self.target))
+        or from_matrix(self, H))
+    inj, proj = seq.inj, seq.proj
+    assert read == [(seq.left, seq.middle), (seq.middle, seq.right)]
+    assert seq.inj is inj and seq.proj is proj and len(read) == 2
+
+
+def test_alpha_outside_end_is_a_verification_error(monkeypatch, cusp_ring,
+                                                   cusp_datum):
+    # alpha = [[0, -x y], [y, 0]] on the cusp ideal; doubling its lower
+    # entry leaves a remainder in psi alpha phi / g
+    solve = arengine.solve_graded_system
+
+    def doubled(*args, **kwargs):
+        A = solve(*args, **kwargs)["A"]
+        ents = [list(row) for row in A.entries]
+        ents[1][0] = ents[1][0] * 2
+        return {"A": GradedMatrix(cusp_ring, A.rows, A.cols, ents)}
+
+    monkeypatch.setattr(arengine, "solve_graded_system", doubled)
+    M = mf_from_ideal(cusp_ring).cok(label="I")
+    with pytest.raises(VerificationError, match="not divisible by g"):
+        push(M, cusp_datum, summands=[M])
+
+
 def test_sequence_does_not_split(cusp_ideal, cusp_datum):
     seq = push(cusp_ideal, cusp_datum)
     ident = hom_graded(cusp_ideal, cusp_ideal, 0).from_matrix(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +347,21 @@ def test_decompose_report(cfg, capsys):
     doc = json.loads(out)
     assert doc["free_summands"] == []
     assert [p["generator_degrees"] for p in doc["parts"]] == [[4, 6, 8, 3]]
+
+
+# Canonical push and decompose reports (sorted compact JSON without the
+# seed) of the six benchmark rings.
+TESTS = Path(__file__).resolve().parent
+BENCH_CONFIGS = TESTS.parent / "perfbench" / "configs"
+PINNED = json.loads(
+    (TESTS / "data" / "push_decompose_reports.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_push_and_decompose_reports_are_pinned(key, capsys):
+    command, ring = key.split()
+    config = str(BENCH_CONFIGS / (ring + ".cfg"))
+    code, out, err = _run(capsys, [command, config, "--seed", "0"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(dict(PINNED[key], seed=0), sort_keys=True,
+                             separators=(",", ":")) + "\n"

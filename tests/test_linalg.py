@@ -1,10 +1,11 @@
 """The elimination engine against the defining properties of its answers.
 
 Random small matrices over Q and over prime fields; most checks read a
-property off the answer (A x = b, A k = 0, rank-nullity, an explicit
-certificate of inconsistency).  The last one compares the integer-row
-engine with the Fraction-based SparseRREF it replaced, kept below
-verbatim as a differential oracle.
+property off the answer (A k = 0, rank-nullity, pivots independent of
+insertion order).  The last one compares the integer-row engine, and
+the kernels and particular solutions of solve_sparse_system, with the
+Fraction-based SparseRREF it replaced, kept below verbatim as a
+differential oracle.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from arcurves import QQ, PrimeField
 from arcurves.linalg import (SparseRREF, kernel_dense, kernel_sparse,
-                             rank_dense, solve_dense, solve_sparse_system)
+                             rank_dense, solve_sparse_system)
 
 FIELDS = [QQ, PrimeField(3), PrimeField(7), PrimeField(101)]
 
@@ -54,34 +55,6 @@ def _transpose(mat):
 
 def _eq(K, u, v):
     return len(u) == len(v) and all(K.eq(a, b) for a, b in zip(u, v))
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(_system())
-def test_solve_dense_solution_satisfies_system(system):
-    K, mat, rhs = system
-    x = solve_dense(mat, rhs, K)
-    if x is not None:
-        assert len(x) == len(mat[0])
-        assert _eq(K, _apply(K, mat, x), rhs)
-    else:
-        # Inconsistent: some y with y A = 0 has y . b != 0.
-        cert = kernel_dense(_transpose(mat), K)
-        assert any(not K.is_zero(sum((K.mul(a, b) for a, b in zip(y, rhs)),
-                                     K.zero))
-                   for y in cert)
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(_system(), st.data())
-def test_solve_dense_finds_consistent_systems(system, data):
-    K, mat, _ = system
-    x0 = data.draw(st.lists(_element(K), min_size=len(mat[0]),
-                            max_size=len(mat[0])))
-    rhs = _apply(K, mat, x0)
-    x = solve_dense(mat, rhs, K)
-    assert x is not None
-    assert _eq(K, _apply(K, mat, x), rhs)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -20,8 +20,8 @@ from arcurves import (QQ, HypersurfaceRing, arengine, explore_component,
 from arcurves.errors import (CertificationError, FieldTooSmallError,
                              InconclusiveSplitError)
 from arcurves.linalg import (SparseRREF, dense_vector, kernel_dense,
-                             kernel_sparse, rank_dense, solve_dense,
-                             sparse_vector)
+                             kernel_sparse, rank_dense,
+                             solve_sparse_system, sparse_vector)
 from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
                              _stably_zero_span, hom_from_coefficients,
                              identity_hom)
@@ -125,6 +125,43 @@ def test_hom_algebra(cusp_ideal):
     assert (xh - xh).is_zero()
     coords = space.coords_of(ident.H)
     assert space.from_matrix(ident.H).coords == coords
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_hom_arithmetic_on_coordinates_matches_from_matrix(field):
+    # Sums, scalar multiples, coefficient vectors, composites and
+    # x-multiples of homs are combined on coordinates, with no membership
+    # test; from_matrix of the same matrix arithmetic is the oracle.
+    K = field_from_string(field)
+    checked = 0
+    for seed in range(12):
+        ring = random_ring(random.Random(seed), K)
+        I = mf_from_ideal(ring).cok(label="I")
+        middle = push(I, gamma_for(ring), summands=[I]).middle
+        D = ring.deg_g
+        for M in (I, I.syz(), middle):
+            ends = hom_graded(M, M, 0).basis
+            for d in range(-(D // 2), D // 2 + 1):
+                space = hom_graded(M, M, d)
+                basis = space.basis
+                coeffs = [K(k + 2) for k in range(len(basis))]
+                pairs = [(hom_from_coefficients(space, coeffs),
+                          sum((e.H.scale(c) for c, e in zip(coeffs, basis)),
+                              space.zero().H))]
+                for c, a, b in zip(coeffs, basis, basis[1:] + basis[:1]):
+                    pairs += [(a + b.scale(c), a.H + b.H.scale(c)),
+                              (a - b, a.H - b.H)]
+                    pairs += [(a.compose(e), a.H.mul(e.H)) for e in ends[:2]]
+                    xH = GradedMatrix(
+                        ring, a.H.rows, [w + ring.q for w in a.H.cols],
+                        [[e.shift_monomial(1, 0) for e in row]
+                         for row in a.H.entries])
+                    pairs.append((a.times_monomial(1, 0), xH))
+                for got, H in pairs:
+                    want = hom_graded(M, M, got.degree).from_matrix(H.nf())
+                    assert got == want and got.H == want.H
+                    checked += 1
+    assert checked > 1000
 
 
 def test_stably_zero_through_frees(cusp_ideal):
@@ -754,12 +791,13 @@ def _reference_min_poly(mult, identity, start, dim, K):
         if len(powers) > dim + 1:
             raise CertificationError("minimal polynomial search ran away")
     cols = len(powers)
-    rows = [[powers[s][t] for s in range(cols)] for t in range(dim)]
-    rhs = [current[t] for t in range(dim)]
-    sol = solve_dense(rows, rhs, K)
+    # column cols carries the constant: sum_s c_s powers[s] = current
+    rows = [sparse_vector([powers[s][t] for s in range(cols)]
+                          + [K.neg(current[t])], K) for t in range(dim)]
+    sol = solve_sparse_system(rows, cols, K)
     if sol is None:
         raise CertificationError("minimal polynomial solve failed")
-    return [K.neg(c) for c in sol] + [K.one]
+    return [K.neg(c) for c in dense_vector(sol, cols, K)] + [K.one]
 
 
 def _reference_evaluate_in_algebra(coeffs, elem, mult, identity, K):

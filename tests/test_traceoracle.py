@@ -223,3 +223,16 @@ def test_zero_trace_valuation_is_none(cusp_ideal):
     tr = trace_Q(z)
     assert tr.is_zero()
     assert min_t_valuation(tr) is None
+
+
+def test_end_generators_test_no_membership(monkeypatch, two_branch_ring):
+    # x and y multiples of homs are homs: their coordinates are read, not
+    # tested against the span of a hom space
+    M = mf_from_ideal(two_branch_ring).cok(label="I")
+    calls = []
+    contains = SparseRREF.contains
+    monkeypatch.setattr(
+        SparseRREF, "contains",
+        lambda self, row: calls.append(1) or contains(self, row))
+    assert end_generators(M).gens
+    assert calls == []
