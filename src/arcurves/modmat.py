@@ -751,10 +751,6 @@ def hom_graded(source: GradedModule, target: GradedModule,
     return space
 
 
-def identity_hom(M: GradedModule) -> GradedHom:
-    return hom_graded(M, M, 0).from_matrix(GradedMatrix.identity(M.ring, M.gens))
-
-
 def hom_from_coefficients(space: HomSpace, coeffs) -> GradedHom:
     return space._hom(_combine(zip(coeffs, space.basis), space))
 
@@ -956,125 +952,117 @@ def mf_reduce(mf: MatrixFactorization):
 
 
 # ----------------------------------------------------------------------
-# submodules and direct-sum splitting
+# direct-sum splitting
 
 
-def submodule_presentation(M: GradedModule, elements, label=None):
-    """Present the submodule of M generated by the given elements.
+def split_by_idempotent(M: GradedModule, E: GradedMatrix):
+    """Split M = cok phi along an idempotent E of End_0(M), exact over S.
 
-    elements: list of (degree, tuple of normal-form polys over the
-    generators of M).  Generators are kept greedily by degree, so no
-    relation has a unit entry.  Relations are collected degreewise up to
-    the bound max(gens) + deg(g) - 1, which covers every minimal relation
-    of a maximal Cohen-Macaulay module, and a kernel vector is kept only
-    when it leaves the R-span of the relations kept so far; the kept set
-    is therefore minimal.  A maximal Cohen-Macaulay submodule has as many
-    minimal relations as generators, and the square presentation is
-    completed to a matrix factorization.  Nothing here checks that the
-    result is the span and not a cover of it: the only caller,
-    split_by_idempotent, certifies that, and so must any new caller.
+    E is a hom matrix with E E = E over S, so E phi = phi E' for
+    E' = psi E phi / g (E phi = phi C gives psi E phi = g C, and S is a
+    domain); E' is idempotent and E' psi = psi E.  P has as columns
+    those of E, then those of Id - E, whose scalar parts are independent
+    (_split_basis); they are free bases of im E and im(Id - E), so P is
+    invertible, and P' is made from E' in the same way.  Then
+    P^-1 phi P' is block diagonal, as phi maps im E' into im E and
+    im(Id - E') into im(Id - E), and so is P'^-1 psi P.  Certified:
+    P^-1 P = Id and P'^-1 P' = Id exactly (_inverse), and the
+    off-diagonal blocks vanish; then cok phi is the sum of the cokernels
+    of the diagonal blocks, whatever E is, and MatrixFactorization
+    checks each pair of blocks.  The blocks are reduced because phi is.
+    The columns are taken in stable degree order, so the generators of
+    each part are those of the minimal submodule presentation of im E
+    and im(Id - E), in the same order.
     """
-    ring = M.ring
+    phi, psi = M.mf.phi, M.mf.psi
+    try:
+        E2 = psi.mul(E).mul(phi).div_exact_g()
+    except InputError:
+        raise CertificationError("E is not an endomorphism of M") from None
+    P, r = _split_basis(E)
+    P2, r2 = _split_basis(E2)
+    if r != r2:
+        raise CertificationError(
+            f"idempotent has rank {r} on the generators, {r2} on the "
+            "relations")
+    blocks = (_inverse(P).mul(phi).mul(P2), _inverse(P2).mul(psi).mul(P))
+    n = len(P.cols)
+    if any(not A.entries[i][j].is_zero() for A in blocks
+           for i in range(n) for j in range(n) if (i < r) != (j < r)):
+        raise CertificationError("split leaves an off-diagonal block")
+    return tuple(MatrixFactorization(_block(blocks[0], part),
+                                     _block(blocks[1], part)).cok()
+                 for part in (range(r), range(r, n)))
+
+
+def _block(A: GradedMatrix, span) -> GradedMatrix:
+    """The diagonal block of A on the indices in span."""
+    return GradedMatrix(A.ring, [A.rows[i] for i in span],
+                        [A.cols[j] for j in span],
+                        [[A.entries[i][j] for j in span] for i in span])
+
+
+def _split_basis(E: GradedMatrix):
+    """The columns of E, then those of Id - E, each kept when its scalar
+    part leaves the span of those kept before, in stable degree order;
+    and the number kept from E.  For an idempotent E the scalar parts
+    kept are a basis of k^n, so by graded Nakayama the columns kept are
+    free bases of im E and im(Id - E) over S."""
+    ring = E.ring
     K = ring.field
-    D = ring.deg_g
+    n = len(E.rows)
+    order = sorted(range(n), key=lambda j: E.cols[j])
+    span = SparseRREF(K)
 
-    elems = sorted(elements, key=lambda ev: ev[0])
-    gens = []
-    for deg, polys in elems:
-        if all(poly.is_zero() for poly in polys):
-            continue
-        if not _element_in_span(M, gens, (deg, polys)):
-            gens.append((deg, polys))
-    if not gens:
-        raise InputError("submodule has no nonzero generators")
+    def keep(A):
+        bar = _scalar_part(A)
+        return [(A, j) for j in order if span.insert(
+            sparse_vector([row[j] for row in bar], K)) is not None]
 
-    gdegs = tuple(deg for deg, _ in gens)
-    bound = max(gdegs) + D - 1
-    rels = []
-    for d in range(min(gdegs), bound + 1):
-        var_slots = []
-        for t, (wdeg, _) in enumerate(gens):
-            for mono in ring.graded_piece(d - wdeg):
-                var_slots.append((t, mono))
-        if not var_slots:
-            continue
-        rows: dict[int, dict] = {}
-        for vk, (t, mono) in enumerate(var_slots):
-            polys = [pp if pp.is_zero()
-                     else ring.normal_form(pp.shift_monomial(*mono))
-                     for pp in gens[t][1]]
-            for cc, val in M.element_coords(polys, d).items():
-                rows.setdefault(cc, {})[vk] = val
-        kernel = kernel_sparse(list(rows.values()), len(var_slots), K)
-        pos = {slot: vk for vk, slot in enumerate(var_slots)}
-        span = _span_rref(ring, d, rels, _scatter(pos))
-        for vec in kernel:
-            if span.insert(vec) is None:
-                continue
-            col = [ring.zero_poly()] * len(gens)
-            for vk, val in vec.items():
-                t, mono = var_slots[vk]
-                col[t] = col[t] + ring.monomial(*mono, coeff=val)
-            rels.append((d, col))
-
-    ents = [[col[i] for _, col in rels] for i in range(len(gens))]
-    if any(all(e.is_zero() for e in row) for row in ents):
-        raise CertificationError(
-            "submodule presentation found a generator without relations")
-    if len(rels) != len(gens):
-        raise CertificationError(
-            "minimized presentation is not square, so the module cannot "
-            "be maximal Cohen-Macaulay")
-    A = GradedMatrix(ring, gdegs, tuple(d for d, _ in rels), ents)
-    return mf_complete(A).cok(label=label)
+    kept = keep(E)
+    r = len(kept)
+    kept += keep(GradedMatrix.identity(ring, E.rows) - E)
+    if r in (0, n):
+        raise CertificationError("idempotent does not split the generators")
+    P = GradedMatrix(ring, E.rows, [A.cols[j] for A, j in kept],
+                     [[A.entries[i][j] for A, j in kept] for i in range(n)])
+    return P, r
 
 
-def _element_span(M: GradedModule, gens, d: int) -> SparseRREF:
-    """Degree-d piece of the submodule of M generated by gens."""
-    return _span_rref(M.ring, d, gens, lambda polys: M.element_coords(polys, d))
+def _inverse(P: GradedMatrix) -> GradedMatrix:
+    """The inverse over S of a square P whose scalar part is invertible.
 
-
-def _element_in_span(M: GradedModule, gens, element) -> bool:
-    deg, polys = element
-    target = M.element_coords(polys, deg)
-    return not target or _element_span(M, gens, deg).contains(target)
-
-
-def _hom_columns(h: GradedHom):
-    """Images of the source generators, as submodule generator data."""
-    M = h.source
-    out = []
-    for j, w in enumerate(M.gens):
-        polys = tuple(h.H.entries[i][j] for i in range(len(h.target.gens)))
-        out.append((w + h.degree, polys))
-    return out
-
-
-def split_by_idempotent(M: GradedModule, e: GradedHom):
-    """Split M as im(e) + im(1 - e) for an idempotent endomorphism e.
-
-    Let S_1, S_2 be the submodules generated by the columns of e and of
-    1 - e, and P_1, P_2 their presentations (submodule_presentation).
-    In each degree d, dim P_i,d >= dim S_i,d, as the relations of P_i
-    are exact kernel vectors and its generators span S_i; and dim S_1,d
-    + dim S_2,d >= dim M_d, as m = e m + (1 - e) m.  So the check
-    dim P_1,d + dim P_2,d = dim M_d makes both equalities, and the sum
-    direct, on its window from min(M.gens) to max(part gens) + 2 deg(g).
-    The window holds each part's degrees from its lowest generator to
-    its highest + 2 deg(g) - 1, so it certifies each presentation too.
+    Newton's step X <- X + (Id - X P) X from the inverse of the scalar
+    part squares the residual Id - X P, which starts with zero scalar
+    part: after t steps its entries of degree 0 have degree at least
+    2^t min(p, q), so it vanishes once 2^t exceeds the degree spread.
+    The loop ends only on X P = Id exactly, which certifies X.
     """
-    comp = identity_hom(M) - e
-    part1 = submodule_presentation(M, _hom_columns(e))
-    part2 = submodule_presentation(M, _hom_columns(comp))
-    lo = min(M.gens)
-    hi = max(max(part1.gens), max(part2.gens)) + 2 * M.ring.deg_g
-    for d in range(lo, hi + 1):
-        p1, p2, m = part1.piece_dim(d), part2.piece_dim(d), M.piece_dim(d)
-        if p1 + p2 != m:
-            raise CertificationError(
-                f"split is not direct in degree {d} (window {lo}..{hi}): "
-                f"dim P1 + dim P2 = {p1} + {p2}, dim M = {m}")
-    return part1, part2
+    X = _scalar_inverse(P)
+    ident = GradedMatrix.identity(P.ring, P.cols)
+    for _ in range((max(P.cols) - min(P.cols)).bit_length() + 1):
+        residual = ident - X.mul(P)
+        if residual.is_zero():
+            return X
+        X = X + residual.mul(X)
+    raise CertificationError("change of basis is not invertible over S")
+
+
+def _scalar_inverse(P: GradedMatrix) -> GradedMatrix:
+    """The inverse of the scalar part of a square P, as constants: the
+    reduced echelon form of [scalar part | Id] is [Id | inverse]."""
+    ring = P.ring
+    K = ring.field
+    n = len(P.rows)
+    rr = SparseRREF(K)
+    for i, row in enumerate(_scalar_part(P)):
+        rr.insert({**sparse_vector(row, K), n + i: K.one})
+    if any(k not in rr.pivots for k in range(n)):
+        raise CertificationError(
+            "scalar part of the change of basis is singular")
+    return GradedMatrix(ring, P.cols, P.rows,
+                        [[ring.monomial(0, 0, rr.pivots[k].get(n + i, K.zero))
+                          for i in range(n)] for k in range(n)])
 
 
 # ----------------------------------------------------------------------
@@ -1107,8 +1095,10 @@ def _unflat(vec: dict, r, K):
 class TopAlgebra:
     """End_0(M) as it acts on the top M/mM.
 
-    The scalar part s (`_scalar_part`) is an algebra map from End_0(M)
-    onto A, an algebra of k-matrices of the size of the generator count.
+    The scalar part s of a hom matrix (`_scalar_part`: the constant terms
+    of the entries whose row and column degrees agree) is an algebra map
+    from End_0(M) onto A, an algebra of k-matrices of the size of the
+    generator count; the split and invertible_on_top read the same map.
     Its kernel J is nilpotent: a map in J raises generator degrees by at
     least min(p, q), so J^k = 0 once k > (max gens - min gens)/min(p, q)
     (graded Nakayama).  So rad End_0 is the preimage of rad A, and
@@ -1122,7 +1112,7 @@ class TopAlgebra:
     def __init__(self, M: GradedModule):
         K = M.ring.field
         self.space = hom_graded(M, M, 0)
-        self.scalars = [_scalar_part(b) for b in self.space.basis]
+        self.scalars = [_scalar_part(b.H) for b in self.space.basis]
         span = SparseRREF(K)
         for a in self.scalars:
             span.insert(_flat(a, K))
@@ -1185,25 +1175,27 @@ def _min_poly(a, K):
     return [sol.get(s, K.zero) for s in range(len(powers))] + [K.one]
 
 
-def _lift_idempotent(a: GradedHom, coeffs):
-    """The idempotent of k[a] whose scalar part is that of coeffs(a).
+def _lift_idempotent(A: GradedMatrix, coeffs):
+    """The idempotent of k[A] over S whose scalar part is that of coeffs(A).
 
-    coeffs(a) is idempotent modulo the nilpotent ideal J of maps with
-    zero scalar part, and e -> 3e^2 - 2e^3 squares the defect e^2 - e,
-    so it reaches the unique idempotent of k[a] over it: after t steps
-    the defect lies in J^(2^t), which is 0 once 2^t exceeds the spread
-    of the generator degrees (see TopAlgebra).
+    A is the matrix of a degree-0 endomorphism, so every polynomial in A
+    is one.  The scalar part is multiplicative on degree-0 matrices and
+    coeffs of A's scalar part is idempotent, so the defect E E - E of
+    E = coeffs(A) starts with zero scalar part, and E -> 3E^2 - 2E^3
+    squares it: after t steps its entries of degree 0 have degree at
+    least 2^t min(p, q), so it is 0 once 2^t exceeds the spread of the
+    generator degrees.  In End(M), E is the idempotent of k[a] over
+    coeffs of a's scalar part.
     """
-    one = identity_hom(a.source)
-    e = one.scale(coeffs[-1])
+    one = GradedMatrix.identity(A.ring, A.rows)
+    E = one.scale(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        e = e.compose(a) + one.scale(c)
-    spread = max(a.source.gens) - min(a.source.gens)
-    for _ in range(spread.bit_length() + 1):
-        square = e.compose(e)
-        if square == e:
-            return e
-        e = square.scale(3) - square.compose(e).scale(2)
+        E = E.mul(A) + one.scale(c)
+    for _ in range((max(A.rows) - min(A.rows)).bit_length() + 1):
+        square = E.mul(E)
+        if square == E:
+            return E
+        E = square.scale(3) - square.mul(E).scale(2)
     raise CertificationError("idempotent lift did not converge")
 
 
@@ -1224,15 +1216,15 @@ def _candidates(top: TopAlgebra, rng):
         for c, a in zip(vec, bars):
             bar = [[K.add(x, K.mul(c, y)) for x, y in zip(row, arow)]
                    for row, arow in zip(bar, a)]
-        return bar, lambda: hom_from_coefficients(top.space, vec)
+        return bar, lambda: hom_from_coefficients(top.space, vec).H
 
     for i in range(n):
-        yield bars[i], lambda i=i: basis[i]
+        yield bars[i], lambda i=i: basis[i].H
     for i in range(n):
         for j in range(n):
             if i != j:
                 yield (_matmul(bars[i], bars[j], K),
-                       lambda i=i, j=j: basis[i].compose(basis[j]))
+                       lambda i=i, j=j: basis[i].H.mul(basis[j].H))
     for i in range(n):
         for j in range(i + 1, n):
             yield combination([K.one if t in (i, j) else K.zero
@@ -1249,7 +1241,9 @@ def decompose(M: GradedModule, rng=None):
     summands and free_shifts the generator degrees of split-off free
     summands.  Everything is decided on the top algebra A (TopAlgebra):
     a candidate a of End_0 whose scalar part has a minimal polynomial
-    with two coprime factors gives an idempotent of k[a] that splits M;
+    with two coprime factors gives an idempotent of k[a], made exact
+    over S (_lift_idempotent), and M splits by a change of basis of its
+    factorization (split_by_idempotent), with no elimination in M;
     one irreducible factor of degree dim A/rad A makes A/rad A a field,
     so End_0 is local and M indecomposable.  When neither outcome can be
     certified the function raises InconclusiveSplitError rather than
@@ -1354,19 +1348,19 @@ def _degree_shift(ms, ns):
     return s if sorted(ms) == sorted(w - s for w in ns) else None
 
 
-def _scalar_part(hom: GradedHom):
-    """The matrix of hom modulo the maximal ideal, over k."""
-    K = hom.source.ring.field
-    return [[hom.H.entries[i][j].coeff(0, 0) if wt == ws + hom.degree
-             else K.zero for j, ws in enumerate(hom.source.gens)]
-            for i, wt in enumerate(hom.target.gens)]
+def _scalar_part(A: GradedMatrix):
+    """A modulo the maximal ideal, over k: the constant terms of the
+    entries whose row degree equals their column degree."""
+    K = A.ring.field
+    return [[A.entries[i][j].coeff(0, 0) if w == u else K.zero
+             for j, u in enumerate(A.cols)] for i, w in enumerate(A.rows)]
 
 
 def invertible_on_top(hom: GradedHom) -> bool:
     """Whether the scalar part of hom is square and of full rank."""
     n = len(hom.source.gens)
     return (len(hom.target.gens) == n
-            and rank_dense(_scalar_part(hom), hom.source.ring.field) == n)
+            and rank_dense(_scalar_part(hom.H), hom.source.ring.field) == n)
 
 
 def _top_isomorphic(A: GradedModule, B: GradedModule, s) -> bool:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcurves import (GradedMatrix, InputError, VerificationError, decompose,
-                      double_push_report, e_avg, explore_component,
-                      factor_hypersurface, field_from_string, gamma_endo,
-                      gamma_for, hom_graded, mf_from_ideal, multiplicity,
-                      push, random_ring,
+from arcurves import (GradedMatrix, InputError, MatrixFactorization,
+                      VerificationError, decompose, double_push_report, e_avg,
+                      explore_component, factor_hypersurface,
+                      field_from_string, gamma_endo, gamma_for, hom_graded,
+                      iso_up_to_shift, mf_from_ideal, multiplicity,
+                      poly_from_string, push, random_ring,
                       stably_zero_bruteforce, syz_transport,
                       verify_main_theorem, verify_syz_gamma)
 from arcurves import arengine, modmat
@@ -205,7 +206,10 @@ def test_syz_gamma_on_the_cusp(cusp_ideal, cusp_datum):
 
 
 # The split parts of the second middle terms, in decompose's order:
-# generator and relation degrees, presentation phi, and psi.
+# generator and relation degrees, presentation phi, and psi, as the
+# submodule presentation gave them.  The split read off the
+# factorization changes only the relation basis (_TWO_BRANCH_SPLIT and
+# _CUSP_SPLIT below), so these stay as the oracle up to isomorphism.
 _TWO_BRANCH_PARTS = [
     ([3, 8], [12, 14],
      [['-1*x^0*y^3', '1*x^2*y^1'], ['1*x^1*y^0', '1*x^0*y^2']],
@@ -246,11 +250,60 @@ _CUSP_PARTS = [
 ]
 
 
+# The same parts as decompose presents them now.
+_TWO_BRANCH_SPLIT = [
+    _TWO_BRANCH_PARTS[0],
+    ([3, 4, 5, 6, 7, 8], [10, 11, 12, 14, 15, 16],
+     [['0', '0', '-1*x^0*y^3', '1*x^2*y^1', '0', '2*x^1*y^3'],
+      ['-1*x^0*y^2', '-1*x^1*y^1', '0', '1*x^1*y^2', '1*x^2*y^1', '0'],
+      ['0', '-1*x^0*y^2', '0', '0', '0', '1*x^2*y^1'],
+      ['1*x^1*y^0', '0', '-1*x^0*y^2', '0', '1*x^0*y^3', '1*x^1*y^2'],
+      ['0', '1*x^1*y^0', '0', '0', '0', '1*x^0*y^3'],
+      ['0', '-2*x^0*y^1', '1*x^1*y^0', '1*x^0*y^2', '0', '0']],
+     [['0', '-1*x^0*y^3', '-1*x^1*y^2', '1*x^2*y^1', '0', '1*x^1*y^3'],
+      ['0', '0', '-1*x^0*y^3', '0', '1*x^2*y^1', '0'],
+      ['-1*x^0*y^2', '0', '0', '0', '2*x^1*y^2', '1*x^2*y^1'],
+      ['1*x^1*y^0', '0', '-2*x^0*y^2', '0', '0', '1*x^0*y^3'],
+      ['-1*x^0*y^1', '1*x^1*y^0', '0', '1*x^0*y^2', '1*x^1*y^1', '0'],
+      ['0', '0', '1*x^1*y^0', '0', '1*x^0*y^2', '0']]),
+]
+_CUSP_SPLIT = [
+    _CUSP_PARTS[0],
+    ([2, 3, 4], [10, 11, 12],
+     [['-1/2*x^2*y^0', '-1/2*x^0*y^3', '-1/2*x^1*y^2'],
+      ['-1*x^1*y^1', '1*x^2*y^0', '-1*x^0*y^3'],
+      ['-1*x^0*y^2', '1*x^1*y^1', '1*x^2*y^0']],
+     [['-2*x^1*y^0', '0', '-1*x^0*y^2'],
+      ['-2*x^0*y^1', '1*x^1*y^0', '0'],
+      ['0', '-1*x^0*y^1', '1*x^1*y^0']]),
+    ([4, 5, 6], [8, 9, 10],
+     [['-2*x^1*y^0', '0', '-1*x^0*y^2'],
+      ['-2*x^0*y^1', '1*x^1*y^0', '0'],
+      ['0', '-1*x^0*y^1', '1*x^1*y^0']],
+     [['-1/2*x^2*y^0', '-1/2*x^0*y^3', '-1/2*x^1*y^2'],
+      ['-1*x^1*y^1', '1*x^2*y^0', '-1*x^0*y^3'],
+      ['-1*x^0*y^2', '1*x^1*y^1', '1*x^2*y^0']]),
+]
+
+
 def _presented(part):
     desc = part.describe()
     assert desc["label"] is None
     return (desc["generator_degrees"], desc["relation_degrees"],
             desc["presentation"], part.mf.psi.entry_strings())
+
+
+def _recorded(ring, parts):
+    """The modules of recorded (gens, rels, phi, psi) entry strings."""
+    def matrix(rows, cols, strings):
+        return GradedMatrix(ring, rows, cols, [
+            [poly_from_string(ring.field, ring.q, ring.p, e) for e in row]
+            for row in strings])
+
+    return [MatrixFactorization(
+                matrix(gens, rels, phi),
+                matrix(rels, [w + ring.deg_g for w in gens], psi)).cok()
+            for gens, rels, phi, psi in parts]
 
 
 def test_double_push_summands(two_branch_ideal, two_branch_datum,
@@ -262,7 +315,7 @@ def test_double_push_summands(two_branch_ideal, two_branch_datum,
     assert sorted(tuple(p.gens) for p in parts) == [(3, 4, 5, 6, 7, 8),
                                                     (3, 8)]
     assert frees == []
-    assert [_presented(p) for p in parts] == _TWO_BRANCH_PARTS
+    assert [_presented(p) for p in parts] == _TWO_BRANCH_SPLIT
 
     seqc = push(cusp_ideal, cusp_datum)
     seqc2 = push(seqc.middle, cusp_datum)
@@ -270,7 +323,12 @@ def test_double_push_summands(two_branch_ideal, two_branch_datum,
     assert sorted(tuple(p.gens) for p in partsc) == [(2, 3, 4), (3, 5),
                                                      (4, 5, 6)]
     assert freesc == []
-    assert [_presented(p) for p in partsc] == _CUSP_PARTS
+    assert [_presented(p) for p in partsc] == _CUSP_SPLIT
+
+    for got, oracle in ((parts, _TWO_BRANCH_PARTS), (partsc, _CUSP_PARTS)):
+        for part, old in zip(got, _recorded(got[0].ring, oracle)):
+            assert (part.gens, part.rels) == (old.gens, old.rels)
+            assert iso_up_to_shift(part, old) == 0
 
 
 # random_ring seeds whose depth-1 middle term is indecomposable but

@@ -40,3 +40,18 @@ def test_known_defect_jobs_match_the_golden_reports(bench, monkeypatch):
         verdict = workloads.check(job, golden, result["rc"],
                                   result["stdout"], result["stderr"])
         assert verdict in ("known", "pass"), (job.id, result["stderr"])
+
+
+def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
+    # The four timed walks split middle terms on the way: their reports
+    # must stay byte-identical to the recorded ones.
+    workloads, traced = bench
+    jobs = [job for job in workloads.WORKLOADS["component_walk"]
+            if not job.known_defect]
+    assert len(jobs) == 4
+    golden = workloads.load_golden()
+    monkeypatch.chdir(workloads.ROOT)
+    for job, result in zip(jobs, traced.run_pass(jobs, seed=0)):
+        verdict = workloads.check(job, golden, result["rc"],
+                                  result["stdout"], result["stderr"])
+        assert verdict == "pass", (job.id, result["stderr"])
