@@ -487,6 +487,7 @@ class GradedModule:
         self.label = label
         self._ambient_cache: dict = {}
         self._image_cache: dict = {}
+        self._coord_cache: dict = {}  # (gen, monomial) -> coordinates
         self._hom_cache: dict = {}
         self._trace_cache: dict = {}  # branch -> traceoracle._BranchTrace
 
@@ -535,11 +536,35 @@ class GradedModule:
         return [t for t in range(len(amb)) if t not in pivots]
 
     def element_coords(self, polys, d: int) -> dict:
-        """Canonical coordinates in M_d of a tuple of normal-form polys."""
+        """Canonical coordinates in M_d of a tuple of polys (see _coords)."""
+        return self._coords(polys, d, (0, 0))
+
+    def _coords(self, polys, d: int, shift) -> dict:
+        """Coordinates in M_d of x^a y^b times polys, (a, b) = shift: the
+        sum of c times the table row of each term c x^i y^j.  Normal form
+        and reduction are linear, so these are the canonical ones."""
+        K = self.ring.field
+        unshifted = d - self.ring.wdeg(*shift)
+        out: dict = {}
         for i, poly in enumerate(polys):
-            if not poly.is_zero() and poly.degree != d - self.gens[i]:
+            if not poly.is_zero() and poly.degree != unshifted - self.gens[i]:
                 raise InputError("element component has wrong degree")
-        return self._image_rref(d).reduce(_scatter(self._ambient(d)[1])(polys))
+            for (a, b), c in poly.terms.items():
+                row = self._monomial_coords(i, (a + shift[0], b + shift[1]))
+                for t, v in row.items():
+                    out[t] = K.add(out.get(t, K.zero), K.mul(c, v))
+        return {t: v for t, v in out.items() if not K.is_zero(v)}
+
+    def _monomial_coords(self, i: int, mono) -> dict:
+        """The table row of x^a y^b e_i, (a, b) = mono: its normal form
+        reduced against the image in its degree, made once."""
+        row = self._coord_cache.get((i, mono))
+        if row is None:
+            d = self.gens[i] + self.ring.wdeg(*mono)
+            nf = self.ring.normal_form(self.ring.monomial(*mono))
+            row = self._coord_cache[(i, mono)] = self._image_rref(d).reduce(
+                {self._ambient(d)[1][(i, m)]: c for m, c in nf.terms.items()})
+        return row
 
     def shift(self, s: int) -> "GradedModule":
         mf = MatrixFactorization(self.mf.phi.shift(-s), self.mf.psi.shift(-s))
@@ -578,17 +603,24 @@ def free_module(ring, shifts=(0,)) -> GradedModule:
 
 
 class GradedHom:
-    """A homomorphism cok(A) -> cok(B) of fixed degree, with its matrix;
-    sums and products of homs are homs, so arithmetic stays on coordinates."""
+    """A homomorphism cok(A) -> cok(B) of fixed degree: its coordinates in
+    its hom space, and its matrix H, made from them when first read; sums
+    and products of homs are homs, so arithmetic stays on coordinates."""
 
-    __slots__ = ("source", "target", "degree", "H", "coords")
+    __slots__ = ("space", "source", "target", "degree", "coords", "_H")
 
-    def __init__(self, source, target, degree, H, coords):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.H = H
+    def __init__(self, space, coords):
+        self.space = space
+        self.source, self.target = space.source, space.target
+        self.degree = space.degree
         self.coords = coords
+        self._H = None
+
+    @property
+    def H(self) -> GradedMatrix:
+        if self._H is None:
+            self._H = self.space._matrix(self.coords)
+        return self._H
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -614,24 +646,20 @@ class GradedHom:
         if (self.source is not other.source or self.target is not other.target
                 or self.degree != other.degree):
             raise InputError("cannot add homs from different spaces")
-        space = hom_graded(self.source, self.target, self.degree)
-        return space._hom(_combine(((1, self), (1, other)), space))
+        return self.space._hom(_combine(((1, self), (1, other)), self.space))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, value):
-        space = hom_graded(self.source, self.target, self.degree)
-        return space._hom(_combine(((value, self),), space))
+        return self.space._hom(_combine(((value, self),), self.space))
 
     def times_monomial(self, i: int, j: int) -> "GradedHom":
-        """The hom multiplied by the monomial x^i y^j (degree rises)."""
-        ring = self.source.ring
-        d = ring.wdeg(i, j)
-        ents = [[e.shift_monomial(i, j) for e in row] for row in self.H.entries]
-        H = GradedMatrix(ring, self.H.rows, [c + d for c in self.H.cols], ents)
+        """The hom multiplied by the monomial x^i y^j (degree rises), read
+        through the target's monomial table into the raised space."""
+        d = self.source.ring.wdeg(i, j)
         space = hom_graded(self.source, self.target, self.degree + d)
-        return space._hom(space.coords_of(H))
+        return space._hom(_freeze(space._coords(self.H.entries, (i, j))))
 
     def __repr__(self):
         return (f"GradedHom(deg={self.degree}, "
@@ -686,6 +714,9 @@ class HomSpace:
 
     def _hom(self, coords) -> GradedHom:
         """The hom with these frozen coordinates; the caller certifies it."""
+        return GradedHom(self, coords)
+
+    def _matrix(self, coords) -> GradedMatrix:
         ring = self.source.ring
         ents = [[dict() for _ in self.source.gens] for _ in self.target.gens]
         for t, c in coords:
@@ -693,22 +724,23 @@ class HomSpace:
             ents[i][j][mono] = c
         polys = [[WPoly(ring.field, ring.q, ring.p, e) for e in row]
                  for row in ents]
-        H = GradedMatrix(ring, self.target.gens,
-                         tuple(w + self.degree for w in self.source.gens),
-                         polys)
-        return GradedHom(self.source, self.target, self.degree, H, coords)
+        return GradedMatrix(ring, self.target.gens,
+                            tuple(w + self.degree for w in self.source.gens),
+                            polys)
 
     def coords_of(self, H: GradedMatrix):
-        """Canonical coordinates of a hom matrix: each column reduced in
-        the target's piece."""
-        H = H.nf()
+        """Canonical coordinates of a hom matrix, in normal form or not."""
+        return _freeze(self._coords(H.entries, (0, 0)))
+
+    def _coords(self, entries, shift) -> dict:
+        """The coordinates of x^a y^b times a grid of hom matrix entries,
+        (a, b) = shift, column j read by the target in degree w_j + degree."""
         out = {}
         for j, ws in enumerate(self.source.gens):
-            column = [row[j] for row in H.entries]
-            for t, c in self.target.element_coords(
-                    column, ws + self.degree).items():
+            for t, c in self.target._coords([row[j] for row in entries],
+                                            ws + self.degree, shift).items():
                 out[self._flat[j][t]] = c
-        return _freeze(out)
+        return out
 
     def from_matrix(self, H: GradedMatrix) -> GradedHom:
         """The hom given by a matrix from outside the hom layer, certified
@@ -779,29 +811,21 @@ def _stably_zero_span(space: HomSpace) -> SparseRREF:
     row x with x phi = g z over S, so x = x phi psi / g = z psi: the maps
     into the free cover are spanned over R by the matrices with the row
     psi_r of psi in row k and zeros elsewhere, of degree w_k + deg g - u_r.
-    coords_of reduces modulo the matrices B C, so the span is that of
-    their coordinates.  Built once per hom space.
+    Their monomial multiples are read through the target's monomial
+    table, modulo the matrices B C.  Built once per hom space.
     """
     span = getattr(space, "_stably_zero", None)
     if span is not None:
         return span
     M, N, d = space.source, space.target, space.degree
     ring = M.ring
-    psi = M.mf.psi
-    zero = ring.zero_poly()
-    columns = [(wk + ring.deg_g - u,
-                [e if i == k else zero
-                 for i in range(len(N.gens)) for e in prow])
-               for k, wk in enumerate(N.gens)
-               for u, prow in zip(psi.rows, psi.entries)]
-    cols = tuple(w + d for w in M.gens)
-    width = len(cols)
-
-    def coords(polys):
-        ents = [polys[i:i + width] for i in range(0, len(polys), width)]
-        return dict(space.coords_of(GradedMatrix(ring, N.gens, cols, ents)))
-
-    span = _span_rref(ring, d, columns, coords)
+    zeros = [ring.zero_poly()] * len(M.gens)
+    span = SparseRREF(ring.field)
+    for k, wk in enumerate(N.gens):
+        for u, prow in zip(M.mf.psi.rows, M.mf.psi.entries):
+            grid = [prow if i == k else zeros for i in range(len(N.gens))]
+            for mono in ring.graded_piece(d - wk - ring.deg_g + u):
+                span.insert(space._coords(grid, mono))
     space._stably_zero = span
     return span
 
@@ -825,7 +849,7 @@ def _precomposition(A: GradedMatrix, N: GradedModule, d: int):
     of N_(A.rows[i] + d).  Returns the variables and the rows of the map,
     one per (column of A, coordinate in N); the kernel is Hom(cok A, N)_d.
     """
-    ring = A.ring
+    zero = A.ring.zero_poly()
     variables = [(i, t) for i, w in enumerate(A.rows)
                  for t in N.nonpivot_basis(w + d)]
     rows: dict = {}
@@ -834,9 +858,8 @@ def _precomposition(A: GradedMatrix, N: GradedModule, d: int):
         for j, e in enumerate(A.entries[i]):
             if e.is_zero():
                 continue
-            polys = [ring.zero_poly()] * len(N.gens)
-            polys[gen] = ring.normal_form(e.shift_monomial(*mono))
-            for tt, c in N.element_coords(polys, A.cols[j] + d).items():
+            polys = [e if k == gen else zero for k in range(len(N.gens))]
+            for tt, c in N._coords(polys, A.cols[j] + d, mono).items():
                 rows.setdefault((j, tt), {})[v] = c
     return variables, list(rows.values())
 

@@ -14,11 +14,10 @@ cokernel of the evaluated presentation.  Evaluation is a ring map and
 P_b kills the presentation, so the trace of g h is the pairing of
 tau_{g,b} = P_b C_b(g) with C_b(h): no composite is ever formed.  P_b
 and the tau of every End generator are built once per module and
-branch (cached on the module), the branch images of the monomials of
-R_w once per branch and degree (cached on the branch), and "the trace
-lies in R" is one small solve per generator.  The End generators are
-collected only up to the conductor bound a(R) + spread (see
-end_generators).
+branch (cached on the module), the span of the branch images of R_w
+once per degree (cached on the ring), and "the trace lies in R" is one
+membership test per generator.  The End generators are collected only
+up to the conductor bound a(R) + spread (see end_generators).
 
 Two independent stable-vanishing oracles live here: the trace criterion
 and a brute-force lift through the free cover (re-exported from the
@@ -140,29 +139,46 @@ def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
     return bt.image(bt.projector, _coefficient_matrix(branch, h.H), h.degree)
 
 
+def _in_ring(ring, branches, images, w) -> bool:
+    """Whether the branch images are those of an element of R_w: every
+    monomial of degree w has one t-degree on a branch, and the
+    coefficients must lie in the span of the monomials' images
+    (Branch.piece_row), made once per (branches, w) and kept on the ring.
+    """
+    cache = ring.__dict__.setdefault("_image_spans", {})
+    key = (tuple(branches), w)
+    if key not in cache:
+        rows = [b.piece_row(w) for b in branches]
+        span = SparseRREF(ring.field)
+        for t in range(len(ring.graded_piece(w))):
+            span.insert({b: row[t] for b, (row, _) in enumerate(rows)
+                         if t in row})
+        cache[key] = span, [tdeg for _, tdeg in rows]
+    span, tdegs = cache[key]
+    if any(img is not None and img[1] != tdeg
+           for img, tdeg in zip(images, tdegs)):
+        return False
+    return span.contains({b: img[0] for b, img in enumerate(images)
+                          if img is not None})
+
+
 def _ring_preimage(ring, branches, images, w):
     """The element of R_w with the given branch images, or None.
 
     R is reduced, so evaluation on all branches is injective and the
-    preimage is unique when it exists.  Every monomial of degree w has
-    one t-degree on a branch; an image of another t-degree has none.
+    preimage is unique when it exists (_in_ring decides whether it does).
     """
-    if all(img is None for img in images):
-        return ring.zero_poly()
+    if not _in_ring(ring, branches, images, w):
+        return None
     K = ring.field
     basis = ring.graded_piece(w)
     rows = []
     for branch, img in zip(branches, images):
-        row, tdeg = branch.piece_row(w)
+        row = dict(branch.piece_row(w)[0])
         if img is not None:
-            if img[1] != tdeg:
-                return None
-            row = dict(row)
             row[len(basis)] = K.neg(img[0])
         rows.append(row)
     sol = solve_sparse_system(rows, len(basis), K)
-    if sol is None:
-        return None
     return WPoly(K, ring.q, ring.p,
                  {mono: sol[t] for t, mono in enumerate(basis) if t in sol})
 
@@ -304,14 +320,14 @@ def _traces_in_ring(M: GradedModule, degree: int, coeffs, branches) -> bool:
 
     X is an endomorphism of M of the given degree, given by its branch
     coefficient matrices, one per branch.  Each trace is read off the
-    generator functionals and tested for a preimage in R.
+    generator functionals and tested for membership in R (_in_ring).
     """
     traces = [_branch_trace(b, M) for b in branches]
     for k, g in enumerate(end_generators(M).gens):
         w = g.degree + degree
         images = [bt.image(bt.generator_functionals()[k], X, w)
                   for bt, X in zip(traces, coeffs)]
-        if _ring_preimage(M.ring, branches, images, w) is None:
+        if not _in_ring(M.ring, branches, images, w):
             return False
     return True
 

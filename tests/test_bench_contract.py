@@ -55,3 +55,19 @@ def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
         verdict = workloads.check(job, golden, result["rc"],
                                   result["stdout"], result["stderr"])
         assert verdict == "pass", (job.id, result["stderr"])
+
+
+def test_trace_sweep_jobs_match_the_golden_reports(bench, monkeypatch):
+    # The four timed trace-oracle sweeps read every hom through the
+    # modules' monomial tables: their reports must stay byte-identical to
+    # the recorded ones.
+    workloads, traced = bench
+    jobs = [job for job in workloads.WORKLOADS["trace_sweep"]
+            if not job.known_defect]
+    assert len(jobs) == 4
+    golden = workloads.load_golden()
+    monkeypatch.chdir(workloads.ROOT)
+    for job, result in zip(jobs, traced.run_pass(jobs, seed=0)):
+        verdict = workloads.check(job, golden, result["rc"],
+                                  result["stdout"], result["stderr"])
+        assert verdict == "pass", (job.id, result["stderr"])

@@ -15,8 +15,9 @@ from arcurves import (GradedMatrix, InputError, MatrixFactorization,
                       poly_from_string, push, random_ring, rank_vector,
                       solve_graded_system,
                       stably_zero_bruteforce, factor_hypersurface)
-from arcurves import (QQ, HypersurfaceRing, arengine, explore_component,
-                      modmat, upoly)
+from arcurves import (QQ, HypersurfaceRing, WPoly, arengine, end_generators,
+                      explore_component, modmat, upoly)
+from arcurves.cli import _endo_corpus
 from arcurves.errors import (CertificationError, FieldTooSmallError,
                              InconclusiveSplitError)
 from arcurves.linalg import (SparseRREF, dense_vector, kernel_dense,
@@ -540,11 +541,14 @@ def test_split_eliminates_nothing(monkeypatch, two_branch_ring):
     recorded = _recorded_splits(_direct_sum(I.mf, middle.mf).cok("sum"))
     assert recorded
     calls = []
-    element_coords = GradedModule.element_coords
+    # Every coordinate reader in M goes through the accumulator _coords
+    # and the monomial table behind it; count both and the public wrapper.
+    for name in ("element_coords", "_coords", "_monomial_coords"):
+        method = getattr(GradedModule, name)
+        monkeypatch.setattr(GradedModule, name,
+                            lambda *a, _n=name, _m=method: calls.append(_n)
+                            or _m(*a))
     kernel, solve = modmat.kernel_sparse, modmat.solve_graded_system
-    monkeypatch.setattr(GradedModule, "element_coords",
-                        lambda *a: calls.append("element_coords")
-                        or element_coords(*a))
     monkeypatch.setattr(modmat, "kernel_sparse",
                         lambda *a: calls.append("kernel_sparse") or kernel(*a))
     monkeypatch.setattr(modmat, "solve_graded_system",
@@ -681,6 +685,186 @@ def test_stably_zero_span_builds_no_hom_space(monkeypatch, two_branch_ideal):
 
 
 # ----------------------------------------------------------------------
+# coordinates read through the monomial table against the normal-form
+# routes they replaced
+
+
+def _reference_element_coords(M, polys, d):
+    """element_coords before the monomial table, verbatim but for its
+    name; it takes normal-form polys."""
+    for i, poly in enumerate(polys):
+        if not poly.is_zero() and poly.degree != d - M.gens[i]:
+            raise InputError("element component has wrong degree")
+    return M._image_rref(d).reduce(_scatter(M._ambient(d)[1])(polys))
+
+
+def _reference_coords_of(space, H):
+    """HomSpace.coords_of before the monomial table, verbatim but for its
+    name and _reference_element_coords."""
+    H = H.nf()
+    out = {}
+    for j, ws in enumerate(space.source.gens):
+        column = [row[j] for row in H.entries]
+        for t, c in _reference_element_coords(
+                space.target, column, ws + space.degree).items():
+            out[space._flat[j][t]] = c
+    return modmat._freeze(out)
+
+
+def _reference_times_monomial(h, i, j):
+    """The coordinates of times_monomial by the shifted matrix, verbatim
+    but for its name and _reference_coords_of."""
+    ring = h.source.ring
+    d = ring.wdeg(i, j)
+    ents = [[e.shift_monomial(i, j) for e in row] for row in h.H.entries]
+    H = GradedMatrix(ring, h.H.rows, [c + d for c in h.H.cols], ents)
+    space = hom_graded(h.source, h.target, h.degree + d)
+    return _reference_coords_of(space, H)
+
+
+def _reference_precomposition(A, N, d):
+    """_precomposition by normal forms, verbatim but for its name and
+    _reference_element_coords."""
+    ring = A.ring
+    variables = [(i, t) for i, w in enumerate(A.rows)
+                 for t in N.nonpivot_basis(w + d)]
+    rows: dict = {}
+    for v, (i, t) in enumerate(variables):
+        gen, mono = N.ambient_basis(A.rows[i] + d)[t]
+        for j, e in enumerate(A.entries[i]):
+            if e.is_zero():
+                continue
+            polys = [ring.zero_poly()] * len(N.gens)
+            polys[gen] = ring.normal_form(e.shift_monomial(*mono))
+            for tt, c in _reference_element_coords(
+                    N, polys, A.cols[j] + d).items():
+                rows.setdefault((j, tt), {})[v] = c
+    return variables, list(rows.values())
+
+
+def _random_element(ring, gens, d, rng):
+    """Random polys of degree d - w over S, y-exponents unbounded."""
+    K = ring.field
+    return [WPoly(ring.field, ring.q, ring.p,
+                  {mono: K(rng.randrange(-3, 4))
+                   for mono in ring.s_piece(d - w) if rng.random() < 0.6})
+            for w in gens]
+
+
+def _walk_start(ring):
+    I = mf_from_ideal(ring).cok(label="I")
+    seq = push(I, gamma_for(ring))
+    return [I, I.syz(), seq.middle, seq.right]
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_element_coords_match_the_reduced_normal_form(seed, field):
+    # the table sums the coordinates of the terms, in normal form or not;
+    # the old route reduced the normal form against the image
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    rng = random.Random(seed)
+    above = 0
+    for M in _walk_start(ring):
+        for d in range(min(M.gens), max(M.gens) + 2 * ring.deg_g):
+            for _ in range(3):
+                polys = _random_element(ring, M.gens, d, rng)
+                above += any(j >= ring.ybound for p in polys
+                             for _, j in p.terms)
+                expected = _reference_element_coords(
+                    M, [ring.normal_form(p) for p in polys], d)
+                assert M.element_coords(polys, d) == expected
+        wrong = _random_element(ring, M.gens, max(M.gens) + ring.deg_g, rng)
+        if any(not p.is_zero() for p in wrong):
+            with pytest.raises(InputError, match="wrong degree"):
+                M.element_coords(wrong, max(M.gens) + ring.deg_g + 1)
+    assert above
+
+
+def _trace_sweep_corpus(field, f):
+    # the rings and modules of the timed verify trace-oracle jobs
+    ring = HypersurfaceRing(field_from_string(field), 3, 4, 1, f, m=1, n=2)
+    return _endo_corpus(ring)[0]
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("f", ["1*x^0*y^0", "1*x^0*y^1"])
+def test_times_monomial_matches_the_shifted_matrix(field, f):
+    checked = 0
+    for M in _trace_sweep_corpus(field, f):
+        for g in end_generators(M).gens:
+            for mono in ((1, 0), (0, 1), (2, 1)):
+                assert (g.times_monomial(*mono).coords
+                        == _reference_times_monomial(g, *mono))
+                checked += 1
+    assert checked > 20
+
+
+def _reference_basis(space, variables, rows):
+    # HomSpace's basis from the rows of its precomposition map
+    K = space.source.ring.field
+    flat = [space._flat[j][t] for j, t in variables]
+    reduced = SparseRREF(K)
+    for vec in kernel_sparse(rows, len(variables), K):
+        reduced.insert({flat[v]: c for v, c in vec.items()})
+    return [modmat._freeze(reduced.pivots[piv])
+            for piv in sorted(reduced.pivots)]
+
+
+def _frozen_rows(rows):
+    return sorted(modmat._freeze(row) for row in rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_precomposition_matches_the_normal_form_route(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    D = ring.deg_g
+    modules = _walk_start(ring)
+    nonzero = 0
+    for M in modules:
+        # phi itself and psi(-D), as ext1_dim reads them, are not in
+        # normal form
+        mf = M.mf
+        for A in (M.matrix, mf.phi, mf.psi.shift(-D)):
+            for N in modules:
+                for d in range(-D // 2, D // 2 + 1):
+                    variables, rows = modmat._precomposition(A, N, d)
+                    ref_vars, ref_rows = _reference_precomposition(A, N, d)
+                    assert variables == ref_vars
+                    assert _frozen_rows(rows) == _frozen_rows(ref_rows)
+                    if A is M.matrix:
+                        space = HomSpace(M, N, d)
+                        assert ([b.coords for b in space.basis]
+                                == _reference_basis(space, ref_vars, ref_rows))
+                        nonzero += space.dim > 0
+    assert nonzero
+
+
+def test_times_monomial_reads_only_the_table(monkeypatch, two_branch_ring):
+    # Once the target's table holds the monomials, x and y multiples of a
+    # hom are sums of table rows: no normal form, no reduction, and no
+    # shifted matrix.
+    M = mf_from_ideal(two_branch_ring).cok(label="I")
+    gens = end_generators(M).gens
+    expected = [[g.times_monomial(*mono).coords for g in gens]
+                for mono in ((1, 0), (0, 1))]
+    calls = []
+
+    def count(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for owner, name in ((HypersurfaceRing, "normal_form"),
+                        (SparseRREF, "reduce"), (WPoly, "shift_monomial"),
+                        (GradedMatrix, "__init__")):
+        monkeypatch.setattr(owner, name, count(name, getattr(owner, name)))
+    again = [[g.times_monomial(*mono).coords for g in gens]
+             for mono in ((1, 0), (0, 1))]
+    assert again == expected and any(any(c) for c in again)
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
 # identification up to shift against the shifted-copy search it replaced
 
 
@@ -701,7 +885,7 @@ def _reference_iso_up_to_shift(M, N, rng=None):
     if (core_m is None) != (core_n is None):
         return None
     if core_m is None:
-        return modmat._shift_matching(frees_m, frees_n)
+        return _reference_shift_matching(frees_m, frees_n)
     if len(core_m.gens) != len(core_n.gens):
         return None
     cands = sorted({wn - wm for wn in core_n.gens for wm in core_m.gens})
@@ -715,6 +899,17 @@ def _reference_iso_up_to_shift(M, N, rng=None):
             continue
         if _reference_find_scalar_invertible(shifted, core_m, rng) is not None:
             return s
+    return None
+
+
+def _reference_shift_matching(frees_m, frees_n):
+    if len(frees_m) != len(frees_n):
+        return None
+    if not frees_m:
+        return 0
+    s = frees_n[0] - frees_m[0]
+    if sorted(frees_m) == sorted(w - s for w in frees_n):
+        return s
     return None
 
 
@@ -744,7 +939,7 @@ def test_iso_up_to_shift_matches_the_shifted_copy(seed, field):
     seq = push(I, gamma_for(ring))
     parts, _ = decompose(seq.middle)
     modules = [I, I.syz(), I.syz().syz(), I.shift(3), seq.middle, seq.right,
-               *parts]
+               *parts, free_module(ring, (0,)), free_module(ring, (3,))]
     found = 0
     for k, M in enumerate(modules):
         for N in modules:

@@ -13,9 +13,11 @@ from arcurves import (GradedHom, GradedMatrix, branch_images, end_generators,
                       mf_from_ideal, push, random_ring, socle_test,
                       stably_zero_bruteforce, stably_zero_trace, trace_Q,
                       trace_report)
-from arcurves.linalg import SparseRREF
+from arcurves import traceoracle
+from arcurves.linalg import SparseRREF, solve_sparse_system
 from arcurves.modmat import _coefficient_matrix
-from arcurves.traceoracle import (_branch_trace, _cokernel_trace,
+from arcurves.ring import WPoly
+from arcurves.traceoracle import (_branch_trace, _cokernel_trace, _in_ring,
                                   _nonunit_generators, _product_stably_zero,
                                   _ring_preimage)
 
@@ -99,6 +101,103 @@ def test_q_membership_matches_branch_preimage(seed, field, e, data):
                       (K.div(n_img[0], x_img[0]), n_img[1] - x_img[1]))
     expected = _ring_preimage(ring, branches, images, d - e * ring.q)
     assert ring.q_membership(num, den) == expected
+
+
+def _reference_ring_preimage(ring, branches, images, w):
+    """_ring_preimage by one solve per call, verbatim but for its name."""
+    if all(img is None for img in images):
+        return ring.zero_poly()
+    K = ring.field
+    basis = ring.graded_piece(w)
+    rows = []
+    for branch, img in zip(branches, images):
+        row, tdeg = branch.piece_row(w)
+        if img is not None:
+            if img[1] != tdeg:
+                return None
+            row = dict(row)
+            row[len(basis)] = K.neg(img[0])
+        rows.append(row)
+    sol = solve_sparse_system(rows, len(basis), K)
+    if sol is None:
+        return None
+    return WPoly(K, ring.q, ring.p,
+                 {mono: sol[t] for t, mono in enumerate(basis) if t in sol})
+
+
+def _assert_membership_matches_the_solve(ring, branches, images, w):
+    expected = _reference_ring_preimage(ring, branches, images, w)
+    assert _in_ring(ring, branches, images, w) == (expected is not None)
+    assert _ring_preimage(ring, branches, images, w) == expected
+    return expected is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]),
+       data=st.data())
+def test_ring_membership_matches_the_solve(seed, field, data):
+    # random images: all None, those of an element of R_w (perhaps with
+    # one coefficient changed), or arbitrary coefficients at the branch's
+    # t-degree or one above it, including branches on which R_w vanishes
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    K = ring.field
+    branches = factor_hypersurface(ring)
+    w = data.draw(st.integers(-1, 2 * ring.deg_g))
+    kind = data.draw(st.sampled_from(["none", "element", "arbitrary"]))
+    if kind == "none":
+        images = [None] * len(branches)
+    elif kind == "element":
+        num = ring.zero_poly()
+        for mono in ring.graded_piece(w):
+            num = num + ring.monomial(*mono, data.draw(st.integers(-2, 2)))
+        images = [b.evaluate(num) for b in branches]
+        k = data.draw(st.integers(0, len(branches)))
+        if k < len(branches) and images[k] is not None:
+            images[k] = (K.add(images[k][0], K.one), images[k][1])
+    else:
+        images = []
+        for b in branches:
+            c = data.draw(st.integers(0, 3))
+            tdeg = b.piece_row(w)[1]
+            images.append(None if c == 0 else (
+                K(c), (tdeg or 0) + data.draw(st.integers(0, 1))))
+    _assert_membership_matches_the_solve(ring, branches, images, w)
+
+
+def test_ring_membership_on_the_named_cases(two_branch_ring):
+    # the y-axis branch kills y, so R_3 = k y vanishes there; on the
+    # binomial branch y has t-degree 3
+    ring = two_branch_ring
+    branches = factor_hypersurface(ring)
+    axis, binomial = branches
+    assert axis.piece_row(3) == ({}, None) and binomial.piece_row(3)[1] == 3
+    one = ring.field.one
+    for images, member in (([None, None], True),
+                           ([None, (one, 3)], True),
+                           ([None, (one, 4)], False),
+                           ([(one, 0), (one, 3)], False),
+                           ([(one, 0), None], False)):
+        assert _assert_membership_matches_the_solve(
+            ring, branches, images, 3) == member
+    # R_12 holds x^3 and y^4: both branches at once
+    assert axis.piece_row(12)[1] == 3 and binomial.piece_row(12)[1] == 12
+    assert _assert_membership_matches_the_solve(
+        ring, branches, [(one, 3), (one, 12)], 12)
+
+
+def test_traces_in_ring_solve_nothing(monkeypatch, two_branch_ring):
+    # the trace test asks membership of the branch images in the span of
+    # R_w's images, made once per degree; no system is solved
+    M = mf_from_ideal(two_branch_ring).cok(label="I")
+    branches = factor_hypersurface(two_branch_ring)
+    calls = []
+    monkeypatch.setattr(traceoracle, "solve_sparse_system",
+                        lambda *a: calls.append(1) or solve_sparse_system(*a))
+    verdicts = [stably_zero_trace(h, branches)
+                for d in range(two_branch_ring.deg_g + 1)
+                for h in hom_graded(M, M, d).basis]
+    assert True in verdicts and False in verdicts
+    assert calls == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=8)
