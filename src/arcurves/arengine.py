@@ -9,7 +9,6 @@ the resulting sequences and the double-extension normal form exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,7 +30,6 @@ from .traceoracle import (_nonunit_generators, socle_test, stably_zero_trace,
 # the gamma datum
 
 
-@dataclass
 class GammaDatum:
     """The socle fraction of a branch, packaged with its certificates.
 
@@ -41,12 +39,14 @@ class GammaDatum:
     variable is, and z annihilates the branch factor modulo g.
     """
 
-    ring: HypersurfaceRing
-    branch: object
-    prime_fraction: object
-    lift: QElement
-    z: object
-    gamma: QElement
+    def __init__(self, ring: HypersurfaceRing, branch, prime_fraction,
+                 lift: QElement, z, gamma: QElement):
+        self.ring = ring
+        self.branch = branch
+        self.prime_fraction = prime_fraction
+        self.lift = lift
+        self.z = z
+        self.gamma = gamma
 
     def describe(self) -> dict:
         return {
@@ -185,17 +185,19 @@ def gamma_endo(M: GradedModule, gd: GammaDatum):
 # pushing a module into its almost split sequence
 
 
-@dataclass
 class ARSequence:
     """An exact sequence 0 -> left -> middle -> right -> 0: its matrices
     alpha and beta (see push), and maps inj and proj built on first read."""
 
-    left: GradedModule
-    middle: GradedModule
-    right: GradedModule
-    datum: GammaDatum
-    alpha: GradedMatrix
-    beta: GradedMatrix
+    def __init__(self, left: GradedModule, middle: GradedModule,
+                 right: GradedModule, datum: GammaDatum, alpha: GradedMatrix,
+                 beta: GradedMatrix):
+        self.left = left
+        self.middle = middle
+        self.right = right
+        self.datum = datum
+        self.alpha = alpha
+        self.beta = beta
 
     @cached_property
     def inj(self):

@@ -1,9 +1,12 @@
 """Exact coefficient fields: the rationals and odd prime fields.
 
 Every computation in this package is exact.  Field elements are plain
-Python objects (``Fraction`` for the rationals, ``int`` in ``[0, ell)``
-for a prime field) and a small field object supplies the arithmetic, so
-the linear algebra layer can stay generic without wrapper classes.
+Python objects and a small field object supplies the arithmetic, so the
+linear algebra layer can stay generic without wrapper classes.  A
+rational is kept in canonical form: an ``int`` when it is integral and a
+``Fraction`` only when its denominator exceeds 1, so the integral
+coefficients that make up most of the data stay on native int
+arithmetic.  A prime field element is an ``int`` in ``[0, ell)``.
 """
 
 from __future__ import annotations
@@ -13,30 +16,41 @@ from fractions import Fraction
 from .errors import InputError
 
 
+def _canonical(c):
+    """The rational c as an int when it is integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 class RationalField:
-    """The field of rational numbers, elements represented as Fraction."""
+    """The field of rational numbers, elements in canonical form: an int
+    when integral, else a Fraction.  int op int stays native; inverses
+    and quotients go through Fraction, so int / int never makes a float.
+    """
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __call__(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return _canonical(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _canonical(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into Q")
 
+    # add, sub and mul inline _canonical: they carry nearly all the
+    # arithmetic, and a call per operation would cost more than the test.
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
@@ -44,13 +58,13 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _canonical(1 / Fraction(a))
 
     def div(self, a, b):
-        return a / b
+        return _canonical(Fraction(a) / b)
 
     def pow(self, a, n):
-        return a ** n
+        return _canonical(a ** n if n >= 0 else Fraction(a) ** n)
 
     def is_zero(self, a):
         return a == 0

@@ -12,9 +12,10 @@ Comp. 22 (1968)).  Over Q a stored row is a primitive integer vector
 with a positive pivot entry, standing for that vector divided by its
 pivot entry; over F_ell its entries lie in [0, ell) and its pivot entry
 is 1.  The fields differ only in how a whole row is normalised, and
-field elements (Fraction over Q, int over F_ell) are made only where
-rows enter and leave.  The dense helpers at the end only convert lists
-to sparse rows and back.
+field elements are made only where rows enter and leave: over Q an int
+when the quotient is integral and a Fraction otherwise (the canonical
+form of fields.RationalField), over F_ell an int.  The dense helpers at
+the end only convert lists to sparse rows and back.
 """
 
 from __future__ import annotations
@@ -64,13 +65,18 @@ class SparseRREF:
         ell = self._ell
         if ell:
             return {c: r for c, v in row.items() if (r := v % ell)}, 1
+        if all(type(v) is int for v in row.values()):
+            return {c: v for c, v in row.items() if v}, 1
         den = lcm(*(v.denominator for v in row.values()))
         return {c: v.numerator * (den // v.denominator)
                 for c, v in row.items() if v}, den
 
     def element(self, num: int, den: int):
-        """The field element num / den."""
-        return num % self._ell if self._ell else Fraction(num, den)
+        """The field element num / den (den > 0), in canonical form."""
+        if self._ell:
+            return num % self._ell
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
 
     def _normalise(self, vec: dict) -> dict:
         """The stored form of vec's row (empty if vec is zero in k)."""

@@ -103,19 +103,26 @@ class GradedMatrix:
             if len(diffs) != 1:
                 raise InputError("incompatible degree vectors in matrix product")
             c0 = diffs.pop()
-        z = self.ring.zero_poly()
+        ring = self.ring
+        K = ring.field
+        add, mul = K.add, K.mul
         ents = []
-        for i in range(len(self.rows)):
+        for arow in self.entries:
             row = []
             for j in range(len(other.cols)):
-                acc = z
-                for t in range(len(self.cols)):
-                    a = self.entries[i][t]
-                    b = other.entries[t][j]
-                    if a.is_zero() or b.is_zero():
+                # One term dict per entry: sum over t of a_t b_tj.
+                acc: dict = {}
+                for a, brow in zip(arow, other.entries):
+                    b = brow[j].terms
+                    if not a.terms or not b:
                         continue
-                    acc = acc + a * b
-                row.append(acc)
+                    for (i1, j1), c1 in a.terms.items():
+                        for (i2, j2), c2 in b.items():
+                            key = (i1 + i2, j1 + j2)
+                            cur = acc.get(key)
+                            acc[key] = (mul(c1, c2) if cur is None
+                                        else add(cur, mul(c1, c2)))
+                row.append(WPoly(K, ring.q, ring.p, acc))
             ents.append(row)
         return GradedMatrix(self.ring, self.rows,
                             [c + c0 for c in other.cols], ents)
@@ -607,7 +614,8 @@ class GradedHom:
     its hom space, and its matrix H, made from them when first read; sums
     and products of homs are homs, so arithmetic stays on coordinates."""
 
-    __slots__ = ("space", "source", "target", "degree", "coords", "_H")
+    __slots__ = ("space", "source", "target", "degree", "coords", "_H",
+                 "_branch_coeffs")
 
     def __init__(self, space, coords):
         self.space = space
@@ -615,12 +623,22 @@ class GradedHom:
         self.degree = space.degree
         self.coords = coords
         self._H = None
+        self._branch_coeffs = {}
 
     @property
     def H(self) -> GradedMatrix:
         if self._H is None:
             self._H = self.space._matrix(self.coords)
         return self._H
+
+    def _coefficients(self, branch):
+        """C_b(H), the constant matrix of branch leading coefficients
+        (_coefficient_matrix), made once per branch."""
+        C = self._branch_coeffs.get(branch)
+        if C is None:
+            C = self._branch_coeffs[branch] = _coefficient_matrix(branch,
+                                                                  self.H)
+        return C
 
     def is_zero(self) -> bool:
         return not self.coords

@@ -104,7 +104,7 @@ class _BranchTrace:
         """The functionals of the End generators, in their order."""
         if self._generators is None:
             self._generators = [
-                self.functional(_coefficient_matrix(self.branch, g.H))
+                self.functional(g._coefficients(self.branch))
                 for g in end_generators(self.module).gens]
         return self._generators
 
@@ -136,7 +136,7 @@ def _branch_trace(branch: Branch, M: GradedModule) -> _BranchTrace:
 def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
     """Trace of h on the branch cokernel, as (coeff, t-degree) or None."""
     bt = _branch_trace(branch, M)
-    return bt.image(bt.projector, _coefficient_matrix(branch, h.H), h.degree)
+    return bt.image(bt.projector, h._coefficients(branch), h.degree)
 
 
 def _in_ring(ring, branches, images, w) -> bool:
@@ -343,7 +343,7 @@ def stably_zero_trace(h: GradedHom, branches=None) -> bool:
     M = _require_endo(h)
     if branches is None:
         branches = factor_hypersurface(M.ring)
-    coeffs = [_coefficient_matrix(b, h.H) for b in branches]
+    coeffs = [h._coefficients(b) for b in branches]
     return _traces_in_ring(M, h.degree, coeffs, branches)
 
 

@@ -16,12 +16,11 @@ irreducible modulo a good prime, else InconclusiveSplitError.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import islice
 from math import gcd as igcd, lcm
 
 from .errors import CertificationError, InconclusiveSplitError
-from .fields import PrimeField, is_prime
+from .fields import QQ, PrimeField, is_prime
 
 # Good primes tried before a factor of degree >= 4 over Q is given up on.
 _CERTIFICATE_PRIMES = 20
@@ -182,8 +181,8 @@ def _rational_roots(f):
         while r1 > bound:
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 and _value(ints, Fraction(r1, t1)) == 0:
-            found.append(Fraction(r1, t1))
+        if t1 and _value(ints, root := QQ.div(r1, t1)) == 0:
+            found.append(root)
     return found
 
 

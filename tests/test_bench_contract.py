@@ -6,6 +6,8 @@ error message shows here instead of as a benchmark failure.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,3 +73,17 @@ def test_trace_sweep_jobs_match_the_golden_reports(bench, monkeypatch):
         verdict = workloads.check(job, golden, result["rc"],
                                   result["stdout"], result["stderr"])
         assert verdict == "pass", (job.id, result["stderr"])
+
+
+def test_import_loads_no_heavy_modules():
+    # setup_s is the time of a fresh `import arcurves`: dataclasses (and
+    # the inspect module it pulls in) and sympy must stay out of it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, arcurves; "
+            "print(sorted({'dataclasses', 'sympy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
