@@ -26,11 +26,6 @@ class FormSplitError(InputError):
     """The binary form does not split into linear factors over k."""
 
 
-class FieldTooSmallError(InputError):
-    """The characteristic is at most the dimension of a module's top
-    algebra (modmat.TopAlgebra), whose radical the trace form misses."""
-
-
 class VerificationError(ArcError):
     """A mathematical verification failed."""
 

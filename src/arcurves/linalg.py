@@ -200,13 +200,5 @@ def dense_vector(vec: dict, n, field):
     return out
 
 
-def kernel_dense(mat, field):
-    """Canonical kernel basis of a dense matrix, as lists."""
-    ncols = len(mat[0]) if mat else 0
-    rows = [sparse_vector(row, field) for row in mat]
-    return [dense_vector(vec, ncols, field)
-            for vec in kernel_sparse(rows, ncols, field)]
-
-
 def rank_dense(mat, field) -> int:
     return _rref_of((sparse_vector(row, field) for row in mat), field).rank

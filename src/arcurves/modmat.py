@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 
 from . import upoly
-from .errors import (CertificationError, FieldTooSmallError,
-                     InconclusiveSplitError, InputError, VerificationError)
-from .linalg import (SparseRREF, dense_vector, kernel_dense, kernel_sparse,
-                     rank_dense, solve_sparse_system, sparse_vector)
+from .errors import (CertificationError, InconclusiveSplitError, InputError,
+                     VerificationError)
+from .linalg import (SparseRREF, dense_vector, kernel_sparse, rank_dense,
+                     solve_sparse_system, sparse_vector)
 from .ring import HypersurfaceRing, WPoly
 
 
@@ -1110,27 +1110,76 @@ def _scalar_inverse(P: GradedMatrix) -> GradedMatrix:
 # the degree-zero endomorphism algebra, read on the top
 
 
-def _matmul(a, b, K):
-    out = [[K.zero] * len(b[0]) for _ in a]
-    for i, row in enumerate(a):
-        for t, c in enumerate(row):
-            if K.is_zero(c):
-                continue
-            for j, v in enumerate(b[t]):
-                out[i][j] = K.add(out[i][j], K.mul(c, v))
-    return out
-
-
 def _flat(a, K) -> dict:
     """The nonzero entries of a square matrix, keyed row-major."""
     return sparse_vector([v for row in a for v in row], K)
 
 
-def _unflat(vec: dict, r, K):
-    out = [[K.zero] * r for _ in range(r)]
-    for c, v in vec.items():
-        out[c // r][c % r] = v
-    return out
+def _flat_mul(a: dict, b: dict, r, K) -> dict:
+    """The product of two r-by-r matrices kept as their nonzero entries,
+    keyed row-major."""
+    rows = {}
+    for c, v in b.items():
+        rows.setdefault(c // r, []).append((c % r, v))
+    out = {}
+    for c, u in a.items():
+        base = c - c % r
+        for j, v in rows.get(c % r, ()):
+            out[base + j] = K.add(out.get(base + j, K.zero), K.mul(u, v))
+    return {c: v for c, v in out.items() if not K.is_zero(v)}
+
+
+def _dot(u: dict, v: dict, K):
+    """sum_c u[c] v[c], for sparse vectors u and v."""
+    acc = K.zero
+    for c, x in u.items():
+        y = v.get(c)
+        if y is not None:
+            acc = K.add(acc, K.mul(x, y))
+    return acc
+
+
+def _combination(vec: dict, elems, K) -> dict:
+    """sum_s vec[s] elems[s], for sparse vectors elems."""
+    out = {}
+    for s, x in vec.items():
+        for c, v in elems[s].items():
+            out[c] = K.add(out.get(c, K.zero), K.mul(x, v))
+    return {c: v for c, v in out.items() if not K.is_zero(v)}
+
+
+def _lifted_trace(a: dict, r, i, ell):
+    """Tr(a~^(ell^i)) / ell^i mod ell for an r-by-r matrix a over F_ell
+    kept as its nonzero entries, a~ its lift to integers in [0, ell);
+    computed modulo ell^(i+1)."""
+    mod = ell ** (i + 1)
+    power = [[a.get(j * r + t, 0) for t in range(r)] for j in range(r)]
+    for _ in range(i):
+        base = list(zip(*power))
+        for _ in range(ell - 1):
+            power = [[sum(x * y for x, y in zip(row, col)) % mod
+                      for col in base] for row in power]
+    trace = sum(power[j][j] for j in range(r)) % mod
+    if trace % ell ** i:
+        raise CertificationError(
+            f"trace of an {ell ** i}-th power is not divisible by {ell ** i}")
+    return trace // ell ** i
+
+
+def _certify_radical(rad: SparseRREF, basis, r, K):
+    """Check that rad is a two-sided ideal of the algebra with the given
+    basis and that each of its basis elements x has x^r = 0."""
+    for x in rad.pivots.values():
+        for b in basis:
+            if not (rad.contains(_flat_mul(x, b, r, K))
+                    and rad.contains(_flat_mul(b, x, r, K))):
+                raise CertificationError(
+                    "radical of the top algebra is not an ideal")
+        for _ in range((r - 1).bit_length()):
+            x = _flat_mul(x, x, r, K)
+        if x:
+            raise CertificationError(
+                "radical of the top algebra is not nilpotent")
 
 
 class TopAlgebra:
@@ -1138,51 +1187,75 @@ class TopAlgebra:
 
     The scalar part s of a hom matrix (`_scalar_part`: the constant terms
     of the entries whose row and column degrees agree) is an algebra map
-    from End_0(M) onto A, an algebra of k-matrices of the size of the
+    from End_0(M) onto A, an algebra of k-matrices of the size r of the
     generator count; the split and invertible_on_top read the same map.
     Its kernel J is nilpotent: a map in J raises generator degrees by at
     least min(p, q), so J^k = 0 once k > (max gens - min gens)/min(p, q)
     (graded Nakayama).  So rad End_0 is the preimage of rad A, and
-    End_0/rad is A/rad A.  rad A is the kernel of the regular trace form
-    (a, b) -> trace(L_a L_b) of A, which is the radical when char k is 0
-    or above dim A; smaller prime fields raise FieldTooSmallError.
+    End_0/rad is A/rad A.  Matrices on the top are kept as their nonzero
+    entries keyed row-major (`_flat`), and multiplied by `_flat_mul`.
+
+    rad A is read off traces on k^r, on which A acts faithfully (Cohen,
+    Ivanyos and Wales, J. Pure Appl. Algebra 117-118 (1997), after
+    Ronyai, J. Symbolic Comput. 9 (1990)).  Let I_-1 = A and, for i >= 0,
+    I_i = {a in I_(i-1) : g_i(a b) = 0 for every b in A}, where
+    g_i(a) = Tr(a~^(ell^i)) / ell^i mod ell for the lift a~ of a to
+    integers in [0, ell), and g_0 = Tr over Q; i runs while ell^i <= r.
+      * rad A lies in I_0 in every characteristic: for a in rad A every
+        a b is nilpotent, so Tr(a b) = 0.
+      * Over Q, or when ell > r, only I_0 is made, and it is rad A.  It
+        is a two-sided ideal (Tr(x a b) = Tr(a (b x))), and as 1 is in A
+        each of its elements has Tr(a^k) = 0 for all k >= 1; Newton's
+        identities j e_j = sum_(s=1..j) (-1)^(s-1) e_(j-s) Tr(a^s), in
+        which every j <= r is a unit, make the characteristic polynomial
+        t^r, so I_0 is a nil ideal.
+      * When ell <= r, each g_i is linear on I_(i-1) and the last I_i
+        is rad A: this is the theorem of Cohen, Ivanyos and Wales.
+    The result R is certified in every characteristic: it is a two-sided
+    ideal (x b and b x lie in R for basis elements x of R and b of A)
+    whose basis elements are nilpotent (x^r = 0).  Its image in the
+    semisimple A/rad A is then an ideal, so a sum of simple components,
+    spanned by nilpotent elements; the reduced trace of a simple
+    component kills its nilpotent elements but is not zero, so the image
+    is 0 and R lies in rad A.
     """
 
     __slots__ = ("space", "scalars", "dim", "rad", "quotient_dim")
 
     def __init__(self, M: GradedModule):
         K = M.ring.field
+        r = len(M.gens)
         self.space = hom_graded(M, M, 0)
-        self.scalars = [_scalar_part(b.H) for b in self.space.basis]
+        self.scalars = [_flat(_scalar_part(b.H), K)
+                        for b in self.space.basis]
         span = SparseRREF(K)
         for a in self.scalars:
-            span.insert(_flat(a, K))
-        self.dim = n = span.rank
-        if K.char != 0 and K.char <= n:
-            raise FieldTooSmallError(
-                f"characteristic {K.char} too small for a {n}-dimensional "
-                "top algebra")
-        # The RREF coordinates of an element of A are its pivot entries;
-        # table[i][t][s] is coordinate s of basis_i basis_t.
-        pivots = sorted(span.pivots)
-        basis = [_unflat(span.pivots[c], len(M.gens), K) for c in pivots]
-        table = [[_flat(_matmul(a, b, K), K) for b in basis] for a in basis]
-        gram = [[K.zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for s, cs in enumerate(pivots):
-                    for t, ct in enumerate(pivots):
-                        gram[i][j] = K.add(gram[i][j], K.mul(
-                            table[i][t].get(cs, K.zero),
-                            table[j][s].get(ct, K.zero)))
+            span.insert(a)
+        self.dim = span.rank
+        basis = [span.pivots[c] for c in sorted(span.pivots)]
+        ideal = basis
+        passes = 1
+        while K.char and K.char ** passes <= r:
+            passes += 1
+        for i in range(passes):
+            if i == 0:
+                # g_0(a b) = sum a_jk b_kj: the entries of a against those
+                # of b transposed, with no product formed
+                transposed = [{c % r * r + c // r: v for c, v in b.items()}
+                              for b in basis]
+                pairing = [[_dot(a, b, K) for a in ideal] for b in transposed]
+            else:
+                pairing = [[_lifted_trace(_flat_mul(a, b, r, K), r, i,
+                                          K.char)
+                            for a in ideal] for b in basis]
+            rows = [sparse_vector(row, K) for row in pairing]
+            ideal = [_combination(vec, ideal, K)
+                     for vec in kernel_sparse(rows, len(ideal), K)]
         self.rad = SparseRREF(K)
-        for vec in kernel_dense(gram, K):
-            elem = {}
-            for x, c in zip(vec, pivots):
-                for col, v in span.pivots[c].items():
-                    elem[col] = K.add(elem.get(col, K.zero), K.mul(x, v))
-            self.rad.insert(elem)
-        self.quotient_dim = n - self.rad.rank
+        for x in ideal:
+            self.rad.insert(x)
+        _certify_radical(self.rad, basis, r, K)
+        self.quotient_dim = self.dim - self.rad.rank
 
     def end_radical(self):
         """A basis of rad End_0: the kernel of End_0 -> A/rad A."""
@@ -1190,26 +1263,24 @@ class TopAlgebra:
         n = self.space.dim
         rows = {}
         for i, a in enumerate(self.scalars):
-            for c, v in self.rad.reduce(_flat(a, K)).items():
+            for c, v in self.rad.reduce(a).items():
                 rows.setdefault(c, {})[i] = v
         return [hom_from_coefficients(self.space, dense_vector(vec, n, K))
                 for vec in kernel_sparse(list(rows.values()), n, K)]
 
 
-def _min_poly(a, K):
-    """Monic minimal polynomial (coefficients low to high) of a square
-    matrix."""
-    r = len(a)
-    power = [[K.one if i == j else K.zero for j in range(r)]
-             for i in range(r)]
+def _min_poly(a: dict, r, K):
+    """Monic minimal polynomial (coefficients low to high) of an r-by-r
+    matrix kept as its nonzero entries."""
+    power = {i * r + i: K.one for i in range(r)}
     powers = []
     span = SparseRREF(K)
-    while span.insert(flat := _flat(power, K)) is not None:
-        powers.append(flat)
-        power = _matmul(a, power, K)
+    while span.insert(power) is not None:
+        powers.append(power)
+        power = _flat_mul(a, power, r, K)
     # a^d + sum_s c_s a^s = 0, one row per nonzero entry
     rows = {}
-    for s, vec in enumerate(powers + [flat]):
+    for s, vec in enumerate(powers + [power]):
         for c, v in vec.items():
             rows.setdefault(c, {})[s] = v
     sol = solve_sparse_system(list(rows.values()), len(powers), K)
@@ -1250,21 +1321,19 @@ def _candidates(top: TopAlgebra, rng):
     A candidate's map is only made when it splits the module."""
     basis, bars = top.space.basis, top.scalars
     K = top.space.source.ring.field
+    r = len(top.space.source.gens)
     n = len(basis)
 
     def combination(vec):
-        bar = [[K.zero] * len(bars[0]) for _ in bars[0]]
-        for c, a in zip(vec, bars):
-            bar = [[K.add(x, K.mul(c, y)) for x, y in zip(row, arow)]
-                   for row, arow in zip(bar, a)]
-        return bar, lambda: hom_from_coefficients(top.space, vec).H
+        return (_combination(sparse_vector(vec, K), bars, K),
+                lambda: hom_from_coefficients(top.space, vec).H)
 
     for i in range(n):
         yield bars[i], lambda i=i: basis[i].H
     for i in range(n):
         for j in range(n):
             if i != j:
-                yield (_matmul(bars[i], bars[j], K),
+                yield (_flat_mul(bars[i], bars[j], r, K),
                        lambda i=i, j=j: basis[i].H.mul(basis[j].H))
     for i in range(n):
         for j in range(i + 1, n):
@@ -1284,11 +1353,18 @@ def decompose(M: GradedModule, rng=None):
     a candidate a of End_0 whose scalar part has a minimal polynomial
     with two coprime factors gives an idempotent of k[a], made exact
     over S (_lift_idempotent), and M splits by a change of basis of its
-    factorization (split_by_idempotent), with no elimination in M;
-    one irreducible factor of degree dim A/rad A makes A/rad A a field,
-    so End_0 is local and M indecomposable.  When neither outcome can be
-    certified the function raises InconclusiveSplitError rather than
-    guessing.
+    factorization (split_by_idempotent), with no elimination in M.
+    When the minimal polynomial of a's scalar part is a power of one
+    irreducible f with deg f = dim A/R, R the radical TopAlgebra finds,
+    M is indecomposable in every characteristic.  The minimal polynomial
+    of the image a' of a in A/rad A is a nonconstant divisor of that
+    power, so k[a'] has dimension at least deg f; TopAlgebra certifies
+    that R lies in rad A, so deg f = dim A/R >= dim A/rad A >= dim k[a'].
+    Hence k[a'] = A/rad A = k[t]/(f), a field, and End_0 is local.  The
+    random candidates draw their coordinates from min(char, 7) values,
+    so over F3 and F5 they range over the whole field.  When neither
+    outcome can be certified the function raises InconclusiveSplitError
+    rather than guessing.
     """
     if rng is None:
         rng = random.Random(0)
@@ -1315,7 +1391,7 @@ def _indecomposable_parts(M: GradedModule, rng):
     top = TopAlgebra(M)
     K = M.ring.field
     for bar, make in _candidates(top, rng):
-        mu = _min_poly(bar, K)
+        mu = _min_poly(bar, len(M.gens), K)
         factors = upoly.factor(mu, K)
         if len(factors) == 1:
             if len(factors[0][0]) - 1 == top.quotient_dim:

@@ -286,17 +286,29 @@ def test_explore_requires_ideal_exponents(cfg, capsys):
     assert "'m' or 'n'" in err
 
 
-def test_top_algebra_too_large_for_the_field_is_input_error(cfg, capsys):
-    # The two-branch ring over F5 reports at depth 3; at depth 4 a module
-    # has a 6-dimensional top algebra, beyond the trace form over F5.
+def test_two_branch_walks_over_small_fields_report_as_over_f101(cfg, capsys):
+    # Top algebras of dimension 6 (over F5, depth 4) and 10 (over F7,
+    # depth 5) at or above the characteristic have their radical found
+    # by the ell-power traces on the top.
+    found = {}
+    for field, depth in (("F5", 4), ("F7", 5), ("F101", 4), ("F101", 5)):
+        text = TWO_BRANCH.replace("field = Q", f"field = {field}")
+        code, out, _ = _run(capsys, ["explore", cfg(text), "--depth",
+                                     str(depth)])
+        assert code == 0
+        doc = json.loads(out)
+        found[field, depth] = (doc["classification"], len(doc["modules"]))
+    assert found["F5", 4] == found["F101", 4] == ("tube(2)", 9)
+    assert found["F7", 5] == found["F101", 5] == ("tube(2)", 11)
+    # one step further over F5 push meets a branch rank of 5, which is
+    # zero in the coefficient field
     text = TWO_BRANCH.replace("field = Q", "field = F5")
-    code, out, _ = _run(capsys, ["explore", cfg(text), "--depth", "3"])
-    assert code == 0 and json.loads(out)["classification"] == "tube(2)"
-    code, out, err = _run(capsys, ["explore", cfg(text), "--depth", "4"])
+    code, out, err = _run(capsys, ["explore", cfg(text), "--depth", "5"])
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "input",
-        "message": "characteristic 5 too small for a 6-dimensional top algebra"}
+        "message": "a summand has branch rank 5, zero in the coefficient "
+                   "field"}
 
 
 def test_explore_reports_classification(cfg, capsys):

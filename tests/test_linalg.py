@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcurves import QQ, PrimeField
-from arcurves.linalg import (SparseRREF, kernel_dense, kernel_sparse,
-                             rank_dense, solve_sparse_system)
+from arcurves.linalg import (SparseRREF, dense_vector, kernel_sparse,
+                             rank_dense, solve_sparse_system, sparse_vector)
 
 FIELDS = [QQ, PrimeField(3), PrimeField(7), PrimeField(101)]
 
@@ -59,10 +59,11 @@ def _eq(K, u, v):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(_system())
-def test_kernel_dense_is_a_kernel_basis(system):
+def test_kernel_sparse_is_a_kernel_basis(system):
     K, mat, _ = system
     ncols = len(mat[0])
-    kernel = kernel_dense(mat, K)
+    kernel = [dense_vector(vec, ncols, K) for vec in kernel_sparse(
+        [sparse_vector(row, K) for row in mat], ncols, K)]
     for k in kernel:
         assert _eq(K, _apply(K, mat, k), [K.zero] * len(mat))
     assert rank_dense(mat, K) + len(kernel) == ncols

@@ -1,6 +1,7 @@
 """Graded matrices, factorizations, hom spaces, decomposition."""
 
 import functools
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -18,11 +19,9 @@ from arcurves import (GradedMatrix, InputError, MatrixFactorization,
 from arcurves import (QQ, HypersurfaceRing, WPoly, arengine, end_generators,
                       explore_component, modmat, upoly)
 from arcurves.cli import _endo_corpus
-from arcurves.errors import (CertificationError, FieldTooSmallError,
-                             InconclusiveSplitError)
-from arcurves.linalg import (SparseRREF, dense_vector, kernel_dense,
-                             kernel_sparse, rank_dense,
-                             solve_sparse_system, sparse_vector)
+from arcurves.errors import CertificationError, InconclusiveSplitError
+from arcurves.linalg import (SparseRREF, dense_vector, kernel_sparse,
+                             rank_dense, solve_sparse_system, sparse_vector)
 from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
                              _scatter, _span_rref, _stably_zero_span,
                              hom_from_coefficients)
@@ -1062,15 +1061,12 @@ def _reference_algebra_radical(alg: _ReferenceEndAlgebra):
     """Basis of the Jacobson radical via the regular trace form.
 
     The kernel of (a, b) -> trace(L_a L_b) is the radical over fields of
-    characteristic zero or characteristic above the algebra dimension;
-    smaller prime fields raise FieldTooSmallError.
+    characteristic zero or characteristic above the algebra dimension,
+    the only fields it is compared on.
     """
     K = alg.module.ring.field
     n = alg.dim
-    if K.char != 0 and K.char <= n:
-        raise FieldTooSmallError(
-            f"characteristic {K.char} too small for a {n}-dimensional "
-            "endomorphism algebra")
+    assert K.char == 0 or K.char > n
     # lmats[i][s][t] = coefficient of basis s in b_i b_t.
     lmats = [[[alg.table[i][t][s] for t in range(n)] for s in range(n)]
              for i in range(n)]
@@ -1084,7 +1080,8 @@ def _reference_algebra_radical(alg: _ReferenceEndAlgebra):
                     acc = K.add(acc, K.mul(lmats[i][s][t], lmats[j][t][s]))
             grow.append(acc)
         gram.append(grow)
-    return kernel_dense(gram, K)
+    return [dense_vector(vec, n, K) for vec in kernel_sparse(
+        [sparse_vector(row, K) for row in gram], n, K)]
 
 
 class _ReferenceQuotientAlgebra:
@@ -1275,17 +1272,17 @@ def test_decompose_matches_the_structure_table(seed, field):
 
 
 @functools.lru_cache(maxsize=None)
-def _walk_modules(seed):
-    """The modules decompose sees on the depth-3 walk from the ideal of
-    random_ring(seed) over Q."""
-    ring = random_ring(random.Random(seed), field_from_string("Q"))
+def _walk_modules(seed, field="Q", depth=3):
+    """The modules decompose sees on the walk of the given depth from the
+    ideal of random_ring(seed) over the field."""
+    ring = random_ring(random.Random(seed), field_from_string(field))
     modules = []
     split = arengine.decompose
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arengine, "decompose",
                    lambda M, rng=None: modules.append(M) or split(M, rng))
         explore_component(mf_from_ideal(ring).cok(label="I"),
-                          gamma_for(ring), depth=3)
+                          gamma_for(ring), depth=depth)
     return tuple(modules)
 
 
@@ -1366,6 +1363,72 @@ def test_scalar_part_is_an_algebra_map_with_nilpotent_kernel(seed, field):
             for _ in range(times - 1):
                 power = power.compose(j)
             assert power.is_zero()
+
+
+def _nilpotent(a, K):
+    """Whether a^(2^t) = 0 for the least 2^t at least the size of a."""
+    for _ in range((len(a) - 1).bit_length()):
+        a = _matrix_product(a, a, K)
+    return all(K.is_zero(v) for row in a for v in row)
+
+
+def _flat_matrix(a, K):
+    return sparse_vector([v for row in a for v in row], K)
+
+
+def _square_matrix(vec, r, K):
+    return [[vec.get(i * r + j, K.zero) for j in range(r)] for i in range(r)]
+
+
+@pytest.mark.parametrize("field, seed, depth", [
+    ("F3", 17, 2), ("F3", 29, 2), ("F5", 10, 3), ("F5", 17, 3),
+    ("F7", 17, 3)])
+def test_small_characteristic_radical(field, seed, depth):
+    # Each walk has top algebras A on k^r with r >= ell, where the kernel
+    # of the trace form Tr(a b) can hold elements outside rad A (on the
+    # F3 walks and F5 seed 10 it does).  The radical R must be a
+    # two-sided ideal of nilpotent matrices with A/R semisimple: no
+    # nonzero class a with a b nilpotent for every b.
+    K = field_from_string(field)
+    ell = K.char
+    cores = [modmat._minimal_core(M)[0]
+             for M in _walk_modules(seed, field, depth)]
+    cores = [M for M in cores if M is not None and len(M.gens) >= ell]
+    assert cores
+    enumerated = 0
+    for M in cores:
+        r = len(M.gens)
+        top = TopAlgebra(M)
+        algebra = SparseRREF(K)
+        for b in hom_graded(M, M, 0).basis:
+            algebra.insert(_flat_matrix(modmat._scalar_part(b.H), K))
+        basis = [_square_matrix(v, r, K) for v in algebra.pivots.values()]
+        for vec in top.rad.pivots.values():
+            x = _square_matrix(vec, r, K)
+            assert algebra.contains(vec) and _nilpotent(x, K)
+            for b in basis:
+                for xb in (_matrix_product(x, b, K), _matrix_product(b, x, K)):
+                    assert top.rad.contains(_flat_matrix(xb, K))
+        span = SparseRREF(K)
+        for vec in top.rad.pivots.values():
+            span.insert(vec)
+        complement = [b for b, vec in zip(basis, algebra.pivots.values())
+                      if span.insert(vec) is not None]
+        if ell ** len(complement) > 125:
+            continue
+        enumerated += 1
+        classes = []
+        for coeffs in itertools.product(range(ell), repeat=len(complement)):
+            if any(coeffs):
+                classes.append([[sum(c * b[i][j] for c, b in
+                                     zip(coeffs, complement)) % ell
+                                 for j in range(r)] for i in range(r)])
+        one = [[K.one if i == j else K.zero for j in range(r)]
+               for i in range(r)]
+        for a in classes:
+            assert any(not _nilpotent(_matrix_product(a, b, K), K)
+                       for b in [one] + classes)
+    assert enumerated
 
 
 def _three_branch_ring():
