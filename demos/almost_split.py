@@ -6,8 +6,7 @@ defining lifting property is demonstrated on three test maps.
 """
 
 from arcurves import (GradedMatrix, QQ, HypersurfaceRing, decompose,
-                      factor_hypersurface, gamma_endo, gamma_for,
-                      hom_graded, mf_from_ideal, push, rank_vector)
+                      gamma_endo, gamma_for, hom_graded, mf_from_ideal, push)
 
 
 def show_matrix(name, mat):
@@ -27,11 +26,8 @@ def run(ring, title):
     show_matrix("beta (the syzygy-side companion)", seq.beta)
     print("  middle generator degrees:", seq.middle.gens)
     print("  right term:", seq.right.label, seq.right.gens)
-    branches = factor_hypersurface(ring)
-    print("  rank vectors: left %s, middle %s, right %s" % (
-        rank_vector(seq.left, branches),
-        rank_vector(seq.middle, branches),
-        rank_vector(seq.right, branches)))
+    print("  rank vectors: left %(left)s, middle %(middle)s, right %(right)s"
+          % seq.ranks)
     parts, frees = decompose(seq.middle)
     print("  middle summands:", [p.gens for p in parts], " frees:", frees)
 

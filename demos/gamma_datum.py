@@ -5,7 +5,7 @@ maximal ideal back into R.  The script shows the certified datum for
 both instances and checks each certificate by hand.
 """
 
-from arcurves import QQ, HypersurfaceRing, branch_images, gamma_for
+from arcurves import QQ, HypersurfaceRing, gamma_for
 
 
 def inspect(ring, title):
@@ -22,7 +22,7 @@ def inspect(ring, title):
           (gd.gamma * ring.x_poly()).in_ring().to_string())
     print("  y * gamma in R?      ",
           (gd.gamma * ring.y_poly()).in_ring().to_string())
-    img = branch_images(gd.gamma, [gd.branch])[0]
+    img = gd.branch.evaluate_q(gd.gamma)
     print("  image on the branch:  %s * t^%d" %
           (ring.field.to_str(img[0]), img[1]))
 

@@ -6,36 +6,36 @@ then sweeps every hom-basis endomorphism over a degree window and
 compares the oracle verdict against the honest lifting computation.
 """
 
-from arcurves import (GradedMatrix, HypersurfaceRing, QQ,
-                      end_generators, factor_hypersurface, gamma_endo,
-                      gamma_for, hom_graded, is_integral, mf_from_ideal,
-                      min_t_valuation, socle_test, stably_zero_bruteforce,
-                      stably_zero_trace, trace_Q, trace_report)
+from arcurves import (GradedMatrix, HypersurfaceRing, QQ, branch_images,
+                      end_generators, gamma_endo, gamma_for, hom_graded,
+                      is_integral, mf_from_ideal, min_t_valuation, socle_test,
+                      stably_zero_bruteforce, stably_zero_trace, trace_Q,
+                      trace_report)
 
 
-def describe(name, h, branches):
-    tr = trace_Q(h, branches)
+def describe(name, h):
+    tr = trace_Q(h)
+    images = branch_images(tr)
     lifted = tr.in_ring()
     print("  %-12s trace = (%s)/(%s)" % (name, tr.num.to_string(),
                                          tr.den.to_string()))
     print("               in R: %s   integral: %s   min t-valuation: %s"
           % (lifted.to_string() if lifted is not None else "no",
-             is_integral(tr, branches), min_t_valuation(tr, branches)))
+             is_integral(images), min_t_valuation(images)))
     print("               stably zero: %s   socle: %s"
-          % (stably_zero_trace(h, branches), socle_test(h, branches)))
+          % (stably_zero_trace(h), socle_test(h)))
 
 
 def main():
     ring = HypersurfaceRing(QQ, p=3, q=4, b=QQ(1), f="1*x^0*y^1", m=1, n=2)
-    branches = factor_hypersurface(ring)
     gd = gamma_for(ring)
     I = mf_from_ideal(ring).cok(label="I")
 
     ident = hom_graded(I, I, 0).from_matrix(GradedMatrix.identity(ring, I.gens))
     print("sample endomorphisms of I = (x, y^2):")
-    describe("identity", ident, branches)
-    describe("x * id", ident.times_monomial(1, 0), branches)
-    describe("gamma_M", gamma_endo(I, gd), branches)
+    describe("identity", ident)
+    describe("x * id", ident.times_monomial(1, 0))
+    describe("gamma_M", gamma_endo(I, gd))
 
     eg = end_generators(I)
     print("End(I) generator degrees:", [g.degree for g in eg.gens],
@@ -43,7 +43,7 @@ def main():
 
     print()
     print("full report for gamma_M:")
-    for key, val in sorted(trace_report(gamma_endo(I, gd), branches).items()):
+    for key, val in sorted(trace_report(gamma_endo(I, gd)).items()):
         print("  %-12s %s" % (key, val))
 
     print()
@@ -51,7 +51,7 @@ def main():
     agree = total = stable = 0
     for d in range(-8, 9):
         for h in hom_graded(I, I, d).basis:
-            by_trace = stably_zero_trace(h, branches)
+            by_trace = stably_zero_trace(h)
             by_lift = stably_zero_bruteforce(h)
             total += 1
             agree += by_trace == by_lift

@@ -18,14 +18,15 @@ import sys
 from .arengine import (double_push_report, e_avg, explore_component,
                        gamma_for, push, verify_main_theorem,
                        verify_syz_gamma)
-from .branches import factor_hypersurface, gamma_prime
+from .branches import factor_hypersurface, gamma_prime, singular_branch
 from .errors import CertificationError, InputError, VerificationError
 from .fields import field_from_string
 from .modmat import (decompose, hom_graded, invertible_on_top, mf_from_ideal,
-                     rank_vector, stably_zero_bruteforce)
+                     stably_zero_bruteforce)
 from .quiver import to_dot, to_json
 from .ring import HypersurfaceRing, poly_from_string
-from .traceoracle import is_integral, min_t_valuation, stably_zero_trace, trace_Q
+from .traceoracle import (is_integral, min_t_valuation, stably_zero_trace,
+                          trace_images)
 
 VERIFY_SUITES = ("main-theorem", "syz-gamma", "trace-oracle", "section7")
 
@@ -123,7 +124,6 @@ def cmd_ring_info(ring, args) -> dict:
     if ring.is_reduced:
         branch_list = factor_hypersurface(ring)
     else:
-        from .branches import singular_branch
         branch_list = [singular_branch(ring)]
     for b in branch_list:
         entry = b.describe()
@@ -177,7 +177,6 @@ def cmd_verify_trace_oracle(ring, args) -> dict:
     if window < 0:
         raise InputError("--window must be nonnegative, got %d" % window)
     corpus, _ = _endo_corpus(ring)
-    branches = factor_hypersurface(ring)
     tested = 0
     disagreements = []
     nonintegral = []
@@ -186,16 +185,16 @@ def cmd_verify_trace_oracle(ring, args) -> dict:
         for d in range(-window, window + 1):
             for h in hom_graded(M, M, d).basis:
                 tested += 1
-                by_trace = stably_zero_trace(h, branches)
+                by_trace = stably_zero_trace(h)
                 by_lift = stably_zero_bruteforce(h)
                 where = {"module": M.label or str(M.gens), "degree": d}
                 if by_trace != by_lift:
                     disagreements.append(
                         dict(where, trace=by_trace, lifting=by_lift))
-                tr = trace_Q(h, branches)
-                if not is_integral(tr, branches):
+                images = trace_images(h)
+                if not is_integral(images):
                     nonintegral.append(where)
-                val = min_t_valuation(tr, branches)
+                val = min_t_valuation(images)
                 if not _is_unit_endo(h) and val is not None and val < 1:
                     nonradical.append(dict(where, valuation=val))
     return {
@@ -239,16 +238,11 @@ def cmd_push(ring, args) -> dict:
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     seq = push(I, gd)
-    branches = factor_hypersurface(ring) if ring.is_reduced else [gd.branch]
     parts, frees = decompose(seq.middle,
                              rng=random.Random(args.resolved_seed))
     return {
         "sequence": seq.describe(),
-        "ranks": {
-            "left": rank_vector(seq.left, branches),
-            "middle": rank_vector(seq.middle, branches),
-            "right": rank_vector(seq.right, branches),
-        },
+        "ranks": seq.ranks,
         "e_avg": {"left": str(e_avg(seq.left)),
                   "middle": str(e_avg(seq.middle))} if ring.is_reduced else {},
         "middle_summands": [list(p.gens) for p in parts],

@@ -19,6 +19,11 @@ once per degree (cached on the ring), and "the trace lies in R" is one
 membership test per generator.  The End generators are collected only
 up to the conductor bound a(R) + spread (see end_generators).
 
+A trace is its tuple of images on every branch of factor_hypersurface,
+in that order: Q is the product of the fields k(t) over all branches,
+so no function here takes a list of them.  A fraction over R is made
+only where a report prints one (trace_Q, trace_report).
+
 Two independent stable-vanishing oracles live here: the trace criterion
 and a brute-force lift through the free cover (re-exported from the
 module layer).  Tests confront them on whole corpora.
@@ -34,8 +39,8 @@ from .modmat import (GradedHom, GradedModule, TopAlgebra, _coefficient_matrix,
 from .ring import QElement, WPoly
 
 __all__ = [
-    "trace_Q", "branch_images", "is_integral", "min_t_valuation",
-    "end_generators", "EndGenerators", "stably_zero_trace",
+    "trace_images", "trace_Q", "branch_images", "is_integral",
+    "min_t_valuation", "end_generators", "EndGenerators", "stably_zero_trace",
     "stably_zero_bruteforce", "socle_test", "trace_report",
 ]
 
@@ -139,22 +144,21 @@ def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
     return bt.image(bt.projector, h._coefficients(branch), h.degree)
 
 
-def _in_ring(ring, branches, images, w) -> bool:
+def _in_ring(ring, images, w) -> bool:
     """Whether the branch images are those of an element of R_w: every
     monomial of degree w has one t-degree on a branch, and the
     coefficients must lie in the span of the monomials' images
-    (Branch.piece_row), made once per (branches, w) and kept on the ring.
+    (Branch.piece_row), made once per w and kept on the ring.
     """
     cache = ring.__dict__.setdefault("_image_spans", {})
-    key = (tuple(branches), w)
-    if key not in cache:
-        rows = [b.piece_row(w) for b in branches]
+    if w not in cache:
+        rows = [b.piece_row(w) for b in factor_hypersurface(ring)]
         span = SparseRREF(ring.field)
         for t in range(len(ring.graded_piece(w))):
             span.insert({b: row[t] for b, (row, _) in enumerate(rows)
                          if t in row})
-        cache[key] = span, [tdeg for _, tdeg in rows]
-    span, tdegs = cache[key]
+        cache[w] = span, [tdeg for _, tdeg in rows]
+    span, tdegs = cache[w]
     if any(img is not None and img[1] != tdeg
            for img, tdeg in zip(images, tdegs)):
         return False
@@ -162,18 +166,18 @@ def _in_ring(ring, branches, images, w) -> bool:
                           if img is not None})
 
 
-def _ring_preimage(ring, branches, images, w):
+def _ring_preimage(ring, images, w):
     """The element of R_w with the given branch images, or None.
 
     R is reduced, so evaluation on all branches is injective and the
     preimage is unique when it exists (_in_ring decides whether it does).
     """
-    if not _in_ring(ring, branches, images, w):
+    if not _in_ring(ring, images, w):
         return None
     K = ring.field
     basis = ring.graded_piece(w)
     rows = []
-    for branch, img in zip(branches, images):
+    for branch, img in zip(factor_hypersurface(ring), images):
         row = dict(branch.piece_row(w)[0])
         if img is not None:
             row[len(basis)] = K.neg(img[0])
@@ -183,7 +187,7 @@ def _ring_preimage(ring, branches, images, w):
                  {mono: sol[t] for t, mono in enumerate(basis) if t in sol})
 
 
-def _reconstruct_fraction(ring, branches, images, degree):
+def _reconstruct_fraction(ring, images, degree):
     """The element of Q with the given branch images, as u / x^e.
 
     Powers of x suffice as denominators: x is a nonzerodivisor and R
@@ -194,50 +198,44 @@ def _reconstruct_fraction(ring, branches, images, degree):
     for e in range(0, 4 * ring.deg_g + abs(degree) + 1):
         den = ring.monomial(e, 0)
         scaled = []
-        for branch, img in zip(branches, images):
+        for branch, img in zip(factor_hypersurface(ring), images):
             x_img = branch.evaluate(den)
             scaled.append(None if img is None else
                           (K.mul(img[0], x_img[0]), img[1] + x_img[1]))
-        num = _ring_preimage(ring, branches, scaled, degree + e * ring.q)
+        num = _ring_preimage(ring, scaled, degree + e * ring.q)
         if num is not None:
             return QElement(ring, num, den)
     raise CertificationError(
         "trace fraction reconstruction exhausted the denominator bound")
 
 
-def trace_Q(h: GradedHom, branches=None) -> QElement:
-    """Trace of an endomorphism after base change to the quotient ring.
-
-    Per branch the trace is computed on the k(t)-cokernel; the tuple is
-    then lifted back to a single exact fraction over R, whose branch
-    images are cached so later membership tests reuse them.
-    """
+def trace_images(h: GradedHom):
+    """The trace of an endomorphism over Q: on every branch, in order, the
+    (coeff, t-degree) of its trace on the k(t)-cokernel, or None."""
     M = _require_endo(h)
-    ring = M.ring
-    if branches is None:
-        branches = factor_hypersurface(ring)
-    images = [_cokernel_trace(b, M, h) for b in branches]
-    frac = _reconstruct_fraction(ring, branches, images, h.degree)
-    for branch, img in zip(branches, images):
-        frac._image_cache[id(branch)] = img
-    return frac
+    return [_cokernel_trace(b, M, h) for b in factor_hypersurface(M.ring)]
 
 
-def branch_images(tr: QElement, branches=None):
-    if branches is None:
-        branches = factor_hypersurface(tr.ring)
-    return [b.evaluate_q(tr) for b in branches]
+def trace_Q(h: GradedHom) -> QElement:
+    """The trace as the exact fraction over R whose images on every
+    branch are trace_images(h); only reports need it."""
+    return _reconstruct_fraction(h.source.ring, trace_images(h), h.degree)
 
 
-def is_integral(tr: QElement, branches=None) -> bool:
-    """Whether every branch image is a polynomial in t (no pole at 0)."""
-    return all(img is None or img[1] >= 0
-               for img in branch_images(tr, branches))
+def branch_images(tr: QElement):
+    """The images of a fraction on every branch of its ring, in order."""
+    return [b.evaluate_q(tr) for b in factor_hypersurface(tr.ring)]
 
 
-def min_t_valuation(tr: QElement, branches=None):
+def is_integral(images) -> bool:
+    """Whether every branch image is a polynomial in t (no pole at 0);
+    images are those on every branch, from trace_images or branch_images."""
+    return all(img is None or img[1] >= 0 for img in images)
+
+
+def min_t_valuation(images):
     """Smallest branch t-valuation, or None when the element is zero."""
-    vals = [img[1] for img in branch_images(tr, branches) if img is not None]
+    vals = [img[1] for img in images if img is not None]
     return min(vals) if vals else None
 
 
@@ -315,24 +313,27 @@ def end_generators(M: GradedModule) -> EndGenerators:
 # stable vanishing and the socle test
 
 
-def _traces_in_ring(M: GradedModule, degree: int, coeffs, branches) -> bool:
+def _traces_in_ring(M: GradedModule, degree: int, coefficients) -> bool:
     """Whether trace(g X) lies in R for every End generator g.
 
-    X is an endomorphism of M of the given degree, given by its branch
-    coefficient matrices, one per branch.  Each trace is read off the
-    generator functionals and tested for membership in R (_in_ring).
+    X is an endomorphism of M of the given degree, given by its
+    coefficient matrix on a branch, coefficients(branch), for every
+    branch.  Each trace is read off the generator functionals and tested
+    for membership in R (_in_ring).
     """
+    branches = factor_hypersurface(M.ring)
     traces = [_branch_trace(b, M) for b in branches]
+    coeffs = [coefficients(b) for b in branches]
     for k, g in enumerate(end_generators(M).gens):
         w = g.degree + degree
         images = [bt.image(bt.generator_functionals()[k], X, w)
                   for bt, X in zip(traces, coeffs)]
-        if not _in_ring(M.ring, branches, images, w):
+        if not _in_ring(M.ring, images, w):
             return False
     return True
 
 
-def stably_zero_trace(h: GradedHom, branches=None) -> bool:
+def stably_zero_trace(h: GradedHom) -> bool:
     """Whether h factors through a free module, by the trace criterion.
 
     h is stably zero exactly when trace(g h over Q) lies in R for every
@@ -340,14 +341,10 @@ def stably_zero_trace(h: GradedHom, branches=None) -> bool:
     generators of End(M).  The trace lies in R when its branch images
     have a preimage in R.
     """
-    M = _require_endo(h)
-    if branches is None:
-        branches = factor_hypersurface(M.ring)
-    coeffs = [h._coefficients(b) for b in branches]
-    return _traces_in_ring(M, h.degree, coeffs, branches)
+    return _traces_in_ring(_require_endo(h), h.degree, h._coefficients)
 
 
-def _product_stably_zero(g: GradedHom, h: GradedHom, branches) -> bool:
+def _product_stably_zero(g: GradedHom, h: GradedHom) -> bool:
     """Whether g h is stably zero, by the trace criterion, without forming it.
 
     The branch coefficients of g h are read off the matrix product:
@@ -355,8 +352,8 @@ def _product_stably_zero(g: GradedHom, h: GradedHom, branches) -> bool:
     target's presentation, changes a branch trace.
     """
     gh = g.H.mul(h.H)
-    coeffs = [_coefficient_matrix(b, gh) for b in branches]
-    return _traces_in_ring(h.source, g.degree + h.degree, coeffs, branches)
+    return _traces_in_ring(h.source, g.degree + h.degree,
+                           lambda b: _coefficient_matrix(b, gh))
 
 
 def _nonunit_generators(M: GradedModule):
@@ -377,7 +374,7 @@ def _nonunit_generators(M: GradedModule):
     return out + TopAlgebra(M).end_radical()
 
 
-def socle_test(h: GradedHom, branches=None) -> bool:
+def socle_test(h: GradedHom) -> bool:
     """Whether h spans the socle of the stable endomorphism ring.
 
     True exactly when h is not stably zero while g h is stably zero for
@@ -385,27 +382,24 @@ def socle_test(h: GradedHom, branches=None) -> bool:
     graded-indecomposable for the socle statement to be meaningful.
     """
     M = _require_endo(h)
-    if branches is None:
-        branches = factor_hypersurface(M.ring)
-    if stably_zero_trace(h, branches):
+    if stably_zero_trace(h):
         return False
     for g in _nonunit_generators(M):
         if g.is_zero():
             continue
-        if not _product_stably_zero(g, h, branches):
+        if not _product_stably_zero(g, h):
             return False
     return True
 
 
-def trace_report(h: GradedHom, branches=None) -> dict:
+def trace_report(h: GradedHom) -> dict:
     """Serializable trace data: exact fraction plus branch monomials."""
     M = _require_endo(h)
-    if branches is None:
-        branches = factor_hypersurface(M.ring)
-    tr = trace_Q(h, branches)
+    images = trace_images(h)
+    tr = _reconstruct_fraction(M.ring, images, h.degree)
     K = M.ring.field
     per_branch = []
-    for branch, img in zip(branches, branch_images(tr, branches)):
+    for branch, img in zip(factor_hypersurface(M.ring), images):
         per_branch.append({
             "branch": branch.kind,
             "image": None if img is None
@@ -418,5 +412,5 @@ def trace_report(h: GradedHom, branches=None) -> dict:
         "denominator": tr.den.to_string(),
         "in_ring": None if lifted is None else lifted.to_string(),
         "branches": per_branch,
-        "integral": is_integral(tr, branches),
+        "integral": is_integral(images),
     }

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from arcurves import (GradedMatrix, check_subadditive, classify_fragment,
-                      decompose, double_extension, double_push_report, e_avg,
-                      explore_component, ext1_dim, factor_hypersurface,
+from arcurves import (GradedMatrix, branch_images, check_subadditive,
+                      classify_fragment, decompose, double_extension,
+                      double_push_report, e_avg, explore_component, ext1_dim,
                       gamma_endo, gamma_for, hom_graded, is_integral,
                       iso_up_to_shift, mf_check, mf_from_ideal,
                       min_t_valuation, push, quotient_tau, random_ring,
@@ -44,16 +44,15 @@ def endo_sweeps(two_branch_ring, two_branch_datum, two_branch_ideal,
     rows = []
     for ring, gd, I in ((two_branch_ring, two_branch_datum, two_branch_ideal),
                         (cusp_ring, cusp_datum, cusp_ideal)):
-        branches = factor_hypersurface(ring)
         for M in _corpus(ring, gd, I):
             for d in range(-ring.deg_g, ring.deg_g + 1):
                 for h in hom_graded(M, M, d).basis:
-                    tr = trace_Q(h, branches)
+                    images = branch_images(trace_Q(h))
                     rows.append({
-                        "by_trace": stably_zero_trace(h, branches),
+                        "by_trace": stably_zero_trace(h),
                         "by_lift": stably_zero_bruteforce(h),
-                        "integral": is_integral(tr, branches),
-                        "valuation": min_t_valuation(tr, branches),
+                        "integral": is_integral(images),
+                        "valuation": min_t_valuation(images),
                         "unit": _is_unit_endo(h),
                     })
     return rows
@@ -135,7 +134,8 @@ def test_criterion_6_integrality_and_radical(endo_sweeps, cusp_ideal,
     # the pairing traces of criterion 5 again, explicitly
     h = gamma_endo(cusp_ideal, cusp_datum)
     t = syz_transport(h, cusp_ideal.syz())
-    extra_ok = all(is_integral(trace_Q(u)) and min_t_valuation(trace_Q(u)) >= 1
+    extra_ok = all(is_integral(branch_images(trace_Q(u)))
+                   and min_t_valuation(branch_images(trace_Q(u))) >= 1
                    for u in (h, t))
     ok = not nonintegral and not nonradical and extra_ok
     _verdict(6, ok, "integrality and radical valuations, %d traces"

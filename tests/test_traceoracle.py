@@ -1,6 +1,10 @@
 """Branchwise traces: integrality, valuations, the stable-zero oracle."""
 
+import importlib
+import inspect
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +17,15 @@ from arcurves import (GradedHom, GradedMatrix, branch_images, end_generators,
                       mf_from_ideal, push, random_ring, socle_test,
                       stably_zero_bruteforce, stably_zero_trace, trace_Q,
                       trace_report)
-from arcurves import traceoracle
+from arcurves import cli, traceoracle
 from arcurves.linalg import SparseRREF, solve_sparse_system
 from arcurves.modmat import _coefficient_matrix
 from arcurves.ring import WPoly
 from arcurves.traceoracle import (_branch_trace, _cokernel_trace, _in_ring,
                                   _nonunit_generators, _product_stably_zero,
-                                  _ring_preimage)
+                                  _ring_preimage, trace_images)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _identity(M):
@@ -28,18 +34,16 @@ def _identity(M):
 
 
 def test_trace_of_identity_is_one(two_branch_ring, two_branch_ideal):
-    branches = factor_hypersurface(two_branch_ring)
-    tr = trace_Q(_identity(two_branch_ideal), branches)
+    tr = trace_Q(_identity(two_branch_ideal))
     assert tr.in_ring() == two_branch_ring.one()
-    assert [img[1] for img in branch_images(tr, branches)] == [0, 0]
+    assert [img[1] for img in branch_images(tr)] == [0, 0]
 
 
 def test_trace_is_linear_in_the_monomial(two_branch_ring, two_branch_ideal):
-    branches = factor_hypersurface(two_branch_ring)
-    tr = trace_Q(_identity(two_branch_ideal).times_monomial(1, 0), branches)
+    tr = trace_Q(_identity(two_branch_ideal).times_monomial(1, 0))
     assert tr.in_ring() == two_branch_ring.x_poly()
-    assert min_t_valuation(tr, branches) == 1
-    assert is_integral(tr, branches)
+    assert min_t_valuation(branch_images(tr)) == 1
+    assert is_integral(branch_images(tr))
 
 
 def test_gamma_trace_is_gamma(two_branch_ideal, two_branch_datum):
@@ -47,7 +51,7 @@ def test_gamma_trace_is_gamma(two_branch_ideal, two_branch_datum):
     tr = trace_Q(gm)
     assert tr == two_branch_datum.gamma
     assert tr.in_ring() is None
-    assert is_integral(tr)
+    assert is_integral(branch_images(tr))
 
 
 def test_socle_membership(two_branch_ideal, two_branch_datum):
@@ -58,10 +62,9 @@ def test_socle_membership(two_branch_ideal, two_branch_datum):
 
 def test_trace_oracle_matches_lifting(cusp_ideal):
     M = cusp_ideal
-    branches = factor_hypersurface(M.ring)
     for d in range(-4, 9):
         for h in hom_graded(M, M, d).basis:
-            assert stably_zero_trace(h, branches) == stably_zero_bruteforce(h)
+            assert stably_zero_trace(h) == stably_zero_bruteforce(h)
 
 
 @settings(derandomize=True, deadline=None, max_examples=8)
@@ -69,10 +72,9 @@ def test_trace_oracle_matches_lifting(cusp_ideal):
 def test_trace_oracle_matches_lifting_on_random_rings(seed, field):
     ring = random_ring(random.Random(seed), field_from_string(field))
     M = mf_from_ideal(ring).cok(label="I")
-    branches = factor_hypersurface(ring)
     for d in range(ring.deg_g + 1):
         for h in hom_graded(M, M, d).basis:
-            assert stably_zero_trace(h, branches) == stably_zero_bruteforce(h)
+            assert stably_zero_trace(h) == stably_zero_bruteforce(h)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -99,7 +101,7 @@ def test_q_membership_matches_branch_preimage(seed, field, e, data):
         n_img, x_img = branch.evaluate(num), branch.evaluate(den)
         images.append(None if n_img is None else
                       (K.div(n_img[0], x_img[0]), n_img[1] - x_img[1]))
-    expected = _ring_preimage(ring, branches, images, d - e * ring.q)
+    expected = _ring_preimage(ring, images, d - e * ring.q)
     assert ring.q_membership(num, den) == expected
 
 
@@ -127,8 +129,8 @@ def _reference_ring_preimage(ring, branches, images, w):
 
 def _assert_membership_matches_the_solve(ring, branches, images, w):
     expected = _reference_ring_preimage(ring, branches, images, w)
-    assert _in_ring(ring, branches, images, w) == (expected is not None)
-    assert _ring_preimage(ring, branches, images, w) == expected
+    assert _in_ring(ring, images, w) == (expected is not None)
+    assert _ring_preimage(ring, images, w) == expected
     return expected is not None
 
 
@@ -189,11 +191,10 @@ def test_traces_in_ring_solve_nothing(monkeypatch, two_branch_ring):
     # the trace test asks membership of the branch images in the span of
     # R_w's images, made once per degree; no system is solved
     M = mf_from_ideal(two_branch_ring).cok(label="I")
-    branches = factor_hypersurface(two_branch_ring)
     calls = []
     monkeypatch.setattr(traceoracle, "solve_sparse_system",
                         lambda *a: calls.append(1) or solve_sparse_system(*a))
-    verdicts = [stably_zero_trace(h, branches)
+    verdicts = [stably_zero_trace(h)
                 for d in range(two_branch_ring.deg_g + 1)
                 for h in hom_graded(M, M, d).basis]
     assert True in verdicts and False in verdicts
@@ -205,12 +206,11 @@ def test_traces_in_ring_solve_nothing(monkeypatch, two_branch_ring):
 def test_trace_oracle_matches_lifting_on_syzygy_and_push(seed, field):
     ring = random_ring(random.Random(seed), field_from_string(field))
     I = mf_from_ideal(ring).cok(label="I")
-    branches = factor_hypersurface(ring)
     for M in (I.syz(), push(I, gamma_for(ring)).middle):
         spread = max(M.gens) - min(M.gens)
         for d in range(-spread, ring.deg_g + 1):
             for h in hom_graded(M, M, d).basis:
-                assert stably_zero_trace(h, branches) == stably_zero_bruteforce(h)
+                assert stably_zero_trace(h) == stably_zero_bruteforce(h)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -261,7 +261,6 @@ def test_socle_test_matches_lifting(ring_name, request):
     # socle_test reads each product g h off the branch coefficients of the
     # matrix product; the lifting oracle composes the maps honestly.
     ring = request.getfixturevalue(ring_name)
-    branches = factor_hypersurface(ring)
     I = mf_from_ideal(ring).cok(label="I")
     # End(I) is commutative (I has rank one); the push middle term's is not.
     for M in (I, push(I, gamma_for(ring)).middle):
@@ -270,10 +269,10 @@ def test_socle_test_matches_lifting(ring_name, request):
             for h in hom_graded(M, M, d).basis:
                 products = [stably_zero_bruteforce(g.compose(h))
                             for g in nonunits]
-                assert products == [_product_stably_zero(g, h, branches)
+                assert products == [_product_stably_zero(g, h)
                                     for g in nonunits]
                 by_lift = not stably_zero_bruteforce(h) and all(products)
-                assert socle_test(h, branches) == by_lift
+                assert socle_test(h) == by_lift
 
 
 def test_trace_oracle_composes_nothing(cusp_ring, cusp_ideal, monkeypatch):
@@ -289,10 +288,9 @@ def test_trace_oracle_composes_nothing(cusp_ring, cusp_ideal, monkeypatch):
 
     monkeypatch.setattr(GradedHom, "compose", counted)
     M = cusp_ideal
-    branches = factor_hypersurface(cusp_ring)
     for d in range(-cusp_ring.deg_g, cusp_ring.deg_g + 1):
         for h in hom_graded(M, M, d).basis:
-            stably_zero_trace(h, branches)
+            stably_zero_trace(h)
     assert len(calls) == 0
     spread = max(M.gens) - min(M.gens)
     assert max(end_generators(M).dims) <= cusp_ring.gamma_degree + spread
@@ -321,7 +319,7 @@ def test_zero_trace_valuation_is_none(cusp_ideal):
     z = hom_graded(cusp_ideal, cusp_ideal, 1).zero()
     tr = trace_Q(z)
     assert tr.is_zero()
-    assert min_t_valuation(tr) is None
+    assert min_t_valuation(branch_images(tr)) is None
 
 
 def test_end_generators_test_no_membership(monkeypatch, two_branch_ring):
@@ -335,3 +333,49 @@ def test_end_generators_test_no_membership(monkeypatch, two_branch_ring):
         lambda self, row: calls.append(1) or contains(self, row))
     assert end_generators(M).gens
     assert calls == []
+
+
+@pytest.mark.parametrize("ring_name", ["cusp_ring", "two_branch_ring"])
+def test_trace_fraction_has_the_trace_images(ring_name, request):
+    # trace_Q reconstructs a fraction from trace_images; evaluated afresh
+    # on every branch it must give those images back
+    ring = request.getfixturevalue(ring_name)
+    I = mf_from_ideal(ring).cok(label="I")
+    for M in (I, I.syz()):
+        for d in range(-ring.deg_g, ring.deg_g + 1):
+            for h in hom_graded(M, M, d).basis:
+                assert branch_images(trace_Q(h)) == trace_images(h)
+
+
+def test_no_function_takes_a_branch_list():
+    # a trace over Q is its images on every branch of the ring: no
+    # function of the oracle may be handed a subset of them
+    functions = [obj for obj in vars(traceoracle).values()
+                 if inspect.isfunction(obj)
+                 and obj.__module__ == traceoracle.__name__]
+    assert {f.__name__ for f in functions} >= (
+        set(traceoracle.__all__) - {"EndGenerators", "stably_zero_bruteforce"})
+    for f in functions:
+        assert "branches" not in inspect.signature(f).parameters, f.__name__
+
+
+def test_trace_sweep_makes_no_fraction(monkeypatch, capsys):
+    # verify trace-oracle reads integrality and valuations off the branch
+    # images; its report, pinned in perfbench/golden.json, must not need
+    # a single fraction reconstructed or preimage solved
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+
+    def refuse(*args):
+        raise AssertionError("the trace sweep built a fraction")
+
+    monkeypatch.setattr(traceoracle, "_reconstruct_fraction", refuse)
+    monkeypatch.setattr(traceoracle, "solve_sparse_system", refuse)
+    job = workloads.Job(("verify", "trace-oracle"), "two_branch_q")
+    monkeypatch.chdir(workloads.ROOT)
+    code = cli.main(job.argv(seed=0))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert workloads.check(job, workloads.load_golden(), code,
+                           captured.out, captured.err) == "pass"
