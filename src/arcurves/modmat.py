@@ -543,24 +543,31 @@ class GradedModule:
         return [t for t in range(len(amb)) if t not in pivots]
 
     def element_coords(self, polys, d: int) -> dict:
-        """Canonical coordinates in M_d of a tuple of polys (see _coords)."""
-        return self._coords(polys, d, (0, 0))
-
-    def _coords(self, polys, d: int, shift) -> dict:
-        """Coordinates in M_d of x^a y^b times polys, (a, b) = shift: the
-        sum of c times the table row of each term c x^i y^j.  Normal form
-        and reduction are linear, so these are the canonical ones."""
-        K = self.ring.field
-        unshifted = d - self.ring.wdeg(*shift)
+        """Canonical coordinates in M_d of a tuple of polys, in normal
+        form or not (see _accumulate)."""
         out: dict = {}
         for i, poly in enumerate(polys):
-            if not poly.is_zero() and poly.degree != unshifted - self.gens[i]:
-                raise InputError("element component has wrong degree")
-            for (a, b), c in poly.terms.items():
-                row = self._monomial_coords(i, (a + shift[0], b + shift[1]))
-                for t, v in row.items():
-                    out[t] = K.add(out.get(t, K.zero), K.mul(c, v))
-        return {t: v for t, v in out.items() if not K.is_zero(v)}
+            if not poly.is_zero():
+                self._accumulate(out, i, poly, d)
+        return _canonical(out, self.ring.field)
+
+    def _accumulate(self, out: dict, i: int, poly, d: int, shift=(0, 0),
+                    keys=None):
+        """Add into out the coordinates in M_d of x^a y^b poly e_i,
+        (a, b) = shift, for a nonzero poly: c times the table row of each
+        term c x^i y^j, coordinate t at keys[t] (at t when keys is None).
+
+        The sums are left to native + and *; normal form and reduction
+        are linear, so _canonical(out) is the canonical coordinates.
+        """
+        if poly.degree != d - self.ring.wdeg(*shift) - self.gens[i]:
+            raise InputError("element component has wrong degree")
+        a0, b0 = shift
+        for (a, b), c in poly.terms.items():
+            for t, v in self._monomial_coords(i, (a + a0, b + b0)).items():
+                if keys is not None:
+                    t = keys[t]
+                out[t] = out.get(t, 0) + c * v
 
     def _monomial_coords(self, i: int, mono) -> dict:
         """The table row of x^a y^b e_i, (a, b) = mono: its normal form
@@ -595,6 +602,12 @@ class GradedModule:
 
 def _wrap_label(label, op):
     return f"{op}({label})" if label else None
+
+
+def _canonical(vec: dict, K) -> dict:
+    """The nonzero entries of a vector of native sums, as field elements
+    in canonical form (so a zero is 0)."""
+    return {t: e for t, v in vec.items() if (e := K(v))}
 
 
 def free_module(ring, shifts=(0,)) -> GradedModule:
@@ -632,12 +645,24 @@ class GradedHom:
         return self._H
 
     def _coefficients(self, branch):
-        """C_b(H), the constant matrix of branch leading coefficients
-        (_coefficient_matrix), made once per branch."""
+        """C_b(H), the constant matrix of branch leading coefficients,
+        read off the coordinates: entry (i, j) is the sum of c times the
+        branch image of the monomial of each coordinate c at (i, j)
+        (HomSpace._images), so no matrix H is built.  Made once per
+        branch."""
         C = self._branch_coeffs.get(branch)
         if C is None:
-            C = self._branch_coeffs[branch] = _coefficient_matrix(branch,
-                                                                  self.H)
+            images = self.space._images(branch)
+            sums: dict = {}
+            for t, c in self.coords:
+                hit = images.get(t)
+                if hit is not None:
+                    entry, v = hit
+                    sums[entry] = sums.get(entry, 0) + c * v
+            C = [[0] * len(self.source.gens) for _ in self.target.gens]
+            for (i, j), v in _canonical(sums, self.source.ring.field).items():
+                C[i][j] = v
+            self._branch_coeffs[branch] = C
         return C
 
     def is_zero(self) -> bool:
@@ -673,11 +698,21 @@ class GradedHom:
         return self.space._hom(_combine(((value, self),), self.space))
 
     def times_monomial(self, i: int, j: int) -> "GradedHom":
-        """The hom multiplied by the monomial x^i y^j (degree rises), read
-        through the target's monomial table into the raised space."""
-        d = self.source.ring.wdeg(i, j)
-        space = hom_graded(self.source, self.target, self.degree + d)
-        return space._hom(_freeze(space._coords(self.H.entries, (i, j))))
+        """The hom multiplied by the monomial x^i y^j (degree rises): each
+        coordinate c at (r, s, x^a y^b) adds c times the target's table
+        row of x^(a+i) y^(b+j) e_r to column s of the raised space."""
+        ring = self.source.ring
+        space = hom_graded(self.source, self.target,
+                           self.degree + ring.wdeg(i, j))
+        entries, table = self.space._entry_list, self.target._monomial_coords
+        out: dict = {}
+        for t, c in self.coords:
+            r, s, (a, b) = entries[t]
+            flat = space._flat[s]
+            for tt, v in table(r, (a + i, b + j)).items():
+                key = flat[tt]
+                out[key] = out.get(key, 0) + c * v
+        return space._hom(_freeze(_canonical(out, ring.field)))
 
     def __repr__(self):
         return (f"GradedHom(deg={self.degree}, "
@@ -725,6 +760,7 @@ class HomSpace:
         self._span = reduced
         self.basis = [self._hom(_freeze(reduced.pivots[piv]))
                       for piv in sorted(reduced.pivots)]
+        self._branch_images: dict = {}
 
     @property
     def dim(self) -> int:
@@ -746,19 +782,40 @@ class HomSpace:
                             tuple(w + self.degree for w in self.source.gens),
                             polys)
 
+    def _images(self, branch) -> dict:
+        """{flat coordinate: ((i, j), branch image of its monomial)} for
+        the monomials that do not vanish on the branch, read off
+        Branch.piece_row block by block in the order of _entry_list;
+        made once per branch."""
+        images = self._branch_images.get(branch)
+        if images is None:
+            images = self._branch_images[branch] = {}
+            ring = self.source.ring
+            t = 0
+            for i, wt in enumerate(self.target.gens):
+                for j, ws in enumerate(self.source.gens):
+                    w = ws + self.degree - wt
+                    for k, v in branch.piece_row(w)[0].items():
+                        images[t + k] = ((i, j), v)
+                    t += len(ring.graded_piece(w))
+        return images
+
     def coords_of(self, H: GradedMatrix):
         """Canonical coordinates of a hom matrix, in normal form or not."""
-        return _freeze(self._coords(H.entries, (0, 0)))
+        return _freeze(self._coords(
+            ((i, j, e) for i, row in enumerate(H.entries)
+             for j, e in enumerate(row) if not e.is_zero()), (0, 0)))
 
     def _coords(self, entries, shift) -> dict:
-        """The coordinates of x^a y^b times a grid of hom matrix entries,
-        (a, b) = shift, column j read by the target in degree w_j + degree."""
-        out = {}
-        for j, ws in enumerate(self.source.gens):
-            for t, c in self.target._coords([row[j] for row in entries],
-                                            ws + self.degree, shift).items():
-                out[self._flat[j][t]] = c
-        return out
+        """The coordinates of x^a y^b times a matrix given by its nonzero
+        entries (i, j, poly), (a, b) = shift: entry (i, j) is read by the
+        target's accumulator in degree w_j + degree into column j."""
+        gens, d = self.source.gens, self.degree
+        out: dict = {}
+        for i, j, poly in entries:
+            self.target._accumulate(out, i, poly, gens[j] + d, shift,
+                                    self._flat[j])
+        return _canonical(out, self.source.ring.field)
 
     def from_matrix(self, H: GradedMatrix) -> GradedHom:
         """The hom given by a matrix from outside the hom layer, certified
@@ -837,13 +894,13 @@ def _stably_zero_span(space: HomSpace) -> SparseRREF:
         return span
     M, N, d = space.source, space.target, space.degree
     ring = M.ring
-    zeros = [ring.zero_poly()] * len(M.gens)
     span = SparseRREF(ring.field)
     for k, wk in enumerate(N.gens):
         for u, prow in zip(M.mf.psi.rows, M.mf.psi.entries):
-            grid = [prow if i == k else zeros for i in range(len(N.gens))]
+            entries = [(k, j, e) for j, e in enumerate(prow)
+                       if not e.is_zero()]
             for mono in ring.graded_piece(d - wk - ring.deg_g + u):
-                span.insert(space._coords(grid, mono))
+                span.insert(space._coords(entries, mono))
     space._stably_zero = span
     return span
 
@@ -867,7 +924,7 @@ def _precomposition(A: GradedMatrix, N: GradedModule, d: int):
     of N_(A.rows[i] + d).  Returns the variables and the rows of the map,
     one per (column of A, coordinate in N); the kernel is Hom(cok A, N)_d.
     """
-    zero = A.ring.zero_poly()
+    K = A.ring.field
     variables = [(i, t) for i, w in enumerate(A.rows)
                  for t in N.nonpivot_basis(w + d)]
     rows: dict = {}
@@ -876,8 +933,9 @@ def _precomposition(A: GradedMatrix, N: GradedModule, d: int):
         for j, e in enumerate(A.entries[i]):
             if e.is_zero():
                 continue
-            polys = [e if k == gen else zero for k in range(len(N.gens))]
-            for tt, c in N._coords(polys, A.cols[j] + d, mono).items():
+            image: dict = {}
+            N._accumulate(image, gen, e, A.cols[j] + d, mono)
+            for tt, c in _canonical(image, K).items():
                 rows.setdefault((j, tt), {})[v] = c
     return variables, list(rows.values())
 

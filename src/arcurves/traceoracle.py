@@ -10,14 +10,19 @@ suffices to test a generating set of End(M) as an R-module.
 On one branch the trace is a linear map on constant matrices.
 Evaluating the entries of h gives a constant matrix C_b(h) over k, and
 the branch trace is tr(P_b C_b(h)), where P_b projects onto the
-cokernel of the evaluated presentation.  Evaluation is a ring map and
-P_b kills the presentation, so the trace of g h is the pairing of
-tau_{g,b} = P_b C_b(g) with C_b(h): no composite is ever formed.  P_b
-and the tau of every End generator are built once per module and
-branch (cached on the module), the span of the branch images of R_w
-once per degree (cached on the ring), and "the trace lies in R" is one
-membership test per generator.  The End generators are collected only
-up to the conductor bound a(R) + spread (see end_generators).
+cokernel of the evaluated presentation.  C_b(h) is read off the
+coordinates of h, each weighted by the branch image of its monomial
+(GradedHom._coefficients), so no matrix of h is built and no entry is
+evaluated.  Evaluation is a ring map and P_b kills the presentation, so
+the trace of g h is the pairing of tau_{g,b} = P_b C_b(g) with C_b(h):
+no composite is ever formed.  P_b and the tau of every End generator are
+built once per module and branch (cached on the module).  The trace lies
+in R_w when its vector of branch coefficients is killed by the
+annihilator of the span of R_w's branch images, one kernel per degree
+(cached on the ring), so "the trace lies in R" is a few products per
+generator and no elimination (_in_ring).  The End generators are
+collected only up to the conductor bound a(R) + spread (see
+end_generators).
 
 A trace is its tuple of images on every branch of factor_hypersurface,
 in that order: Q is the product of the fields k(t) over all branches,
@@ -33,9 +38,9 @@ from __future__ import annotations
 
 from .branches import Branch, factor_hypersurface
 from .errors import CertificationError, InputError
-from .linalg import SparseRREF, solve_sparse_system
-from .modmat import (GradedHom, GradedModule, TopAlgebra, _coefficient_matrix,
-                     hom_graded, stably_zero_bruteforce)
+from .linalg import SparseRREF, kernel_sparse, solve_sparse_system
+from .modmat import (GradedHom, GradedModule, TopAlgebra, _canonical,
+                     _coefficient_matrix, hom_graded, stably_zero_bruteforce)
 from .ring import QElement, WPoly
 
 __all__ = [
@@ -96,14 +101,14 @@ class _BranchTrace:
         self._generators = None
 
     def functional(self, G):
-        """tau = P_b G, so that tr_b(g h) = <tau, C_b(h)> when G = C_b(g)."""
-        K = self.module.ring.field
-        tau = {}
+        """tau = P_b G, so that tr_b(g h) = <tau, C_b(h)> when G = C_b(g).
+        G is in canonical form, so a zero entry is 0."""
+        tau: dict = {}
         for (i, j), c in self.projector.items():
             for k, gik in enumerate(G[i]):
-                if not K.is_zero(gik):
-                    tau[(k, j)] = K.add(tau.get((k, j), K.zero), K.mul(c, gik))
-        return {key: v for key, v in tau.items() if not K.is_zero(v)}
+                if gik:
+                    tau[(k, j)] = tau.get((k, j), 0) + c * gik
+        return _canonical(tau, self.module.ring.field)
 
     def generator_functionals(self):
         """The functionals of the End generators, in their order."""
@@ -115,14 +120,16 @@ class _BranchTrace:
 
     def image(self, functional, X, degree):
         """<functional, X> as a branch image (coeff, t-degree) or None;
-        degree is the degree of the endomorphism whose trace it is."""
-        K = self.module.ring.field
-        total = K.zero
+        degree is the degree of the endomorphism whose trace it is.  X is
+        in canonical form, so its zeros are skipped by their truth value:
+        a Fraction times 0 would still cost a Fraction operation."""
+        total = 0
         for (i, j), c in functional.items():
             x = X[i][j]
-            if not K.is_zero(x):
-                total = K.add(total, K.mul(c, x))
-        if K.is_zero(total):
+            if x:
+                total += c * x
+        total = self.module.ring.field(total)
+        if not total:
             return None
         if degree % self.branch.scale != 0:
             raise CertificationError(
@@ -145,25 +152,36 @@ def _cokernel_trace(branch: Branch, M: GradedModule, h: GradedHom):
 
 
 def _in_ring(ring, images, w) -> bool:
-    """Whether the branch images are those of an element of R_w: every
-    monomial of degree w has one t-degree on a branch, and the
-    coefficients must lie in the span of the monomials' images
-    (Branch.piece_row), made once per w and kept on the ring.
+    """Whether the branch images are those of an element of R_w.
+
+    Every monomial of degree w has one t-degree on a branch, so the
+    images must sit there.  Their coefficients, a vector v indexed by the
+    branches, must lie in the span S of the monomials' images
+    (Branch.piece_row); v lies in S exactly when v a = 0 for every a in
+    a basis of the annihilator of S.  That basis is one kernel_sparse per
+    w, kept on the ring, so a test is a product with each of its vectors
+    and no elimination.
     """
-    cache = ring.__dict__.setdefault("_image_spans", {})
+    cache = ring.__dict__.setdefault("_annihilators", {})
     if w not in cache:
         rows = [b.piece_row(w) for b in factor_hypersurface(ring)]
-        span = SparseRREF(ring.field)
-        for t in range(len(ring.graded_piece(w))):
-            span.insert({b: row[t] for b, (row, _) in enumerate(rows)
-                         if t in row})
-        cache[w] = span, [tdeg for _, tdeg in rows]
-    span, tdegs = cache[w]
+        images_of = [{b: row[t] for b, (row, _) in enumerate(rows) if t in row}
+                     for t in range(len(ring.graded_piece(w)))]
+        cache[w] = (kernel_sparse(images_of, len(rows), ring.field),
+                    [tdeg for _, tdeg in rows])
+    annihilator, tdegs = cache[w]
     if any(img is not None and img[1] != tdeg
            for img, tdeg in zip(images, tdegs)):
         return False
-    return span.contains({b: img[0] for b, img in enumerate(images)
-                          if img is not None})
+    K = ring.field
+    for a in annihilator:
+        total = 0
+        for b, c in a.items():
+            if images[b] is not None:
+                total += images[b][0] * c
+        if K(total):
+            return False
+    return True
 
 
 def _ring_preimage(ring, images, w):
@@ -321,13 +339,14 @@ def _traces_in_ring(M: GradedModule, degree: int, coefficients) -> bool:
     branch.  Each trace is read off the generator functionals and tested
     for membership in R (_in_ring).
     """
-    branches = factor_hypersurface(M.ring)
-    traces = [_branch_trace(b, M) for b in branches]
-    coeffs = [coefficients(b) for b in branches]
+    reads = []
+    for b in factor_hypersurface(M.ring):
+        bt = _branch_trace(b, M)
+        reads.append((bt, bt.generator_functionals(), coefficients(b)))
     for k, g in enumerate(end_generators(M).gens):
         w = g.degree + degree
-        images = [bt.image(bt.generator_functionals()[k], X, w)
-                  for bt, X in zip(traces, coeffs)]
+        images = [bt.image(functionals[k], X, w)
+                  for bt, functionals, X in reads]
         if not _in_ring(M.ring, images, w):
             return False
     return True

@@ -23,8 +23,8 @@ from arcurves.errors import CertificationError, InconclusiveSplitError
 from arcurves.linalg import (SparseRREF, dense_vector, kernel_sparse,
                              rank_dense, solve_sparse_system, sparse_vector)
 from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
-                             _scatter, _span_rref, _stably_zero_span,
-                             hom_from_coefficients)
+                             _coefficient_matrix, _scatter, _span_rref,
+                             _stably_zero_span, hom_from_coefficients)
 
 
 def test_entry_degree_validation(cusp_ring):
@@ -540,9 +540,10 @@ def test_split_eliminates_nothing(monkeypatch, two_branch_ring):
     recorded = _recorded_splits(_direct_sum(I.mf, middle.mf).cok("sum"))
     assert recorded
     calls = []
-    # Every coordinate reader in M goes through the accumulator _coords
-    # and the monomial table behind it; count both and the public wrapper.
-    for name in ("element_coords", "_coords", "_monomial_coords"):
+    # Every coordinate reader in M goes through the single-entry
+    # accumulator _accumulate and the monomial table behind it; count both
+    # and the public reader element_coords.
+    for name in ("element_coords", "_accumulate", "_monomial_coords"):
         method = getattr(GradedModule, name)
         monkeypatch.setattr(GradedModule, name,
                             lambda *a, _n=name, _m=method: calls.append(_n)
@@ -797,6 +798,47 @@ def test_times_monomial_matches_the_shifted_matrix(field, f):
                         == _reference_times_monomial(g, *mono))
                 checked += 1
     assert checked > 20
+
+
+def _differential_homs(ring):
+    """The basis homs of I, syz I and push(I).middle, |degree| <= deg g."""
+    I = mf_from_ideal(ring).cok(label="I")
+    for M in (I, I.syz(), push(I, gamma_for(ring)).middle):
+        for d in range(-ring.deg_g, ring.deg_g + 1):
+            yield from hom_graded(M, M, d).basis
+
+
+def _assert_homs_read_on_coordinates(ring):
+    # C_b(h) off the coordinates against the evaluated matrix, entry and
+    # canonical type; x and y multiples against the shifted matrix
+    branches = factor_hypersurface(ring)
+    nonzero = 0
+    for h in _differential_homs(ring):
+        for b in branches:
+            got, want = h._coefficients(b), _coefficient_matrix(b, h.H)
+            assert got == want
+            assert ([[type(v) for v in row] for row in got]
+                    == [[type(v) for v in row] for row in want])
+            nonzero += any(v for row in got for v in row)
+        for mono in ((1, 0), (0, 1)):
+            assert (h.times_monomial(*mono).coords
+                    == _reference_times_monomial(h, *mono))
+    assert nonzero
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("f", ["1*x^0*y^0", "1*x^0*y^1"])
+def test_coefficients_and_multiples_match_the_matrix(field, f):
+    _assert_homs_read_on_coordinates(
+        HypersurfaceRing(field_from_string(field), 3, 4, 1, f, m=1, n=2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_coefficients_and_multiples_match_the_matrix_on_random_rings(seed,
+                                                                     field):
+    _assert_homs_read_on_coordinates(
+        random_ring(random.Random(seed), field_from_string(field)))
 
 
 def _reference_basis(space, variables, rows):

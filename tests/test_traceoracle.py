@@ -17,9 +17,10 @@ from arcurves import (GradedHom, GradedMatrix, branch_images, end_generators,
                       mf_from_ideal, push, random_ring, socle_test,
                       stably_zero_bruteforce, stably_zero_trace, trace_Q,
                       trace_report)
-from arcurves import cli, traceoracle
+from arcurves import HypersurfaceRing, cli, traceoracle
+from arcurves.cli import _endo_corpus
 from arcurves.linalg import SparseRREF, solve_sparse_system
-from arcurves.modmat import _coefficient_matrix
+from arcurves.modmat import GradedModule, HomSpace, _coefficient_matrix
 from arcurves.ring import WPoly
 from arcurves.traceoracle import (_branch_trace, _cokernel_trace, _in_ring,
                                   _nonunit_generators, _product_stably_zero,
@@ -127,9 +128,29 @@ def _reference_ring_preimage(ring, branches, images, w):
                  {mono: sol[t] for t, mono in enumerate(basis) if t in sol})
 
 
+def _reference_in_ring(ring, images, w) -> bool:
+    """_in_ring by membership in the RREF span of R_w's branch images,
+    verbatim but for its name."""
+    cache = ring.__dict__.setdefault("_image_spans", {})
+    if w not in cache:
+        rows = [b.piece_row(w) for b in factor_hypersurface(ring)]
+        span = SparseRREF(ring.field)
+        for t in range(len(ring.graded_piece(w))):
+            span.insert({b: row[t] for b, (row, _) in enumerate(rows)
+                         if t in row})
+        cache[w] = span, [tdeg for _, tdeg in rows]
+    span, tdegs = cache[w]
+    if any(img is not None and img[1] != tdeg
+           for img, tdeg in zip(images, tdegs)):
+        return False
+    return span.contains({b: img[0] for b, img in enumerate(images)
+                          if img is not None})
+
+
 def _assert_membership_matches_the_solve(ring, branches, images, w):
     expected = _reference_ring_preimage(ring, branches, images, w)
     assert _in_ring(ring, images, w) == (expected is not None)
+    assert _in_ring(ring, images, w) == _reference_in_ring(ring, images, w)
     assert _ring_preimage(ring, images, w) == expected
     return expected is not None
 
@@ -141,7 +162,22 @@ def test_ring_membership_matches_the_solve(seed, field, data):
     # random images: all None, those of an element of R_w (perhaps with
     # one coefficient changed), or arbitrary coefficients at the branch's
     # t-degree or one above it, including branches on which R_w vanishes
-    ring = random_ring(random.Random(seed), field_from_string(field))
+    _assert_drawn_membership_matches_the_solve(
+        random_ring(random.Random(seed), field_from_string(field)), data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(field=st.sampled_from(["Q", "F101"]), data=st.data())
+def test_ring_membership_matches_the_solve_on_three_branches(field, data):
+    # with three branches the annihilator of R_w's images can have two
+    # vectors, and an image vector may be killed by one and not the other
+    ring = HypersurfaceRing(field_from_string(field), 3, 4, 1,
+                            "1*x^0*y^8 - 9*x^3*y^4 + 8*x^6*y^0", m=1, n=2)
+    assert len(factor_hypersurface(ring)) == 3
+    _assert_drawn_membership_matches_the_solve(ring, data)
+
+
+def _assert_drawn_membership_matches_the_solve(ring, data):
     K = ring.field
     branches = factor_hypersurface(ring)
     w = data.draw(st.integers(-1, 2 * ring.deg_g))
@@ -188,17 +224,87 @@ def test_ring_membership_on_the_named_cases(two_branch_ring):
 
 
 def test_traces_in_ring_solve_nothing(monkeypatch, two_branch_ring):
-    # the trace test asks membership of the branch images in the span of
-    # R_w's images, made once per degree; no system is solved
+    # membership of the branch images in R_w is a product with each vector
+    # of the annihilator of R_w's images, made once per degree; no system
+    # is solved and nothing is eliminated
     M = mf_from_ideal(two_branch_ring).cok(label="I")
     calls = []
     monkeypatch.setattr(traceoracle, "solve_sparse_system",
                         lambda *a: calls.append(1) or solve_sparse_system(*a))
+    contains = SparseRREF.contains
+    monkeypatch.setattr(
+        SparseRREF, "contains",
+        lambda self, row: calls.append(2) or contains(self, row))
     verdicts = [stably_zero_trace(h)
                 for d in range(two_branch_ring.deg_g + 1)
                 for h in hom_graded(M, M, d).basis]
     assert True in verdicts and False in verdicts
     assert calls == []
+
+
+def _assert_trace_membership_matches_the_span(ring):
+    # every (h, g) test of the trace oracle on I, syz I and push(I).middle,
+    # |deg h| <= deg g, against membership in the RREF span
+    I = mf_from_ideal(ring).cok(label="I")
+    verdicts = set()
+    for M in (I, I.syz(), push(I, gamma_for(ring)).middle):
+        traces = [_branch_trace(b, M) for b in factor_hypersurface(ring)]
+        for d in range(-ring.deg_g, ring.deg_g + 1):
+            for h in hom_graded(M, M, d).basis:
+                for k, g in enumerate(end_generators(M).gens):
+                    w = g.degree + d
+                    images = [bt.image(bt.generator_functionals()[k],
+                                       h._coefficients(bt.branch), w)
+                              for bt in traces]
+                    member = _in_ring(ring, images, w)
+                    assert member == _reference_in_ring(ring, images, w)
+                    verdicts.add(member)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("f", ["1*x^0*y^0", "1*x^0*y^1"])
+def test_trace_membership_matches_the_span(field, f):
+    _assert_trace_membership_matches_the_span(
+        HypersurfaceRing(field_from_string(field), 3, 4, 1, f, m=1, n=2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_trace_membership_matches_the_span_on_random_rings(seed, field):
+    _assert_trace_membership_matches_the_span(
+        random_ring(random.Random(seed), field_from_string(field)))
+
+
+def test_trace_oracle_reads_homs_on_coordinates(monkeypatch):
+    # On the two-branch corpus of verify trace-oracle, both oracles and
+    # the End generators read homs on coordinates: no hom matrix is
+    # built, and the coordinate accumulator is handed nonzero entries only.
+    ring = HypersurfaceRing(field_from_string("Q"), 3, 4, 1, "1*x^0*y^1",
+                            m=1, n=2)
+    corpus, _ = _endo_corpus(ring)
+
+    def refuse(*args):
+        raise AssertionError("a hom matrix was built")
+
+    monkeypatch.setattr(HomSpace, "_matrix", refuse)
+    entries = []
+    accumulate = GradedModule._accumulate
+
+    def checked(self, out, i, poly, *rest):
+        entries.append(poly.is_zero())
+        return accumulate(self, out, i, poly, *rest)
+
+    monkeypatch.setattr(GradedModule, "_accumulate", checked)
+    agree = []
+    for M in corpus:
+        assert end_generators(M).gens
+        for d in range(-ring.deg_g, ring.deg_g + 1):
+            for h in hom_graded(M, M, d).basis:
+                agree.append(stably_zero_trace(h) == stably_zero_bruteforce(h))
+                trace_images(h)
+    assert agree and all(agree)
+    assert entries and not any(entries)
 
 
 @settings(derandomize=True, deadline=None, max_examples=8)
