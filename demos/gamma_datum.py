@@ -24,7 +24,7 @@ def inspect(ring, title):
           (gd.gamma * ring.y_poly()).in_ring().to_string())
     img = gd.branch.evaluate_q(gd.gamma)
     print("  image on the branch:  %s * t^%d" %
-          (ring.field.to_str(img[0]), img[1]))
+          (img[0], img[1]))
 
 
 def main():

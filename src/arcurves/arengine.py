@@ -647,7 +647,7 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
     if ring.m is None or ring.n is None:
         raise InputError("the double push needs the two-generator ideal data")
     K = ring.field
-    half = K.div(K.one, K(2))
+    half = K.inv(2)
     p, q, m, n, v = ring.p, ring.q, ring.m, ring.n, ring.v
     D, G = ring.deg_g, ring.gamma_degree
     delta = G - D

@@ -35,7 +35,7 @@ class Branch:
         self.ey = ey
         self.scale = scale
         gens = [ex]
-        if not ring.field.is_zero(cy):
+        if cy:
             gens.append(ey)
         self.generators = tuple(sorted(set(gens)))
         self.frobenius = _frobenius_closed_form(self.generators)
@@ -60,22 +60,17 @@ class Branch:
 
     def evaluate(self, poly: WPoly):
         """Image of a homogeneous polynomial, as (coeff, t-degree) or None."""
-        K = self.ring.field
         if poly.is_zero():
             return None
-        total = K.zero
+        total = 0
         tdeg = None
         for (i, j), c in poly.terms.items():
-            if j > 0 and K.is_zero(self.cy):
+            if j > 0 and not self.cy:
                 continue
-            term = c
-            if i > 0:
-                term = K.mul(term, K.pow(self.cx, i))
-            if j > 0:
-                term = K.mul(term, K.pow(self.cy, j))
-            total = K.add(total, term)
+            total += c * self.cx ** i * self.cy ** j
             tdeg = self.ex * i + self.ey * j
-        if tdeg is None or K.is_zero(total):
+        total = self.ring.field(total)
+        if tdeg is None or not total:
             return None
         return total, tdeg
 
@@ -108,18 +103,18 @@ class Branch:
             result = None
         else:
             K = self.ring.field
-            result = (K.div(num_img[0], den_img[0]), num_img[1] - den_img[1])
+            result = (K(num_img[0] * K.inv(den_img[0])),
+                      num_img[1] - den_img[1])
         qe._image_cache[key] = result
         return result
 
     def describe(self) -> dict:
-        K = self.ring.field
         return {
             "kind": self.kind,
             "h": self.h.to_string(),
             "parametrization": {
-                "x": f"{K.to_str(self.cx)}*t^{self.ex}",
-                "y": f"{K.to_str(self.cy)}*t^{self.ey}",
+                "x": f"{self.cx}*t^{self.ex}",
+                "y": f"{self.cy}*t^{self.ey}",
             },
             "semigroup_generators": list(self.generators),
             "frobenius": self.frobenius,
@@ -164,13 +159,13 @@ def _axis_branch(ring: HypersurfaceRing) -> Branch:
 def _binomial_branch(ring: HypersurfaceRing, alpha, beta) -> Branch:
     """Branch of alpha x^p + beta y^q, normalized so y -> t^p."""
     K = ring.field
-    alpha = K.div(alpha, beta)
+    alpha = K(alpha * K.inv(beta))
     h = WPoly(K, ring.q, ring.p, {(ring.p, 0): alpha, (0, ring.q): K.one})
-    target = K.neg(K.inv(alpha))
+    target = K(-K.inv(alpha))
     cx = _pth_root(K, target, ring.p)
     if cx is None:
         raise FormSplitError(
-            f"form does not split over k: no p-th root of {K.to_str(target)}")
+            f"form does not split over k: no p-th root of {target}")
     return Branch(ring, "binomial", h, cx, ring.q, K.one, ring.p, 1)
 
 
@@ -178,7 +173,7 @@ def _pth_root(K, value, p: int):
     # The least root over F_ell; over Q the real root, the positive one
     # when there are two (-r and r).  So the branch does not depend on
     # the algorithm.
-    rs = upoly.roots([K.neg(value)] + [K.zero] * (p - 1) + [K.one], K)
+    rs = upoly.roots([K(-value)] + [K.zero] * (p - 1) + [K.one], K)
     if not rs:
         return None
     return rs[-1] if K.char == 0 else rs[0]
@@ -207,7 +202,7 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
             if mult >= 2:
                 raise NotSquarefreeError("not squarefree")
             pairs.append((alpha, beta))
-        pairs.sort(key=lambda ab: (K.to_str(K.div(ab[0], ab[1]))))
+        pairs.sort(key=lambda ab: str(K(ab[0] * K.inv(ab[1]))))
         for alpha, beta in pairs:
             branches.append(_binomial_branch(ring, alpha, beta))
     # The factors must multiply back to g up to a scalar.
@@ -216,8 +211,7 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
         if br.kind == "binomial":
             product = product * br.h
     key = next(iter(product.terms))
-    scalar = K.div(g.terms[key], product.terms[key])
-    if not (product * scalar) == g:
+    if not product * (g.terms[key] * K.inv(product.terms[key])) == g:
         raise CertificationError("branch product does not recover g")
     ring._branches_cache = branches
     return branches
@@ -233,9 +227,9 @@ def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
     out = []
     for root, mult in roots:
         # T - root with T = x^p / y^q: alpha = 1, beta = -root.
-        if K.is_zero(root):
+        if not root:
             raise CertificationError("binary form vanished at the origin")
-        out.append((K.one, K.neg(root), mult))
+        out.append((K.one, K(-root), mult))
     return out
 
 
@@ -247,7 +241,7 @@ def singular_branch(ring: HypersurfaceRing) -> Branch:
     and never squarefree, so the y-axis branch is built directly without
     factoring.
     """
-    if ring.field.is_zero(ring.b):
+    if not ring.b:
         return _axis_branch(ring)
     form = (ring.monomial(ring.p, 0, ring.b) + ring.monomial(0, ring.q))
     candidates = [br for br in factor_hypersurface(ring)
@@ -279,7 +273,7 @@ class BranchFraction:
             return None
         den_img = self.branch.evaluate(self.den)
         K = self.branch.ring.field
-        return (K.div(num_img[0], den_img[0]), num_img[1] - den_img[1])
+        return (K(num_img[0] * K.inv(den_img[0])), num_img[1] - den_img[1])
 
     def to_string(self):
         return f"({self.num.to_string()})/({self.den.to_string()})"

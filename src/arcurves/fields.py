@@ -1,10 +1,12 @@
 """Exact coefficient fields: the rationals and odd prime fields.
 
 Every computation in this package is exact.  Field elements are plain
-Python objects and a small field object supplies the arithmetic, so the
-linear algebra layer can stay generic without wrapper classes.  A
-rational is kept in canonical form: an ``int`` when it is integral and a
-``Fraction`` only when its denominator exceeds 1, so the integral
+Python objects, and arithmetic on them is Python's own +, -, * and **:
+a field object only puts a value in canonical form (K(value)) and
+inverts (K.inv), so the linear algebra layer stays generic without
+wrapper classes.  A value is normalised once, where it is stored.  A
+rational is kept in canonical form: an ``int`` when it is integral and
+a ``Fraction`` only when its denominator exceeds 1, so the integral
 coefficients that make up most of the data stay on native int
 arithmetic.  A prime field element is an ``int`` in ``[0, ell)``.
 """
@@ -24,7 +26,7 @@ def _canonical(c):
 class RationalField:
     """The field of rational numbers, elements in canonical form: an int
     when integral, else a Fraction.  int op int stays native; inverses
-    and quotients go through Fraction, so int / int never makes a float.
+    go through Fraction, so a quotient a * Q.inv(b) never makes a float.
     """
 
     char = 0
@@ -32,48 +34,18 @@ class RationalField:
     one = 1
 
     def __call__(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, (int, Fraction)):
             return _canonical(value)
         if isinstance(value, str):
             return _canonical(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into Q")
 
-    # add, sub and mul inline _canonical: they carry nearly all the
-    # arithmetic, and a call per operation would cost more than the test.
-    def add(self, a, b):
-        c = a + b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def sub(self, a, b):
-        c = a - b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def mul(self, a, b):
-        c = a * b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _canonical(1 / Fraction(a))
-
-    def div(self, a, b):
-        return _canonical(Fraction(a) / b)
-
-    def pow(self, a, n):
-        return _canonical(a ** n if n >= 0 else Fraction(a) ** n)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def to_str(self, a):
-        return str(a)
 
     def __repr__(self):
         return "Q"
@@ -105,41 +77,14 @@ class PrimeField:
         if isinstance(value, str):
             if "/" in value:
                 num, den = value.split("/")
-                return self.div(self(int(num)), self(int(den)))
+                return self(int(num)) * self.inv(self(int(den))) % self.ell
             return int(value) % self.ell
         raise TypeError(f"cannot coerce {value!r} into F_{self.ell}")
-
-    def add(self, a, b):
-        return (a + b) % self.ell
-
-    def sub(self, a, b):
-        return (a - b) % self.ell
-
-    def mul(self, a, b):
-        return (a * b) % self.ell
-
-    def neg(self, a):
-        return (-a) % self.ell
 
     def inv(self, a):
         if a % self.ell == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.ell)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, n):
-        return pow(a, n, self.ell)
-
-    def is_zero(self, a):
-        return a % self.ell == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.ell == 0
-
-    def to_str(self, a):
-        return str(a % self.ell)
 
     def __repr__(self):
         return f"F{self.ell}"

@@ -14,8 +14,11 @@ pivot entry; over F_ell its entries lie in [0, ell) and its pivot entry
 is 1.  The fields differ only in how a whole row is normalised, and
 field elements are made only where rows enter and leave: over Q an int
 when the quotient is integral and a Fraction otherwise (the canonical
-form of fields.RationalField), over F_ell an int.  The dense helpers at
-the end only convert lists to sparse rows and back.
+form of fields.RationalField), over F_ell an int.  So a row may come in
+as native sums and products of field elements, as everywhere in this
+package arithmetic is Python's own and a field only normalises and
+inverts.  The dense helpers at the end only convert lists to sparse
+rows and back.
 """
 
 from __future__ import annotations
@@ -188,8 +191,8 @@ def kernel_sparse(rows, nvars, field):
 
 
 def sparse_vector(vec, field) -> dict:
-    """The nonzero entries of a list, keyed by position."""
-    return {j: v for j, v in enumerate(vec) if not field.is_zero(v)}
+    """The nonzero entries of a list, keyed by position, in canonical form."""
+    return {j: e for j, v in enumerate(vec) if (e := field(v))}
 
 
 def dense_vector(vec: dict, n, field):

@@ -105,7 +105,6 @@ class GradedMatrix:
             c0 = diffs.pop()
         ring = self.ring
         K = ring.field
-        add, mul = K.add, K.mul
         ents = []
         for arow in self.entries:
             row = []
@@ -119,9 +118,7 @@ class GradedMatrix:
                     for (i1, j1), c1 in a.terms.items():
                         for (i2, j2), c2 in b.items():
                             key = (i1 + i2, j1 + j2)
-                            cur = acc.get(key)
-                            acc[key] = (mul(c1, c2) if cur is None
-                                        else add(cur, mul(c1, c2)))
+                            acc[key] = acc.get(key, 0) + c1 * c2
                 row.append(WPoly(K, ring.q, ring.p, acc))
             ents.append(row)
         return GradedMatrix(self.ring, self.rows,
@@ -255,11 +252,7 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
                 def _accumulate(poly, vk):
                     for mkey, mval in poly.terms.items():
                         cell = cells[out_pos[mkey]]
-                        new = K.add(cell.get(vk, K.zero), mval)
-                        if K.is_zero(new):
-                            cell.pop(vk, None)
-                        else:
-                            cell[vk] = new
+                        cell[vk] = cell.get(vk, 0) + mval
 
                 for side, coeff, name in terms:
                     rdegs, cdegs = unknowns[name]
@@ -289,6 +282,7 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
                         e = ring.normal_form(e)
                     _accumulate(e, const_index)
                 for cell in cells:
+                    cell = _canonical(cell, K)
                     if cell:
                         sys_rows.append(cell)
 
@@ -665,6 +659,12 @@ class GradedHom:
             self._branch_coeffs[branch] = C
         return C
 
+    def scalar_part(self) -> dict:
+        """The scalar part of H (see _scalar_part) as {(i, j): c}, read
+        off the coordinates at the constant monomial."""
+        constants = self.space._constants
+        return {constants[t]: c for t, c in self.coords if t in constants}
+
     def is_zero(self) -> bool:
         return not self.coords
 
@@ -745,6 +745,10 @@ class HomSpace:
                     entry_index[(i, j, mono)] = len(entry_list)
                     entry_list.append((i, j, mono))
         self._entry_list = entry_list
+        # _constants[t]: the entry (i, j) whose constant monomial is
+        # flat coordinate t.
+        self._constants = {entry_index[(i, j, mono)]: (i, j)
+                           for i, j, mono in entry_list if mono == (0, 0)}
         # _flat[j][t]: flat coordinate of the t-th ambient basis element
         # of the target in degree w_j + degree, as column j.
         self._flat = [[entry_index[(i, j, mono)]
@@ -864,12 +868,11 @@ def hom_from_coefficients(space: HomSpace, coeffs) -> GradedHom:
 
 def _combine(terms, space: HomSpace):
     """Frozen coordinates of sum c h over the (c, h) pairs, h in space."""
-    K = space.source.ring.field
     out: dict = {}
     for c, h in terms:
         for t, v in h.coords:
-            out[t] = K.add(out.get(t, K.zero), K.mul(K(c), v))
-    return _freeze({t: v for t, v in out.items() if not K.is_zero(v)})
+            out[t] = out.get(t, 0) + c * v
+    return _freeze(_canonical(out, space.source.ring.field))
 
 
 # ----------------------------------------------------------------------
@@ -1168,11 +1171,6 @@ def _scalar_inverse(P: GradedMatrix) -> GradedMatrix:
 # the degree-zero endomorphism algebra, read on the top
 
 
-def _flat(a, K) -> dict:
-    """The nonzero entries of a square matrix, keyed row-major."""
-    return sparse_vector([v for row in a for v in row], K)
-
-
 def _flat_mul(a: dict, b: dict, r, K) -> dict:
     """The product of two r-by-r matrices kept as their nonzero entries,
     keyed row-major."""
@@ -1183,18 +1181,13 @@ def _flat_mul(a: dict, b: dict, r, K) -> dict:
     for c, u in a.items():
         base = c - c % r
         for j, v in rows.get(c % r, ()):
-            out[base + j] = K.add(out.get(base + j, K.zero), K.mul(u, v))
-    return {c: v for c, v in out.items() if not K.is_zero(v)}
+            out[base + j] = out.get(base + j, 0) + u * v
+    return _canonical(out, K)
 
 
 def _dot(u: dict, v: dict, K):
     """sum_c u[c] v[c], for sparse vectors u and v."""
-    acc = K.zero
-    for c, x in u.items():
-        y = v.get(c)
-        if y is not None:
-            acc = K.add(acc, K.mul(x, y))
-    return acc
+    return K(sum(x * v[c] for c, x in u.items() if c in v))
 
 
 def _combination(vec: dict, elems, K) -> dict:
@@ -1202,8 +1195,8 @@ def _combination(vec: dict, elems, K) -> dict:
     out = {}
     for s, x in vec.items():
         for c, v in elems[s].items():
-            out[c] = K.add(out.get(c, K.zero), K.mul(x, v))
-    return {c: v for c, v in out.items() if not K.is_zero(v)}
+            out[c] = out.get(c, 0) + x * v
+    return _canonical(out, K)
 
 
 def _lifted_trace(a: dict, r, i, ell):
@@ -1243,15 +1236,16 @@ def _certify_radical(rad: SparseRREF, basis, r, K):
 class TopAlgebra:
     """End_0(M) as it acts on the top M/mM.
 
-    The scalar part s of a hom matrix (`_scalar_part`: the constant terms
-    of the entries whose row and column degrees agree) is an algebra map
-    from End_0(M) onto A, an algebra of k-matrices of the size r of the
-    generator count; the split and invertible_on_top read the same map.
+    The scalar part s of a hom (`GradedHom.scalar_part`: the constant
+    terms of the entries whose row and column degrees agree) is an
+    algebra map from End_0(M) onto A, an algebra of k-matrices of the
+    size r of the generator count; the split and invertible_on_top read
+    the same map.
     Its kernel J is nilpotent: a map in J raises generator degrees by at
     least min(p, q), so J^k = 0 once k > (max gens - min gens)/min(p, q)
     (graded Nakayama).  So rad End_0 is the preimage of rad A, and
     End_0/rad is A/rad A.  Matrices on the top are kept as their nonzero
-    entries keyed row-major (`_flat`), and multiplied by `_flat_mul`.
+    entries keyed row-major, and multiplied by `_flat_mul`.
 
     rad A is read off traces on k^r, on which A acts faithfully (Cohen,
     Ivanyos and Wales, J. Pure Appl. Algebra 117-118 (1997), after
@@ -1284,7 +1278,8 @@ class TopAlgebra:
         K = M.ring.field
         r = len(M.gens)
         self.space = hom_graded(M, M, 0)
-        self.scalars = [_flat(_scalar_part(b.H), K)
+        self.scalars = [{i * r + j: c
+                         for (i, j), c in b.scalar_part().items()}
                         for b in self.space.basis]
         span = SparseRREF(K)
         for a in self.scalars:
@@ -1534,8 +1529,10 @@ def _scalar_part(A: GradedMatrix):
 def invertible_on_top(hom: GradedHom) -> bool:
     """Whether the scalar part of hom is square and of full rank."""
     n = len(hom.source.gens)
+    bar = hom.scalar_part()
     return (len(hom.target.gens) == n
-            and rank_dense(_scalar_part(hom.H), hom.source.ring.field) == n)
+            and rank_dense([[bar.get((i, j), 0) for j in range(n)]
+                            for i in range(n)], hom.source.ring.field) == n)
 
 
 def _top_isomorphic(A: GradedModule, B: GradedModule, s) -> bool:

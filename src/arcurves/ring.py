@@ -11,6 +11,10 @@ Elements of the total quotient ring are kept as exact fractions u/(c x^e).
 Since g is monic in y, R is free over k[x] on 1, y, ..., y^(q+v-1), so
 u/x^e lies in R exactly when every term of the normal form of u carries
 x^e; membership is read off the normal form, never computed numerically.
+
+Coefficients are combined with Python's + and *; the field only puts a
+value in canonical form and inverts (see fields), and a WPoly does the
+first for every coefficient it is built with.
 """
 
 from __future__ import annotations
@@ -26,9 +30,12 @@ from .fields import QQ
 class WPoly:
     """Sparse weighted-homogeneous polynomial in x and y.
 
-    terms maps (i, j) exponent pairs to nonzero coefficients; all terms
-    share the same weighted degree q*i + p*j (wx = q weights x, wy = p
-    weights y).  The zero polynomial has empty terms and degree None.
+    terms maps (i, j) exponent pairs to nonzero coefficients in the
+    field's canonical form; all terms share the same weighted degree
+    q*i + p*j (wx = q weights x, wy = p weights y).  The constructor
+    normalises each coefficient it is given and drops the zeros, so the
+    arithmetic below sums with native + and * and leaves that to it.
+    The zero polynomial has empty terms and degree None.
     """
 
     __slots__ = ("field", "wx", "wy", "terms")
@@ -40,7 +47,8 @@ class WPoly:
         clean = {}
         deg = None
         for (i, j), c in terms.items():
-            if field.is_zero(c):
+            c = field(c)
+            if not c:
                 continue
             d = wx * i + wy * j
             if deg is None:
@@ -56,7 +64,7 @@ class WPoly:
 
     @classmethod
     def monomial(cls, field, wx, wy, i, j, coeff=None):
-        c = field.one if coeff is None else field(coeff)
+        c = field.one if coeff is None else coeff
         return cls(field, wx, wy, {(i, j): c})
 
     @property
@@ -73,42 +81,29 @@ class WPoly:
         return WPoly(self.field, self.wx, self.wy, terms)
 
     def __add__(self, other):
-        K = self.field
         out = dict(self.terms)
         for key, c in other.terms.items():
-            cur = out.get(key)
-            new = c if cur is None else K.add(cur, c)
-            if K.is_zero(new):
-                out.pop(key, None)
-            else:
-                out[key] = new
+            out[key] = out.get(key, 0) + c
         return self._like(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        K = self.field
-        return self._like({k: K.neg(c) for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         K = self.field
         if not isinstance(other, WPoly):
             c = K(other)
-            if K.is_zero(c):
+            if not c:
                 return self._like({})
-            return self._like({k: K.mul(v, c) for k, v in self.terms.items()})
+            return self._like({k: v * c for k, v in self.terms.items()})
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                piece = K.mul(c1, c2)
-                cur = out.get(key)
-                new = piece if cur is None else K.add(cur, piece)
-                if K.is_zero(new):
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                out[key] = out.get(key, 0) + c1 * c2
         return self._like(out)
 
     __rmul__ = __mul__
@@ -151,45 +146,38 @@ class WPoly:
         rem = dict(self.terms)
         quot = {}
         di, dj = divisor._leading()
-        dc = divisor.terms[(di, dj)]
+        dc_inv = K.inv(divisor.terms[(di, dj)])
         while rem:
             li, lj = max(rem, key=lambda ij: (ij[1], ij[0]))
             if li < di or lj < dj:
                 raise InputError("polynomial division left a remainder")
             qi, qj = li - di, lj - dj
-            qc = K.div(rem[(li, lj)], dc)
+            qc = K(rem[(li, lj)] * dc_inv)
             quot[(qi, qj)] = qc
             for (i, j), c in divisor.terms.items():
                 key = (i + qi, j + qj)
-                cur = rem.get(key, K.zero)
-                new = K.sub(cur, K.mul(qc, c))
-                if K.is_zero(new):
-                    rem.pop(key, None)
-                else:
+                new = K(rem.get(key, 0) - qc * c)
+                if new:
                     rem[key] = new
+                else:
+                    rem.pop(key, None)
         return self._like(quot)
 
     def __eq__(self, other):
         if not isinstance(other, WPoly):
             return NotImplemented
-        if (self.wx, self.wy) != (other.wx, other.wy):
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        K = self.field
-        return all(K.eq(c, other.terms[k]) for k, c in self.terms.items())
+        return ((self.wx, self.wy) == (other.wx, other.wy)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        K = self.field
-        return hash(tuple(sorted((k, K.to_str(c)) for k, c in self.terms.items())))
+        return hash(tuple(sorted((k, str(c)) for k, c in self.terms.items())))
 
     def to_string(self) -> str:
         if not self.terms:
             return "0"
-        K = self.field
         parts = []
         for (i, j) in sorted(self.terms):
-            parts.append(f"{K.to_str(self.terms[(i, j)])}*x^{i}*y^{j}")
+            parts.append(f"{self.terms[(i, j)]}*x^{i}*y^{j}")
         return "+".join(parts)
 
     def __repr__(self):
@@ -224,7 +212,7 @@ def poly_from_string(field, wx: int, wy: int, text: str) -> WPoly:
                 raise InputError(f"malformed term {chunk!r} in {text!r}")
             if m.group("coeff") is not None:
                 try:
-                    coeff = field.mul(coeff, field(m.group("coeff")))
+                    coeff = coeff * field(m.group("coeff"))
                 except ZeroDivisionError:
                     raise InputError(f"zero denominator in term {chunk!r} "
                                      f"of {text!r}") from None
@@ -235,9 +223,8 @@ def poly_from_string(field, wx: int, wy: int, text: str) -> WPoly:
                 else:
                     j += exp
         if negate:
-            coeff = field.neg(coeff)
-        cur = terms.get((i, j), field.zero)
-        terms[(i, j)] = field.add(cur, coeff)
+            coeff = -coeff
+        terms[(i, j)] = terms.get((i, j), 0) + coeff
     return WPoly(field, wx, wy, terms)
 
 
@@ -312,7 +299,7 @@ class HypersurfaceRing:
         if len(pure) != 1:
             raise InputError("f must have exactly one term free of x")
         v = pure[0][1]
-        if not field.eq(f.terms[(0, v)], field.one):
+        if f.terms[(0, v)] != 1:
             raise InputError("the y^v coefficient of f must be 1")
         if f.degree != p * v:
             raise InputError("deg f must equal p*v")
@@ -330,7 +317,7 @@ class HypersurfaceRing:
         self.m = m
         self.n = n
         self.is_reduced = self._squarefree(self.g)
-        if not field.is_zero(self.b) and not self.is_reduced:
+        if self.b and not self.is_reduced:
             raise NotSquarefreeError("defining polynomial has a repeated factor")
         # y^(q+v) reduces to y^(q+v) - g, whose terms all carry an x factor.
         self._ytop_tail = WPoly(field, q, p, {(0, self.ybound): field.one}) - self.g
@@ -371,43 +358,28 @@ class HypersurfaceRing:
         if j < self.ybound:
             result = {(0, j): K.one}
         else:
-            result = {}
+            sums = {}
             for (a, c2), coeff in self._ytop_tail.terms.items():
                 sub = self._monomial_nf(j - self.ybound + c2)
                 for (i2, j2), c3 in sub.items():
                     key = (i2 + a, j2)
-                    cur = result.get(key, K.zero)
-                    new = K.add(cur, K.mul(coeff, c3))
-                    if K.is_zero(new):
-                        result.pop(key, None)
-                    else:
-                        result[key] = new
+                    sums[key] = sums.get(key, 0) + coeff * c3
+            result = {key: c for key, v in sums.items() if (c := K(v))}
         self._nf_cache[j] = result
         return result
 
     def normal_form(self, poly: WPoly) -> WPoly:
         """The representative with all y-exponents below q + v."""
-        K = self.field
         if poly.max_y_exponent() is None or poly.max_y_exponent() < self.ybound:
             return poly
         out: dict[tuple[int, int], object] = {}
         for (i, j), c in poly.terms.items():
             if j < self.ybound:
-                cur = out.get((i, j), K.zero)
-                new = K.add(cur, c)
-                if K.is_zero(new):
-                    out.pop((i, j), None)
-                else:
-                    out[(i, j)] = new
+                out[(i, j)] = out.get((i, j), 0) + c
                 continue
             for (a, b2), c2 in self._monomial_nf(j).items():
                 key = (a + i, b2)
-                cur = out.get(key, K.zero)
-                new = K.add(cur, K.mul(c, c2))
-                if K.is_zero(new):
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                out[key] = out.get(key, 0) + c * c2
         return WPoly(self.field, self.q, self.p, out)
 
     # ------------------------------------------------------------------
@@ -479,7 +451,7 @@ class HypersurfaceRing:
             "field": repr(self.field),
             "p": self.p,
             "q": self.q,
-            "b": self.field.to_str(self.b),
+            "b": str(self.b),
             "f": self.f.to_string(),
             "v": self.v,
             "g": self.g.to_string(),
@@ -492,7 +464,7 @@ class HypersurfaceRing:
 
     def __repr__(self):
         return (f"HypersurfaceRing({self.field!r}, p={self.p}, q={self.q}, "
-                f"b={self.field.to_str(self.b)}, f={self.f.to_string()})")
+                f"b={self.b}, f={self.f.to_string()})")
 
 
 class QElement:

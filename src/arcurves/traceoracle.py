@@ -82,7 +82,7 @@ class _BranchTrace:
         image = SparseRREF(K)
         for j in range(len(M.rels)):
             image.insert({rank[i]: ca[i][j] for i in range(ngens)
-                          if not K.is_zero(ca[i][j])})
+                          if ca[i][j]})
 
         # The nonpivot generators span the cokernel; the diagonal entry of
         # generator j there is X[j][j] minus the pivot rows' share of X e_j.
@@ -94,7 +94,7 @@ class _BranchTrace:
             for prank, pcol in image.pivots.items():
                 c = pcol.get(rank[j])
                 if c is not None:
-                    projector[(row_order[prank], j)] = K.neg(c)
+                    projector[(row_order[prank], j)] = K(-c)
         self.branch = branch
         self.module = M
         self.projector = projector
@@ -198,7 +198,7 @@ def _ring_preimage(ring, images, w):
     for branch, img in zip(factor_hypersurface(ring), images):
         row = dict(branch.piece_row(w)[0])
         if img is not None:
-            row[len(basis)] = K.neg(img[0])
+            row[len(basis)] = -img[0]
         rows.append(row)
     sol = solve_sparse_system(rows, len(basis), K)
     return WPoly(K, ring.q, ring.p,
@@ -219,7 +219,7 @@ def _reconstruct_fraction(ring, images, degree):
         for branch, img in zip(factor_hypersurface(ring), images):
             x_img = branch.evaluate(den)
             scaled.append(None if img is None else
-                          (K.mul(img[0], x_img[0]), img[1] + x_img[1]))
+                          (K(img[0] * x_img[0]), img[1] + x_img[1]))
         num = _ring_preimage(ring, scaled, degree + e * ring.q)
         if num is not None:
             return QElement(ring, num, den)
@@ -366,13 +366,19 @@ def stably_zero_trace(h: GradedHom) -> bool:
 def _product_stably_zero(g: GradedHom, h: GradedHom) -> bool:
     """Whether g h is stably zero, by the trace criterion, without forming it.
 
-    The branch coefficients of g h are read off the matrix product:
-    neither its normal form nor a matrix B C added to it, with B the
-    target's presentation, changes a branch trace.
+    Evaluation on a branch is a ring map, so the branch coefficients of
+    the product are C_b(g) C_b(h), read off the coordinates of g and h;
+    neither a normal form nor a matrix B C, with B the target's
+    presentation, changes a branch trace.
     """
-    gh = g.H.mul(h.H)
-    return _traces_in_ring(h.source, g.degree + h.degree,
-                           lambda b: _coefficient_matrix(b, gh))
+    K = h.source.ring.field
+
+    def coefficients(b):
+        columns = list(zip(*h._coefficients(b)))
+        return [[K(sum(a * x for a, x in zip(row, col) if a and x))
+                 for col in columns] for row in g._coefficients(b)]
+
+    return _traces_in_ring(h.source, g.degree + h.degree, coefficients)
 
 
 def _nonunit_generators(M: GradedModule):
@@ -416,13 +422,11 @@ def trace_report(h: GradedHom) -> dict:
     M = _require_endo(h)
     images = trace_images(h)
     tr = _reconstruct_fraction(M.ring, images, h.degree)
-    K = M.ring.field
     per_branch = []
     for branch, img in zip(factor_hypersurface(M.ring), images):
         per_branch.append({
             "branch": branch.kind,
-            "image": None if img is None
-            else f"{K.to_str(img[0])}*t^{img[1]}",
+            "image": None if img is None else f"{img[0]}*t^{img[1]}",
         })
     lifted = tr.in_ring()
     return {

@@ -3,19 +3,23 @@
 All the factoring the engine does is univariate: the branches are the
 linear factors of one binary form, and ``decompose`` splits minimal
 polynomials of degree at most dim A, the top algebra of a module.  [] is
-the zero polynomial.
-Square-free parts are Yun's, valid when char k is 0 or above the degree.
-Over F_ell the roots of f are those of gcd(f, T^ell - T), and factors
-come from distinct-degree then Cantor-Zassenhaus splitting.  Over Q the
-rational roots are roots modulo a good prime, Hensel-lifted and read
-back by rational reconstruction, each checked exactly; a factor without
-them is irreducible at degree 2 or 3, and at degree >= 4 only when it is
+the zero polynomial.  Coefficients are combined with Python's operators
+and put in canonical form by trim, which every result passes through.
+Square-free parts come from gcd(f, f') in every characteristic; over
+F_ell the factors whose multiplicity ell divides are left over as a
+polynomial in T^ell, an ell-th power.  Over F_ell the roots of f are
+those of gcd(f, T^ell - T), and factors come from distinct-degree then
+Cantor-Zassenhaus splitting.  Over Q the rational roots are roots
+modulo a good prime, Hensel-lifted and read back by rational
+reconstruction, each checked exactly; a factor without them is
+irreducible at degree 2 or 3, and at degree >= 4 only when it is
 irreducible modulo a good prime, else InconclusiveSplitError.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import islice
 from math import gcd as igcd, lcm
 
@@ -27,29 +31,30 @@ _CERTIFICATE_PRIMES = 20
 
 
 def trim(f, K):
-    f = list(f)
-    while f and K.is_zero(f[-1]):
+    """f with canonical coefficients and no leading zero."""
+    f = [K(c) for c in f]
+    while f and not f[-1]:
         f.pop()
     return f
 
 
 def monic(f, K):
     inv = K.inv(f[-1])
-    return [K.mul(c, inv) for c in f]
+    return [K(c * inv) for c in f]
 
 
 def sub(f, g, K):
-    out = list(f) + [K.zero] * (len(g) - len(f))
+    out = list(f) + [0] * (len(g) - len(f))
     for i, b in enumerate(g):
-        out[i] = K.sub(out[i], b)
+        out[i] -= b
     return trim(out, K)
 
 
 def mul(f, g, K):
-    out = [K.zero] * max(len(f) + len(g) - 1, 0)
+    out = [0] * max(len(f) + len(g) - 1, 0)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
-            out[i + j] = K.add(out[i + j], K.mul(a, b))
+            out[i + j] += a * b
     return trim(out, K)
 
 
@@ -57,11 +62,12 @@ def divmod_(f, g, K):
     """(q, r) with f = q g + r and deg r < deg g, for g nonzero."""
     r, g = trim(f, K), trim(g, K)
     q = [K.zero] * max(len(r) - len(g) + 1, 0)
+    inv = K.inv(g[-1])
     while len(r) >= len(g):
-        s, c = len(r) - len(g), K.div(r[-1], g[-1])
+        s, c = len(r) - len(g), K(r[-1] * inv)
         q[s] = c
         for t, b in enumerate(g):
-            r[s + t] = K.sub(r[s + t], K.mul(c, b))
+            r[s + t] -= c * b
         r = trim(r, K)
     return q, r
 
@@ -74,7 +80,7 @@ def gcdex(f, g, K):
         q, r = divmod_(r0, r1, K)
         r0, r1, t0, t1 = r1, r, t1, sub(t0, mul(q, t1, K), K)
     inv = K.inv(r0[-1])
-    return [K.mul(inv, c) for c in t0], monic(r0, K)
+    return [K(inv * c) for c in t0], monic(r0, K)
 
 
 def gcd(f, g, K):
@@ -93,24 +99,35 @@ def powmod(f, e, m, K):
 
 
 def derivative(f, K):
-    return trim([K.mul(K(i), f[i]) for i in range(1, len(f))], K)
+    return trim([i * f[i] for i in range(1, len(f))], K)
 
 
 def squarefree_parts(f, K):
-    """Yun: [(P_i, i)] with f = lc(f) prod P_i^i, P_i monic, square-free,
-    pairwise coprime and nonconstant."""
+    """[(P_i, i)] with f = lc(f) prod P_i^i, P_i monic, square-free,
+    pairwise coprime and nonconstant, by increasing i.
+
+    c = gcd(f, f') holds each P_i to the power i - 1, or i when char k
+    divides i, and w = f / c is the product of the other P_i; each pass
+    w <- gcd(w, c), c <- c / w drops the P_i of the next i from w.  What
+    is left of c is the product of the P_i^i with ell = char k dividing
+    i, a polynomial in T^ell: over F_ell it is the ell-th power of the
+    polynomial of its every ell-th coefficient, whose parts count ell
+    times.
+    """
     f = monic(trim(f, K), K)
-    df = derivative(f, K)
-    a = gcd(f, df, K)
-    b, c = divmod_(f, a, K)[0], divmod_(df, a, K)[0]
+    c = gcd(f, derivative(f, K), K)
+    w = divmod_(f, c, K)[0]
     out, i = [], 1
-    while len(b) > 1:
-        d = sub(c, derivative(b, K), K)
-        a = gcd(b, d, K)
-        if len(a) > 1:
-            out.append((a, i))
-        b, c, i = divmod_(b, a, K)[0], divmod_(d, a, K)[0], i + 1
-    return out
+    while len(w) > 1:
+        y = gcd(w, c, K)
+        z = divmod_(w, y, K)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w, c, i = y, divmod_(c, y, K)[0], i + 1
+    if len(c) > 1:
+        ell = K.char
+        out += [(P, m * ell) for P, m in squarefree_parts(c[::ell], K)]
+    return sorted(out, key=lambda part: part[1])
 
 
 def _equal_degree(g, d, K, rng):
@@ -181,7 +198,7 @@ def _rational_roots(f):
         while r1 > bound:
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 and _value(ints, root := QQ.div(r1, t1)) == 0:
+        if t1 and _value(ints, root := QQ(Fraction(r1, t1))) == 0:
             found.append(root)
     return found
 
@@ -189,13 +206,13 @@ def _rational_roots(f):
 def roots(f, K):
     """The distinct roots of f in K, ascending; over Q f is square-free."""
     if K.char == 0:
-        if K.is_zero(f[0]):
+        if not f[0]:
             return sorted(roots(f[1:], K) + [K.zero])
         return sorted(_rational_roots(f)) if len(f) > 1 else []
     x = [K.zero, K.one]
     g = gcd(f, sub(powmod(x, K.char, f, K), x, K), K)
     rng = random.Random(0)
-    return sorted(K.neg(h[0]) for h in _equal_degree(g, 1, K, rng) if len(h) > 1)
+    return sorted(K(-h[0]) for h in _equal_degree(g, 1, K, rng) if len(h) > 1)
 
 
 def linear_factors(f, K):
@@ -215,13 +232,13 @@ def _irreducible_factors(part, K):
     rs = roots(part, K)
     rest = part
     for r in rs:
-        rest = divmod_(rest, [K.neg(r), K.one], K)[0]
+        rest = divmod_(rest, [-r, K.one], K)[0]
     if len(rest) > 4 and not any(
             [d for _, d in _distinct_degree(monic(image, Fl), Fl)] == [len(rest) - 1]
             for Fl, image, _ in islice(_good_primes(rest), _CERTIFICATE_PRIMES)):
         raise InconclusiveSplitError(
             f"cannot certify that {to_text(rest, K)} is irreducible over Q")
-    return [[K.neg(r), K.one] for r in rs] + ([rest] if len(rest) > 1 else [])
+    return [[K(-r), K.one] for r in rs] + ([rest] if len(rest) > 1 else [])
 
 
 def to_text(f, K):
@@ -230,10 +247,10 @@ def to_text(f, K):
     text = ""
     for s in range(len(f) - 1, -1, -1):
         neg = K.char == 0 and f[s] < 0
-        c = K.to_str(K.neg(f[s]) if neg else f[s])
+        c = str(-f[s] if neg else f[s])
         mono = "" if s == 0 else "T" if s == 1 else f"T**{s}"
         term = c if not mono else mono if c == "1" else f"{c}*{mono}"
-        text += "" if K.is_zero(f[s]) else (" - " if neg else " + ") + term
+        text += "" if not f[s] else (" - " if neg else " + ") + term
     return text[3:]
 
 

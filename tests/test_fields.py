@@ -1,6 +1,8 @@
-"""Canonical rationals: QQ keeps an integral rational as an int and any
-other one as a Fraction, and its arithmetic agrees with Fraction's.
-That elimination returns canonical entries is checked in test_linalg."""
+"""Canonical field elements: QQ keeps an integral rational as an int
+and any other one as a Fraction, a prime field keeps residues in
+[0, ell), and Python's operators followed by K(...) agree with Fraction
+arithmetic.  A field only normalises and inverts.  That elimination
+returns canonical entries is checked in test_linalg."""
 
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcurves import QQ
+from arcurves import QQ, PrimeField
+from arcurves.fields import RationalField
 
 # Integral values (denominator 1), zero and negatives come up often.
 _RATIONALS = st.one_of(
@@ -31,25 +34,58 @@ def test_qq_arithmetic_matches_fraction_and_stays_canonical(a, b, n):
     fa, fb = Fraction(a), Fraction(b)
     _check(a, fa)
     _check(b, fb)
-    _check(QQ.add(a, b), fa + fb)
-    _check(QQ.sub(a, b), fa - fb)
-    _check(QQ.mul(a, b), fa * fb)
-    _check(QQ.neg(a), -fa)
-    _check(QQ.pow(a, n), fa ** n)
+    _check(QQ(a + b), fa + fb)
+    _check(QQ(a - b), fa - fb)
+    _check(QQ(a * b), fa * fb)
+    _check(QQ(-a), -fa)
+    _check(QQ(a ** n), fa ** n)
     if b:
-        _check(QQ.div(a, b), fa / fb)
+        _check(QQ(a * QQ.inv(b)), fa / fb)
     else:
         with pytest.raises(ZeroDivisionError):
-            QQ.div(a, b)
+            QQ.inv(b)
     if a:
         _check(QQ.inv(a), 1 / fa)
-        _check(QQ.pow(a, -n), fa ** -n)
+        _check(QQ(QQ.inv(a) ** n), fa ** -n)
     else:
         with pytest.raises(ZeroDivisionError):
             QQ.inv(a)
-        if n:
-            with pytest.raises(ZeroDivisionError):
-                QQ.pow(a, -n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from([3, 5, 7, 101, 1000000007]),
+       st.integers(-10**12, 10**12), st.integers(-10**12, 10**12),
+       st.integers(0, 4))
+def test_prime_field_arithmetic_matches_residues_and_stays_canonical(
+        ell, x, y, n):
+    F = PrimeField(ell)
+    a, b = F(x), F(y)
+
+    def check(result, expected):
+        assert type(result) is int and 0 <= result < ell, repr(result)
+        assert result == expected % ell
+
+    check(a, x)
+    check(F(a + b), x + y)
+    check(F(a - b), x - y)
+    check(F(a * b), x * y)
+    check(F(-a), -x)
+    check(F(a ** n), x ** n)
+    check(F(F(Fraction(x, 2)) * 2), x)
+    if b:
+        check(F(F(a * F.inv(b)) * b), x)
+        check(F(F.inv(b) * b), 1)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(b)
+
+
+@pytest.mark.parametrize("cls", [RationalField, PrimeField])
+def test_fields_only_normalise_and_invert(cls):
+    """The arithmetic is Python's: no field carries wrapper methods."""
+    for name in ("add", "sub", "mul", "neg", "div", "pow", "is_zero", "eq",
+                 "to_str"):
+        assert not hasattr(cls, name), name
 
 
 def test_qq_coerces_to_canonical_form():
@@ -59,7 +95,7 @@ def test_qq_coerces_to_canonical_form():
     assert type(QQ(True)) is int
     assert QQ.zero == 0 and type(QQ.zero) is int
     assert QQ.one == 1 and type(QQ.one) is int
-    assert QQ.to_str(QQ("6/3")) == str(Fraction(2)) == "2"
+    assert str(QQ("6/3")) == str(Fraction(2)) == "2"
     with pytest.raises(TypeError):
         QQ(0.5)
 

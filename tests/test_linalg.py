@@ -44,7 +44,7 @@ def _apply(K, mat, x):
     for row in mat:
         acc = K.zero
         for a, b in zip(row, x):
-            acc = K.add(acc, K.mul(a, b))
+            acc = K(acc + a * b)
         out.append(acc)
     return out
 
@@ -54,7 +54,7 @@ def _transpose(mat):
 
 
 def _eq(K, u, v):
-    return len(u) == len(v) and all(K.eq(a, b) for a, b in zip(u, v))
+    return len(u) == len(v) and all(K(a - b) == 0 for a, b in zip(u, v))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -81,7 +81,7 @@ def test_rank_dense_row_rank_equals_column_rank(system):
 @given(_system(), st.randoms(use_true_random=False))
 def test_sparse_rref_pivots_ignore_insertion_order(system, rnd):
     K, mat, _ = system
-    rows = [{j: v for j, v in enumerate(row) if not K.is_zero(v)}
+    rows = [{j: v for j, v in enumerate(row) if K(v)}
             for row in mat]
     shuffled = list(rows)
     rnd.shuffle(shuffled)
@@ -93,7 +93,7 @@ def test_sparse_rref_pivots_ignore_insertion_order(system, rnd):
     assert a.pivots == b.pivots
     assert a.rank == rank_dense(mat, K)
     for piv, prow in a.pivots.items():
-        assert K.eq(prow[piv], K.one)
+        assert K(prow[piv] - K.one) == 0
         assert all(c not in prow for c in a.pivots if c != piv)
     assert all(a.contains(row) for row in rows)
 
@@ -122,17 +122,17 @@ class _ReferenceRREF:
         # pivot columns present in the snapshot is a complete reduction.
         for col in sorted(c for c in row if c in self.pivots):
             coeff = out.get(col)
-            if coeff is None or K.is_zero(coeff):
+            if coeff is None or not K(coeff):
                 out.pop(col, None)
                 continue
             for c2, v2 in self.pivots[col].items():
                 cur = out.get(c2, K.zero)
-                new = K.sub(cur, K.mul(coeff, v2))
-                if K.is_zero(new):
+                new = K(cur - coeff * v2)
+                if not new:
                     out.pop(c2, None)
                 else:
                     out[c2] = new
-        return {c: v for c, v in out.items() if not K.is_zero(v)}
+        return {c: v for c, v in out.items() if K(v)}
 
     def insert(self, row: dict):
         """Insert a row; return its pivot column, or None if dependent."""
@@ -142,15 +142,15 @@ class _ReferenceRREF:
             return None
         piv = min(red)
         inv = K.inv(red[piv])
-        red = {c: K.mul(v, inv) for c, v in red.items()}
+        red = {c: K(v * inv) for c, v in red.items()}
         for other in self.pivots.values():
             coeff = other.get(piv)
             if coeff is None:
                 continue
             for c2, v2 in red.items():
                 cur = other.get(c2, K.zero)
-                new = K.sub(cur, K.mul(coeff, v2))
-                if K.is_zero(new):
+                new = K(cur - coeff * v2)
+                if not new:
                     other.pop(c2, None)
                 else:
                     other[c2] = new
@@ -185,8 +185,8 @@ def _reference_solve(rows, nvars, field, const_index=None):
     if const_index is not None:
         for piv, row in rr.pivots.items():
             c = row.get(const_index)
-            if c is not None and not K.is_zero(c):
-                particular[piv] = K.neg(c)
+            if c is not None and K(c):
+                particular[piv] = K(-c)
     return particular, _reference_kernel(rr, nvars, K, const_index)
 
 
@@ -198,8 +198,8 @@ def _reference_kernel(rr: _ReferenceRREF, nvars, field, const_index):
         vec = {f: K.one}
         for piv, row in rr.pivots.items():
             coeff = row.get(f)
-            if coeff is not None and not K.is_zero(coeff):
-                vec[piv] = K.neg(coeff)
+            if coeff is not None and K(coeff):
+                vec[piv] = K(-coeff)
         basis.append(vec)
     return basis
 
@@ -220,7 +220,7 @@ def _wide_element(K):
 
 
 def _sparse(K, vec):
-    return {j: v for j, v in enumerate(vec) if not K.is_zero(v)}
+    return {j: v for j, v in enumerate(vec) if K(v)}
 
 
 @st.composite
@@ -236,7 +236,7 @@ def _wide_system(draw):
         combo = [K.zero] * ncols
         for row in rows:
             c = draw(elem)
-            combo = [K.add(a, K.mul(c, b)) for a, b in zip(combo, row)]
+            combo = [K(a + c * b) for a, b in zip(combo, row)]
         rows.append(combo)
     probes = [[draw(elem) for _ in range(ncols)]
               for _ in range(draw(st.integers(1, 3)))]

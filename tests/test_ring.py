@@ -8,24 +8,42 @@ from hypothesis import strategies as st
 
 from arcurves import (InputError, PrimeField, QQ, field_from_string,
                       poly_from_string, random_ring, semigroup_member)
+from arcurves.ring import WPoly
 
 
 def test_rational_field_coercion():
     assert QQ("2/3") == Fraction(2, 3)
     assert QQ(Fraction(5, 1)) == 5
-    assert QQ.div(QQ.one, QQ(4)) == Fraction(1, 4)
+    assert QQ(QQ.one * QQ.inv(QQ(4))) == Fraction(1, 4)
     assert QQ.char == 0
 
 
 def test_prime_field_arithmetic():
     F = PrimeField(5)
-    assert F("2/3") == F.mul(F(2), F.inv(F(3)))
-    assert F.add(F(4), F(3)) == F(2)
+    assert F("2/3") == F(F(2) * F.inv(F(3)))
+    assert F(F(4) + F(3)) == F(2)
     assert F.char == 5
     with pytest.raises(ValueError):
         PrimeField(2)
     with pytest.raises(ValueError):
         PrimeField(9)
+
+
+def test_wpoly_stores_canonical_coefficients():
+    # A coefficient is normalised where it is stored: 7 over F5 as 2,
+    # Fraction(4, 2) over Q as the int 2, and one that is 0 in the field
+    # is dropped, so equality and hashing see canonical values only.
+    F5 = PrimeField(5)
+    p = WPoly(F5, 4, 3, {(3, 0): 7, (0, 4): 5})
+    assert p.terms == {(3, 0): 2}
+    assert p == WPoly(F5, 4, 3, {(3, 0): 2})
+    assert hash(p) == hash(WPoly(F5, 4, 3, {(3, 0): 2}))
+    assert (-p).terms == {(3, 0): 3}
+    q = WPoly(QQ, 4, 3, {(3, 0): Fraction(4, 2), (0, 4): Fraction(0, 3)})
+    assert q.terms == {(3, 0): 2} and type(q.terms[(3, 0)]) is int
+    assert WPoly(QQ, 4, 3, {(3, 0): Fraction(1, 2)}) * 4 == q
+    assert type((q * Fraction(1, 2)).terms[(3, 0)]) is int
+    assert (q - q).is_zero()
 
 
 def test_field_from_string():

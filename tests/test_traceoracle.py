@@ -101,7 +101,7 @@ def test_q_membership_matches_branch_preimage(seed, field, e, data):
     for branch in branches:
         n_img, x_img = branch.evaluate(num), branch.evaluate(den)
         images.append(None if n_img is None else
-                      (K.div(n_img[0], x_img[0]), n_img[1] - x_img[1]))
+                      (K(n_img[0] * K.inv(x_img[0])), n_img[1] - x_img[1]))
     expected = _ring_preimage(ring, images, d - e * ring.q)
     assert ring.q_membership(num, den) == expected
 
@@ -119,7 +119,7 @@ def _reference_ring_preimage(ring, branches, images, w):
             if img[1] != tdeg:
                 return None
             row = dict(row)
-            row[len(basis)] = K.neg(img[0])
+            row[len(basis)] = K(-img[0])
         rows.append(row)
     sol = solve_sparse_system(rows, len(basis), K)
     if sol is None:
@@ -191,7 +191,7 @@ def _assert_drawn_membership_matches_the_solve(ring, data):
         images = [b.evaluate(num) for b in branches]
         k = data.draw(st.integers(0, len(branches)))
         if k < len(branches) and images[k] is not None:
-            images[k] = (K.add(images[k][0], K.one), images[k][1])
+            images[k] = (K(images[k][0] + K.one), images[k][1])
     else:
         images = []
         for b in branches:
@@ -379,6 +379,27 @@ def test_socle_test_matches_lifting(ring_name, request):
                                     for g in nonunits]
                 by_lift = not stably_zero_bruteforce(h) and all(products)
                 assert socle_test(h) == by_lift
+
+
+@pytest.mark.parametrize("ring_name", ["cusp_ring", "two_branch_ring"])
+def test_socle_test_forms_no_matrix_product(ring_name, request, monkeypatch):
+    # The branch coefficients of g h are C_b(g) C_b(h): the socle test
+    # gives the same verdicts on gamma_M with GradedMatrix.mul refused.
+    ring = request.getfixturevalue(ring_name)
+    gd = gamma_for(ring)
+
+    def gamma_maps():
+        I = mf_from_ideal(ring).cok(label="I")
+        return [gamma_endo(M, gd) for M in (I, push(I, gd).middle)]
+
+    expected = [socle_test(gm) for gm in gamma_maps()]
+    fresh = gamma_maps()
+
+    def refuse(*args):
+        raise AssertionError("a matrix product was formed")
+
+    monkeypatch.setattr(GradedMatrix, "mul", refuse)
+    assert [socle_test(gm) for gm in fresh] == expected
 
 
 def test_trace_oracle_composes_nothing(cusp_ring, cusp_ideal, monkeypatch):

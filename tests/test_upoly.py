@@ -27,10 +27,10 @@ from sympy.ntheory.residue_ntheory import nthroot_mod  # noqa: E402
 
 def _to_sympy_poly(coeffs, K, T):
     if K.char == 0:
-        expr = sum((sympy.Rational(K.to_str(c)) * T**s
+        expr = sum((sympy.Rational(str(c)) * T**s
                     for s, c in enumerate(coeffs)), sympy.Integer(0))
         return sympy.Poly(expr, T, domain="QQ")
-    expr = sum((sympy.Integer(int(K.to_str(c))) * T**s
+    expr = sum((sympy.Integer(int(str(c))) * T**s
                 for s, c in enumerate(coeffs)), sympy.Integer(0))
     return sympy.Poly(expr, T, modulus=K.char, symmetric=False)
 
@@ -68,23 +68,30 @@ def _reference_pth_root(K, value, p):
 
 
 SMALL_PRIMES = (13, 17, 19, 23)  # above every degree drawn below (<= 12)
+TINY_PRIMES = (3, 5, 7)  # at most the multiplicities drawn over them
 
 
 @st.composite
 def products(draw):
-    """(K, f): f = c * prod h_i^m_i, deg h_i in {1, 2}, m_i in {1, 2}."""
-    name = draw(st.sampled_from(["Q", "F101", "F1000000007", "small"]))
+    """(K, f): f = c * prod h_i^m_i, deg h_i in {1, 2}, m_i in {1, 2};
+    over F3, F5 and F7 m_i runs up to ell + 1, so ell can divide it."""
+    name = draw(st.sampled_from(["Q", "F101", "F1000000007", "small", "tiny"]))
+    top = 2
     if name == "Q":
         K = QQ
         coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
     else:
-        K = PrimeField(draw(st.sampled_from(SMALL_PRIMES)) if name == "small"
-                       else int(name[1:]))
+        if name == "tiny":
+            K = PrimeField(draw(st.sampled_from(TINY_PRIMES)))
+            top = K.char + 1
+        else:
+            K = PrimeField(draw(st.sampled_from(SMALL_PRIMES))
+                           if name == "small" else int(name[1:]))
         coeff = st.integers(-10**12, 10**12).map(K)
     f = [draw(coeff.filter(lambda c: c != 0))]
     for _ in range(draw(st.integers(1, 3))):
         h = [draw(coeff) for _ in range(draw(st.integers(1, 2)))] + [K.one]
-        for _ in range(draw(st.integers(1, 2))):
+        for _ in range(draw(st.integers(1, top))):
             f = upoly.mul(f, h, K)
     return K, f
 
@@ -116,7 +123,7 @@ def test_factor_matches_reference(case):
         return
     assert upoly.factor(f, K) == expected
     roots, split = upoly.linear_factors(f, K)
-    assert sorted(roots) == sorted((K.neg(h[0]), m)
+    assert sorted(roots) == sorted((K(-h[0]), m)
                                    for h, m in expected if len(h) == 2)
     assert split == all(len(h) == 2 for h, _ in expected)
 
@@ -140,7 +147,7 @@ def test_idempotent_matches_reference(case):
        st.integers(1, 10**9), st.booleans())
 def test_least_pth_root_matches_reference(ell, p, x, is_power):
     K = PrimeField(ell)
-    value = K.pow(x, p) if is_power else K(x)
+    value = K(x ** p) if is_power else K(x)
     assert _pth_root(K, value, p) == _reference_pth_root(K, value, p)
 
 
@@ -149,6 +156,18 @@ def test_least_pth_root_matches_reference(ell, p, x, is_power):
     (Fraction(-16), 4, None), (Fraction(2), 3, None), (Fraction(1, 32), 5, Fraction(1, 2))])
 def test_pth_root_over_q_is_the_real_root(value, p, root):
     assert _pth_root(QQ, value, p) == root
+
+
+@pytest.mark.parametrize("f, ell, expected", [
+    ([2, 0, 0, 1], 3, [([2, 1], 3)]),
+    ([0, 0, 0, 1], 3, [([0, 1], 3)]),
+    ([0, 1, 0, 0, 1, 0, 0, 1], 3, [([2, 1], 6), ([0, 1], 1)]),
+    ([0, 1, 0, 0, 0, 0, 1], 5, [([1, 1], 5), ([0, 1], 1)]),
+    ([0, 1, 2, 0, 2, 1], 3, [([2, 1], 4), ([0, 1], 1)]),
+], ids=["(T-1)^3/F3", "T^3/F3", "T(T-1)^6/F3", "T(T+1)^5/F5", "T(T-1)^4/F3"])
+def test_factor_keeps_multiplicities_divisible_by_ell(f, ell, expected):
+    K = PrimeField(ell)
+    assert upoly.factor(f, K) == expected
 
 
 @pytest.mark.parametrize("f", [[1, 0, 0, 0, 1], [2, 0, 3, 0, 1]],
