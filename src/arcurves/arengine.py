@@ -33,18 +33,18 @@ from .traceoracle import (_nonunit_generators, socle_test, stably_zero_trace,
 class GammaDatum:
     """The socle fraction of a branch, packaged with its certificates.
 
-    gamma = z * lift, where lift reads the branch's inverse-different
-    generator inside the total quotient ring and z kills the branch's
-    prime.  The verified properties: gamma is not in R, gamma times each
-    variable is, and z annihilates the branch factor modulo g.
+    gamma = z * prime_fraction, where prime_fraction is the branch's
+    inverse-different generator inside the total quotient ring and z
+    kills the branch's prime.  The verified properties: gamma is not in
+    R, gamma times each variable is, and z annihilates the branch factor
+    modulo g.
     """
 
-    def __init__(self, ring: HypersurfaceRing, branch, prime_fraction,
-                 lift: QElement, z, gamma: QElement):
+    def __init__(self, ring: HypersurfaceRing, branch,
+                 prime_fraction: QElement, z, gamma: QElement):
         self.ring = ring
         self.branch = branch
         self.prime_fraction = prime_fraction
-        self.lift = lift
         self.z = z
         self.gamma = gamma
 
@@ -68,14 +68,13 @@ def gamma_for(ring: HypersurfaceRing, branch=None) -> GammaDatum:
 
     Scans z through the annihilator of the branch prime, cofactor times
     monomials in increasing weighted degree then monomial order, until
-    z times the lifted fraction escapes R; certifies the escape, that
-    gamma multiplies the maximal ideal into R, and that gamma sits in
-    the socle degree G expected by the matrix machinery.
+    z times gamma' escapes R; certifies the escape, that gamma
+    multiplies the maximal ideal into R, and that gamma sits in the
+    socle degree G expected by the matrix machinery.
     """
     if branch is None:
         branch = singular_branch(ring)
     gp = gamma_prime(branch)
-    lift = QElement(ring, gp.num, gp.den)
     cofactor = _branch_cofactor(ring, branch)
     window = branch.conductor * branch.scale + ring.deg_g
     found = None
@@ -84,7 +83,7 @@ def gamma_for(ring: HypersurfaceRing, branch=None) -> GammaDatum:
             z = ring.normal_form(cofactor.shift_monomial(i, j))
             if z.is_zero():
                 continue
-            candidate = lift * z
+            candidate = gp * z
             if candidate.in_ring() is None:
                 found = (z, candidate)
                 break
@@ -103,7 +102,7 @@ def gamma_for(ring: HypersurfaceRing, branch=None) -> GammaDatum:
         raise CertificationError(
             "gamma found in degree %s, socle degree is %d"
             % (gamma.degree, ring.gamma_degree))
-    return GammaDatum(ring, branch, gp, lift, z, gamma)
+    return GammaDatum(ring, branch, gp, z, gamma)
 
 
 # ----------------------------------------------------------------------

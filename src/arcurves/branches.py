@@ -252,48 +252,21 @@ def singular_branch(ring: HypersurfaceRing) -> Branch:
     return candidates[0]
 
 
-class BranchFraction:
-    """A fraction read on a single branch (numerator over denominator).
-
-    Unlike QElement this only requires the denominator not to vanish on
-    the branch, so it can represent elements of Q(R') that have no
-    global meaning.
-    """
-
-    def __init__(self, branch: Branch, num: WPoly, den: WPoly):
-        if branch.evaluate(den) is None:
-            raise InputError("denominator vanishes on the branch")
-        self.branch = branch
-        self.num = num
-        self.den = den
-
-    def image(self):
-        num_img = self.branch.evaluate(self.num)
-        if num_img is None:
-            return None
-        den_img = self.branch.evaluate(self.den)
-        K = self.branch.ring.field
-        return (K(num_img[0] * K.inv(den_img[0])), num_img[1] - den_img[1])
-
-    def to_string(self):
-        return f"({self.num.to_string()})/({self.den.to_string()})"
-
-
-def gamma_prime(branch: Branch) -> BranchFraction:
+def gamma_prime(branch: Branch) -> QElement:
     """A degree-maximal element of the inverse different of the branch.
 
-    Returns y^{q-1}/x on a binomial branch and 1/x on the y-axis branch;
-    the image is a nonzero multiple of t^Frobenius.  Certified by the
-    graded criterion: the branch has no nonzero piece in the degree of
-    the returned fraction, and multiplying by either variable lands in
-    the branch ring.
+    Returns y^{q-1}/x on a binomial branch and 1/x on the y-axis branch,
+    fractions over x, which vanishes on no branch; the image is a
+    nonzero multiple of t^Frobenius.  Certified by the graded criterion:
+    the branch has no nonzero piece in the degree of the returned
+    fraction, and multiplying by either variable lands in the branch
+    ring.
     """
     ring = branch.ring
-    if branch.kind == "binomial":
-        frac = BranchFraction(branch, ring.monomial(0, ring.q - 1), ring.x_poly())
-    else:
-        frac = BranchFraction(branch, ring.one(), ring.x_poly())
-    coeff, tdeg = frac.image()
+    binomial = branch.kind == "binomial"
+    num = ring.monomial(0, ring.q - 1) if binomial else ring.one()
+    frac = QElement(ring, num, ring.x_poly())
+    coeff, tdeg = branch.evaluate_q(frac)
     if tdeg != branch.frobenius:
         raise CertificationError("gamma' does not sit in the Frobenius degree")
     if branch.semigroup_contains(tdeg):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 
@@ -238,8 +237,7 @@ def cmd_push(ring, args) -> dict:
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     seq = push(I, gd)
-    parts, frees = decompose(seq.middle,
-                             rng=random.Random(args.resolved_seed))
+    parts, frees = decompose(seq.middle, rng=random.Random(args.seed))
     return {
         "sequence": seq.describe(),
         "ranks": seq.ranks,
@@ -255,8 +253,7 @@ def cmd_decompose(ring, args) -> dict:
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     seq = push(I, gd)
-    parts, frees = decompose(seq.middle,
-                             rng=random.Random(args.resolved_seed))
+    parts, frees = decompose(seq.middle, rng=random.Random(args.seed))
     return {
         "module": seq.middle.describe(),
         "parts": [p.describe() for p in parts],
@@ -277,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("config", help="path to a key=value ring config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="randomization seed (fallback: AR_CURVE_SEED, 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="randomization seed (default: 0)")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
 
@@ -333,16 +330,12 @@ def _write(out, text) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed is None:
-        args.resolved_seed = int(os.environ.get("AR_CURVE_SEED", "0"))
-    else:
-        args.resolved_seed = args.seed
     try:
         text, sha = _config_payload(args.config)
         ring = ring_from_config(text)
         doc = _dispatch(ring, args)
         doc["config_sha256"] = sha
-        doc["seed"] = args.resolved_seed
+        doc["seed"] = args.seed
         _write(args.out, _render(doc))
     except (OSError, InputError) as e:
         sys.stderr.write(json.dumps({"error": "input", "message": str(e)},

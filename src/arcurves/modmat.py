@@ -220,6 +220,13 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
     contributes C X, each ("R", C, name) contributes X C, and const is a
     GradedMatrix or None.  Every equation asserts that the sum vanishes.
 
+    The rows are built one unknown at a time, as in _precomposition: the
+    column of the unknown x^a y^b E_ij is its image under every term,
+    C[t][i] x^a y^b in cell (t, j) for an L term and C[j][t] x^a y^b in
+    cell (i, t) for an R term, in normal form for mode "mod_g".  There is
+    one row per equation, cell and monomial, and the constant fills the
+    last column.
+
     Returns the canonical particular solution, a dict mapping names to
     GradedMatrix with free variables zero, or None when the system is
     inconsistent.  Hom spaces are kernels of precomposition and are not
@@ -227,66 +234,62 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
     """
     basis_of = ring.graded_piece if mode == "mod_g" else ring.s_piece
     K = ring.field
+    var_list = [(name, i, j, mono) for name in sorted(unknowns)
+                for i, r in enumerate(unknowns[name][0])
+                for j, c in enumerate(unknowns[name][1])
+                for mono in basis_of(c - r)]
+    system: dict = {}
+    degree: dict = {}
 
-    var_index: dict = {}
-    var_list = []
-    for name in sorted(unknowns):
-        rdegs, cdegs = unknowns[name]
-        for i in range(len(rdegs)):
-            for j in range(len(cdegs)):
-                for mono in basis_of(cdegs[j] - rdegs[i]):
-                    var_index[(name, i, j, mono)] = len(var_list)
-                    var_list.append((name, i, j, mono))
-    nvars = len(var_list)
-    const_index = nvars
+    def add(cell, poly, v):
+        # poly into column v at cell = (equation, (row, column)), which
+        # holds one degree
+        d = poly.degree
+        if degree.setdefault(cell, d) != d:
+            raise InputError("equation terms have incompatible entry degrees")
+        if mode == "mod_g":
+            poly = ring.normal_form(poly)
+        for mono, c in poly.terms.items():
+            row = system.setdefault((cell, mono), {})
+            row[v] = row.get(v, 0) + c
 
-    sys_rows = []
-    for terms, const in equations:
-        erows, ecols = _equation_shape(unknowns, terms, const)
-        for i in range(len(erows)):
-            for j in range(len(ecols)):
-                ed = ecols[j] - erows[i]
-                out_pos = {mono: t for t, mono in enumerate(basis_of(ed))}
-                cells = [dict() for _ in out_pos]
+    for e, (terms, const) in enumerate(equations):
+        shapes = set()
+        for side, C, name in terms:
+            rd, cd = unknowns[name]
+            if side == "L":
+                inner, shape = (len(C.cols), len(rd)), (len(C.rows), len(cd))
+            elif side == "R":
+                inner, shape = (len(C.rows), len(cd)), (len(rd), len(C.cols))
+            else:
+                raise InputError(f"unknown term side {side!r}")
+            if inner[0] != inner[1]:
+                raise InputError(f"{side}-term inner dimension mismatch")
+            shapes.add(shape)
+            for v, (vname, i, j, mono) in enumerate(var_list):
+                if vname != name:
+                    continue
+                if side == "L":
+                    images = [((t, j), row[i]) for t, row in enumerate(C.entries)]
+                else:
+                    images = [((i, t), c) for t, c in enumerate(C.entries[j])]
+                for cell, c in images:
+                    if not c.is_zero():
+                        add((e, cell), c.shift_monomial(*mono), v)
+        if const is not None:
+            shapes.add((len(const.rows), len(const.cols)))
+            for i, row in enumerate(const.entries):
+                for j, c in enumerate(row):
+                    if not c.is_zero():
+                        add((e, (i, j)), c, len(var_list))
+        if len(shapes) > 1:
+            raise InputError("equation terms have different shapes")
 
-                def _accumulate(poly, vk):
-                    for mkey, mval in poly.terms.items():
-                        cell = cells[out_pos[mkey]]
-                        cell[vk] = cell.get(vk, 0) + mval
-
-                for side, coeff, name in terms:
-                    rdegs, cdegs = unknowns[name]
-                    if side == "L":
-                        for t in range(len(coeff.cols)):
-                            c = coeff.entries[i][t]
-                            if c.is_zero():
-                                continue
-                            for mono in basis_of(cdegs[j] - rdegs[t]):
-                                prod = c.shift_monomial(*mono)
-                                if mode == "mod_g":
-                                    prod = ring.normal_form(prod)
-                                _accumulate(prod, var_index[(name, t, j, mono)])
-                    else:
-                        for t in range(len(coeff.rows)):
-                            c = coeff.entries[t][j]
-                            if c.is_zero():
-                                continue
-                            for mono in basis_of(cdegs[t] - rdegs[i]):
-                                prod = c.shift_monomial(*mono)
-                                if mode == "mod_g":
-                                    prod = ring.normal_form(prod)
-                                _accumulate(prod, var_index[(name, i, t, mono)])
-                if const is not None:
-                    e = const.entries[i][j]
-                    if mode == "mod_g":
-                        e = ring.normal_form(e)
-                    _accumulate(e, const_index)
-                for cell in cells:
-                    cell = _canonical(cell, K)
-                    if cell:
-                        sys_rows.append(cell)
-
-    particular = solve_sparse_system(sys_rows, nvars, K)
+    # rows cell by cell, a cell's monomials by y-exponent (graded_piece
+    # order): the elimination's work depends on the order, its result not
+    rows = [row for key in sorted(system, key=lambda k: (k[0], k[1][1]))
+            if (row := _canonical(system[key], K))]
+    particular = solve_sparse_system(rows, len(var_list), K)
     if particular is None:
         return None
     ents = {name: [[dict() for _ in cdegs] for _ in rdegs]
@@ -298,42 +301,6 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
                                [[WPoly(K, ring.q, ring.p, e) for e in row]
                                 for row in ents[name]])
             for name, (rdegs, cdegs) in unknowns.items()}
-
-
-def _equation_shape(unknowns, terms, const):
-    shapes = []
-    for side, coeff, name in terms:
-        rdegs, cdegs = unknowns[name]
-        if side == "L":
-            if len(coeff.cols) != len(rdegs):
-                raise InputError("L-term inner dimension mismatch")
-            c0 = 0
-            if len(coeff.cols):
-                diffs = {coeff.cols[t] - rdegs[t] for t in range(len(rdegs))}
-                if len(diffs) != 1:
-                    raise InputError("L-term degree vectors incompatible")
-                c0 = diffs.pop()
-            shapes.append((coeff.rows, tuple(c + c0 for c in cdegs)))
-        elif side == "R":
-            if len(coeff.rows) != len(cdegs):
-                raise InputError("R-term inner dimension mismatch")
-            c0 = 0
-            if len(coeff.rows):
-                diffs = {coeff.rows[t] - cdegs[t] for t in range(len(cdegs))}
-                if len(diffs) != 1:
-                    raise InputError("R-term degree vectors incompatible")
-                c0 = -diffs.pop()
-            shapes.append((rdegs, tuple(c + c0 for c in coeff.cols)))
-        else:
-            raise InputError(f"unknown term side {side!r}")
-    if const is not None:
-        shapes.append((const.rows, const.cols))
-    base = shapes[0]
-    base_pattern = [c - r for r in base[0] for c in base[1]]
-    for sh in shapes[1:]:
-        if [c - r for r in sh[0] for c in sh[1]] != base_pattern:
-            raise InputError("equation terms have incompatible entry degrees")
-    return base
 
 
 # ----------------------------------------------------------------------

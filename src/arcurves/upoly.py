@@ -67,8 +67,9 @@ def divmod_(f, g, K):
         s, c = len(r) - len(g), K(r[-1] * inv)
         q[s] = c
         for t, b in enumerate(g):
-            r[s + t] -= c * b
-        r = trim(r, K)
+            r[s + t] = K(r[s + t] - c * b)
+        while r and not r[-1]:
+            r.pop()
     return q, r
 
 

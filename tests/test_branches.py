@@ -2,10 +2,9 @@
 
 import pytest
 
-from arcurves import (BranchFraction, FormSplitError, HypersurfaceRing,
-                      NotSquarefreeError, PrimeField, QQ,
-                      factor_hypersurface, gamma_prime, poly_from_string,
-                      singular_branch)
+from arcurves import (FormSplitError, HypersurfaceRing, NotSquarefreeError,
+                      PrimeField, QQ, factor_hypersurface, gamma_prime,
+                      poly_from_string, singular_branch)
 from arcurves.branches import _pth_root
 
 
@@ -58,17 +57,9 @@ def test_singular_branch_with_two_binomials():
 def test_gamma_prime_lands_on_frobenius(cusp_ring):
     br = singular_branch(cusp_ring)
     frac = gamma_prime(br)
-    coeff, exp = frac.image()
+    coeff, exp = br.evaluate_q(frac)
     assert exp == br.frobenius
     assert cusp_ring.field(coeff) != 0
-
-
-def test_branch_fraction_needs_unit_denominator(two_branch_ring):
-    axis = next(b for b in factor_hypersurface(two_branch_ring)
-                if b.kind == "y-axis")
-    from arcurves import InputError
-    with pytest.raises(InputError):
-        BranchFraction(axis, two_branch_ring.one(), two_branch_ring.y_poly())
 
 
 def test_form_split_failure_over_small_field():

@@ -332,14 +332,10 @@ def test_byte_identical_reruns(cfg, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_seed_resolution(cfg, capsys, monkeypatch):
+def test_seed_resolution(cfg, capsys):
     path = cfg(CUSP)
-    monkeypatch.setenv("AR_CURVE_SEED", "11")
-    code, out, _ = _run(capsys, ["push", path])
-    assert json.loads(out)["seed"] == 11
     code, out, _ = _run(capsys, ["push", path, "--seed", "5"])
     assert json.loads(out)["seed"] == 5
-    monkeypatch.delenv("AR_CURVE_SEED")
     code, out, _ = _run(capsys, ["push", path])
     assert json.loads(out)["seed"] == 0
 

@@ -1,5 +1,6 @@
 """Graded matrices, factorizations, hom spaces, decomposition."""
 
+import contextlib
 import functools
 import itertools
 import random
@@ -19,12 +20,14 @@ from arcurves import (GradedMatrix, InputError, MatrixFactorization,
 from arcurves import (QQ, HypersurfaceRing, WPoly, arengine, end_generators,
                       explore_component, modmat, upoly)
 from arcurves.cli import _endo_corpus
-from arcurves.errors import CertificationError, InconclusiveSplitError
+from arcurves.errors import (CertificationError, InconclusiveSplitError,
+                             VerificationError)
 from arcurves.linalg import (SparseRREF, dense_vector, kernel_sparse,
                              rank_dense, solve_sparse_system, sparse_vector)
 from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
-                             _coefficient_matrix, _scatter, _span_rref,
-                             _stably_zero_span, hom_from_coefficients)
+                             _canonical, _coefficient_matrix, _scatter,
+                             _span_rref, _stably_zero_span,
+                             hom_from_coefficients)
 
 
 def test_entry_degree_validation(cusp_ring):
@@ -86,6 +89,226 @@ def test_solve_exact_and_mod_g(two_branch_ring):
     sol = solve_graded_system(
         r, {"X": ((0,), (11,))}, [([("R", xmat, "X")], -y5)], mode="mod_g")
     assert sol["X"].entries[0][0] == r.monomial(2, 1, r.field(-1))
+
+
+# The cell-by-cell solver that solve_graded_system replaced, kept verbatim:
+# it works out the degree of every output cell first and reads each cell's
+# contributions off the coefficient entries, where solve_graded_system
+# takes one unknown monomial at a time.
+def _reference_solve_graded_system(ring, unknowns, equations, mode="mod_g"):
+    """Solve linear matrix equations over R (mod g) or over S (exact).
+
+    unknowns: dict name -> (row_degrees, col_degrees); the unknown entry
+    (i, j) ranges over the monomial basis of its degree (the normal-form
+    basis for mode "mod_g", the full polynomial piece for mode "exact").
+
+    equations: list of (terms, const) where each term ("L", C, name)
+    contributes C X, each ("R", C, name) contributes X C, and const is a
+    GradedMatrix or None.  Every equation asserts that the sum vanishes.
+
+    Returns the canonical particular solution, a dict mapping names to
+    GradedMatrix with free variables zero, or None when the system is
+    inconsistent.  Hom spaces are kernels of precomposition and are not
+    built here (see HomSpace).
+    """
+    basis_of = ring.graded_piece if mode == "mod_g" else ring.s_piece
+    K = ring.field
+
+    var_index: dict = {}
+    var_list = []
+    for name in sorted(unknowns):
+        rdegs, cdegs = unknowns[name]
+        for i in range(len(rdegs)):
+            for j in range(len(cdegs)):
+                for mono in basis_of(cdegs[j] - rdegs[i]):
+                    var_index[(name, i, j, mono)] = len(var_list)
+                    var_list.append((name, i, j, mono))
+    nvars = len(var_list)
+    const_index = nvars
+
+    sys_rows = []
+    for terms, const in equations:
+        erows, ecols = _reference_equation_shape(unknowns, terms, const)
+        for i in range(len(erows)):
+            for j in range(len(ecols)):
+                ed = ecols[j] - erows[i]
+                out_pos = {mono: t for t, mono in enumerate(basis_of(ed))}
+                cells = [dict() for _ in out_pos]
+
+                def _accumulate(poly, vk):
+                    for mkey, mval in poly.terms.items():
+                        cell = cells[out_pos[mkey]]
+                        cell[vk] = cell.get(vk, 0) + mval
+
+                for side, coeff, name in terms:
+                    rdegs, cdegs = unknowns[name]
+                    if side == "L":
+                        for t in range(len(coeff.cols)):
+                            c = coeff.entries[i][t]
+                            if c.is_zero():
+                                continue
+                            for mono in basis_of(cdegs[j] - rdegs[t]):
+                                prod = c.shift_monomial(*mono)
+                                if mode == "mod_g":
+                                    prod = ring.normal_form(prod)
+                                _accumulate(prod, var_index[(name, t, j, mono)])
+                    else:
+                        for t in range(len(coeff.rows)):
+                            c = coeff.entries[t][j]
+                            if c.is_zero():
+                                continue
+                            for mono in basis_of(cdegs[t] - rdegs[i]):
+                                prod = c.shift_monomial(*mono)
+                                if mode == "mod_g":
+                                    prod = ring.normal_form(prod)
+                                _accumulate(prod, var_index[(name, i, t, mono)])
+                if const is not None:
+                    e = const.entries[i][j]
+                    if mode == "mod_g":
+                        e = ring.normal_form(e)
+                    _accumulate(e, const_index)
+                for cell in cells:
+                    cell = _canonical(cell, K)
+                    if cell:
+                        sys_rows.append(cell)
+
+    particular = solve_sparse_system(sys_rows, nvars, K)
+    if particular is None:
+        return None
+    ents = {name: [[dict() for _ in cdegs] for _ in rdegs]
+            for name, (rdegs, cdegs) in unknowns.items()}
+    for vk, value in particular.items():
+        name, i, j, mono = var_list[vk]
+        ents[name][i][j][mono] = value
+    return {name: GradedMatrix(ring, rdegs, cdegs,
+                               [[WPoly(K, ring.q, ring.p, e) for e in row]
+                                for row in ents[name]])
+            for name, (rdegs, cdegs) in unknowns.items()}
+
+
+def _reference_equation_shape(unknowns, terms, const):
+    shapes = []
+    for side, coeff, name in terms:
+        rdegs, cdegs = unknowns[name]
+        if side == "L":
+            if len(coeff.cols) != len(rdegs):
+                raise InputError("L-term inner dimension mismatch")
+            c0 = 0
+            if len(coeff.cols):
+                diffs = {coeff.cols[t] - rdegs[t] for t in range(len(rdegs))}
+                if len(diffs) != 1:
+                    raise InputError("L-term degree vectors incompatible")
+                c0 = diffs.pop()
+            shapes.append((coeff.rows, tuple(c + c0 for c in cdegs)))
+        elif side == "R":
+            if len(coeff.rows) != len(cdegs):
+                raise InputError("R-term inner dimension mismatch")
+            c0 = 0
+            if len(coeff.rows):
+                diffs = {coeff.rows[t] - cdegs[t] for t in range(len(cdegs))}
+                if len(diffs) != 1:
+                    raise InputError("R-term degree vectors incompatible")
+                c0 = -diffs.pop()
+            shapes.append((rdegs, tuple(c + c0 for c in coeff.cols)))
+        else:
+            raise InputError(f"unknown term side {side!r}")
+    if const is not None:
+        shapes.append((const.rows, const.cols))
+    base = shapes[0]
+    base_pattern = [c - r for r in base[0] for c in base[1]]
+    for sh in shapes[1:]:
+        if [c - r for r in sh[0] for c in sh[1]] != base_pattern:
+            raise InputError("equation terms have incompatible entry degrees")
+    return base
+
+
+def _assert_solves_like_the_reference(systems):
+    assert systems
+    for args, kwargs in systems:
+        assert (solve_graded_system(*args, **kwargs)
+                == _reference_solve_graded_system(*args, **kwargs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_solver_matches_the_cell_by_cell_reference(seed, field):
+    # the gamma systems of I, syz I and the push middle term (split of its
+    # trivial blocks), the W system of the push, and mf_complete's exact
+    # system
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    I = mf_from_ideal(ring).cok(label="I")
+    gd = gamma_for(ring)
+    systems = []
+
+    def recording(*args, **kwargs):
+        systems.append((args, kwargs))
+        return solve_graded_system(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in (arengine, modmat):
+            mp.setattr(owner, "solve_graded_system", recording)
+        seq = push(I, gd)
+        arengine._alpha_beta(I.syz(), gd)
+        middle, _ = modmat.mf_reduce(seq.middle.mf)
+        if middle is not None:
+            # gamma need not act on it; then both solvers find no solution
+            with contextlib.suppress(VerificationError):
+                arengine._alpha_beta(middle.cok(), gd)
+        arengine.solve_W(seq)
+        mf_complete(I.mf.phi)
+    assert len(systems) >= 4
+    _assert_solves_like_the_reference(systems)
+
+
+def test_solver_matches_the_reference_on_hand_built_systems(two_branch_ring):
+    # g = x^3 y + y^5, so x has degree 4 and y degree 3
+    r = two_branch_ring
+    x, y = r.x_poly(), r.y_poly()
+    z = r.zero_poly()
+    xmat = GradedMatrix(r, (0,), (4,), [[x]])
+    ymat = GradedMatrix(r, (0,), (3,), [[y]])
+    # X x + Y y = x^3 y^4 + y^8: two unknowns
+    rhs = GradedMatrix(r, (0,), (24,), [[r.monomial(3, 4) + r.monomial(0, 8)]])
+    two = ({"X": ((0,), (20,)), "Y": ((0,), (21,))},
+           [([("R", xmat, "X"), ("R", ymat, "Y")], -rhs)])
+    # C X + X C' = C X0 + X0 C': one unknown on both sides
+    C = GradedMatrix(r, (0, 0), (4, 4), [[x, x], [z, x]])
+    Cp = GradedMatrix(r, (0, 0), (4, 4), [[z, x], [x, z]])
+    X0 = GradedMatrix(r, (0, 0), (12, 12),
+                      [[r.monomial(0, 4), r.monomial(3, 0)],
+                       [z, r.monomial(0, 4)]])
+    both = ({"X": ((0, 0), (12, 12))},
+            [([("L", C, "X"), ("R", Cp, "X")], -(C.mul(X0) + X0.mul(Cp)))])
+    # X x = y^5 has no exact solution
+    y5 = GradedMatrix(r, (0,), (15,), [[r.monomial(0, 5)]])
+    none = ({"X": ((0,), (11,))}, [([("R", xmat, "X")], -y5)])
+    systems = [((r,) + system, {"mode": mode})
+               for system in (two, both) for mode in ("mod_g", "exact")]
+    _assert_solves_like_the_reference(systems + [((r,) + none,
+                                                  {"mode": "exact"})])
+    assert all(solve_graded_system(*a, **k) is not None for a, k in systems)
+    assert solve_graded_system(r, *none, mode="exact") is None
+
+
+def test_malformed_equations_are_input_errors(two_branch_ring):
+    r = two_branch_ring
+    x = GradedMatrix(r, (0,), (4,), [[r.x_poly()]])
+    xy = GradedMatrix(r, (0,), (7,), [[r.monomial(1, 1)]])
+    pair = GradedMatrix(r, (0,), (4, 3), [[r.x_poly(), r.y_poly()]])
+    col = GradedMatrix(r, (0, 0), (4,), [[r.x_poly()], [r.x_poly()]])
+    X = {"X": ((0,), (3,))}
+    malformed = {
+        "unknown side": [([("M", x, "X")], -xy)],
+        "inner dimension": [([("L", pair, "X")], -xy)],
+        # x X has degree 7, the constant x^2 degree 8
+        "degree": [([("L", x, "X")],
+                    -GradedMatrix(r, (0,), (8,), [[r.monomial(2, 0)]]))],
+        "shape": [([("L", col, "X")], -xy)],
+    }
+    for equations in malformed.values():
+        for solve in (solve_graded_system, _reference_solve_graded_system):
+            with pytest.raises(InputError):
+                solve(r, X, equations)
 
 
 def test_free_module_piece_dims(cusp_ring):

@@ -197,6 +197,28 @@ def test_factor_order_is_string_order_of_the_printed_factor():
         "T - 5/3", "T**2 + 1"]
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["Q", "F3", "F5", "F101"]))
+def test_divmod_gives_canonical_quotient_and_remainder(data, name):
+    # inputs may carry leading zeros and non-canonical coefficients:
+    # integral Fractions over Q, integers outside [0, ell) over F_ell
+    if name == "Q":
+        K = QQ
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        K = PrimeField(int(name[1:]))
+        coeff = st.integers(-300, 300)
+    f = data.draw(st.lists(coeff, max_size=8))
+    g = data.draw(st.lists(coeff, min_size=1, max_size=5).filter(
+        lambda g: upoly.trim(g, K)))
+    q, r = upoly.divmod_(f, g, K)
+    assert upoly.sub(f, upoly.mul(q, g, K), K) == r
+    assert len(r) < len(upoly.trim(g, K))
+    for part in (q, r):
+        assert not part or part[-1]
+        assert all(type(c) is type(K(c)) and c == K(c) for c in part)
+
+
 # ----------------------------------------------------------------------
 # primality of the field size
 
