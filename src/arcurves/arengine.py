@@ -14,16 +14,16 @@ from functools import cached_property
 
 from .branches import factor_hypersurface, gamma_prime, singular_branch
 from .errors import CertificationError, InputError, VerificationError
-from .linalg import SparseRREF
+from .linalg import SparseRREF, rank_dense
 from .modmat import (GradedMatrix, GradedModule, MatrixFactorization,
-                     block_matrix, decompose, hom_graded, iso_up_to_shift,
-                     mf_from_ideal, rank_vector,
+                     _scalar_part, block_matrix, decompose, hom_graded,
+                     iso_up_to_shift, mf_from_ideal, rank_vector,
                      solve_graded_system, stably_zero_bruteforce)
 from .quiver import (TranslationQuiver, check_subadditive, classify_fragment,
                      orbit_collapse)
 from .ring import HypersurfaceRing, QElement
-from .traceoracle import (_nonunit_generators, socle_test, stably_zero_trace,
-                          trace_Q, trace_report)
+from .traceoracle import (_nonunit_generators, _ring_preimage, socle_test,
+                          stably_zero_trace, trace_images, trace_report)
 
 
 # ----------------------------------------------------------------------
@@ -141,9 +141,9 @@ def _alpha_beta(M: GradedModule, gd: GammaDatum):
     Returns (alpha, beta): alpha, in the frame of psi's columns, solves
     psi alpha = gamma psi and alpha phi = -gamma phi modulo g, and
     beta = psi alpha phi / g.  The exact division certifies alpha as an
-    endomorphism of M: phi psi = psi phi = g Id (checked when the
-    factorization was built) and S a domain give phi beta = alpha phi
-    and beta psi = psi alpha on the nose.  Checked: the division, and
+    endomorphism of M: phi psi = psi phi = g Id (MatrixFactorization)
+    and S a domain give phi beta = alpha phi and beta psi = psi alpha on
+    the nose.  Checked: the division, and
     phi beta = -gamma phi modulo g.
     """
     ring = M.ring
@@ -447,8 +447,9 @@ def verify_syz_gamma(M: GradedModule, gd: GammaDatum) -> dict:
 
     Over a domain, rank(syz M) times the transported gamma_M plus
     rank(M) times gamma_{syz M} must vanish stably; and the trace of
-    gamma_M plus the trace of its transport must land in R.  Both facts
-    are checked by the trace oracle and the lifting oracle.
+    gamma_M plus the trace of its transport must land in R.  The first
+    fact is checked by the trace oracle and the lifting oracle, the
+    second on the branch images of the two traces, with no fraction.
     """
     ring = M.ring
     if len(factor_hypersurface(ring)) != 1:
@@ -466,8 +467,9 @@ def verify_syz_gamma(M: GradedModule, gd: GammaDatum) -> dict:
     comb = t.scale(K(r_n)) + hN.scale(K(r_m))
     stable_zero_trace = stably_zero_trace(comb)
     stable_zero_lift = stably_zero_bruteforce(comb)
-    total = trace_Q(h) + trace_Q(t)
-    negative = total.in_ring()
+    total = [_add_images(a, b, K)
+             for a, b in zip(trace_images(h), trace_images(t))]
+    negative = _ring_preimage(ring, total, h.degree)
     return {
         "module": M.describe(),
         "ranks": [r_m, r_n],
@@ -477,6 +479,13 @@ def verify_syz_gamma(M: GradedModule, gd: GammaDatum) -> dict:
         "pass": bool(stable_zero_trace and stable_zero_lift
                      and negative is not None),
     }
+
+
+def _add_images(a, b, K):
+    """The sum of two branch images of elements of one degree, which sit
+    in one t-degree on the branch; None stands for zero."""
+    c = K((a[0] if a else 0) + (b[0] if b else 0))
+    return (c, (a or b)[1]) if c else None
 
 
 def e_avg(M: GradedModule) -> Fraction:
@@ -635,13 +644,14 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
     """Run the full double-extension certification on the ideal module.
 
     Builds I, pushes it, solves W, forms the theta pair, conjugates by
-    the hard-coded change-of-basis pair, and checks: the inverses, the
-    block-triangular normal form with the psi corner, the normalized
-    column degrees against their closed forms, the strict minimality of
-    the fourth column, the shape of the lower corner entry of W, and the
-    two-part decomposition of the double extension.  Any mismatch raises
-    VerificationError with an entrywise diff.  windows names the degree
-    where the push of I checked dimension additivity.
+    the hard-coded change-of-basis pair, and checks: P and P' invertible
+    (their scalar parts are, graded Nakayama), the block-triangular
+    normal form with the psi corner (written out in expected), the
+    normalized column degrees against their closed forms, the strict
+    minimality of the fourth column, the shape of the lower corner entry
+    of W, and the two-part decomposition of the double extension.  Any
+    mismatch raises VerificationError with an entrywise diff.  windows
+    names the degree where the push of I checked dimension additivity.
     """
     if ring.m is None or ring.n is None:
         raise InputError("the double push needs the two-generator ideal data")
@@ -668,7 +678,6 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
     B4 = tuple(c + 2 * G - D for c in phi.cols)
     ident = GradedMatrix.identity
     H = _diag(ring, R2, [half, K.one])
-    Hinv = _diag(ring, R2, [K(2), K.one])
     Zs = Z.shift(-D)
 
     Pp = block_matrix(
@@ -678,13 +687,6 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
          [None, H, H, None],
          [None, None, None, ident(ring, R4)]],
         rows=R2 + R1 + R2 + R4, cols=theta.rows)
-    Pp_inv = block_matrix(
-        ring,
-        [[None, ident(ring, R1), None, None],
-         [ident(ring, R2).scale(half), None, Hinv.scale(half), None],
-         [-ident(ring, R2).scale(half), None, Hinv.scale(half), None],
-         [None, None, None, ident(ring, R4)]],
-        rows=theta.rows, cols=R2 + R1 + R2 + R4)
     P = block_matrix(
         ring,
         [[None, ident(ring, B1), None, None],
@@ -692,19 +694,9 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
          [-ident(ring, B2).scale(half), None, ident(ring, B2), -Zs],
          [None, None, None, ident(ring, B4)]],
         rows=theta.cols, cols=B2 + B1 + B2 + B4)
-    P_inv = block_matrix(
-        ring,
-        [[None, ident(ring, B2), -ident(ring, B2), -Zs],
-         [ident(ring, B1), None, None, None],
-         [None, ident(ring, B2).scale(half), ident(ring, B2).scale(half),
-          Zs.scale(half)],
-         [None, None, None, ident(ring, B4)]],
-        rows=B2 + B1 + B2 + B4, cols=theta.cols)
-    for A, Ainv, name in ((P, P_inv, "P"), (Pp, Pp_inv, "P'")):
-        if not A.mul(Ainv) == ident(ring, A.rows):
-            raise VerificationError("%s times its inverse is not 1" % name)
-        if not Ainv.mul(A) == ident(ring, Ainv.rows):
-            raise VerificationError("inverse of %s fails on the left" % name)
+    for A, name in ((P, "P"), (Pp, "P'")):
+        if rank_dense(_scalar_part(A), K) != len(A.rows):
+            raise VerificationError("%s is not invertible on the top" % name)
 
     T = Pp.mul(theta).mul(P)
     expected = block_matrix(
@@ -719,21 +711,7 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
     if not T == expected:
         raise VerificationError("normal form mismatch: " + _matrix_diff(T, expected))
 
-    # independent structural read of the corner, not through `expected`
     r = len(phi.rows)
-    corner_ok = all(T.entries[i][j].is_zero()
-                    for i in range(r) for j in range(r, 4 * r))
-    corner_ok &= all(T.entries[i][j].is_zero()
-                     for i in range(r, 4 * r) for j in range(r))
-    corner_ok &= all(T.entries[i][j] == psi.entries[i][j]
-                     for i in range(r) for j in range(r))
-    upper_ok = all(T.entries[i][j].is_zero()
-                   for bi in range(1, 4) for bj in range(1, bi)
-                   for i in range(bi * r, bi * r + r)
-                   for j in range(bj * r, bj * r + r))
-    if not (corner_ok and upper_ok):
-        raise VerificationError("conjugate is not block triangular")
-
     C = p * q + n * p + m * q
     natural = list(T.cols)
     got = [natural[t] - C for t in range(2, 4 * r)]

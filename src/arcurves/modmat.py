@@ -336,20 +336,22 @@ def _scatter(pos):
 
 
 class MatrixFactorization:
-    """A pair (phi, psi) with phi psi = psi phi = g Id, checked exactly."""
+    """A pair (phi, psi) with phi psi = psi phi = g Id, checked exactly.
+    Only phi psi is multiplied out: phi is square, so det phi det psi =
+    g^n != 0 makes phi injective over S, and phi (psi phi - g Id) = 0."""
 
     def __init__(self, phi: GradedMatrix, psi: GradedMatrix):
         ring = phi.ring
         D = ring.deg_g
         if psi.rows != phi.cols or psi.cols != tuple(r + D for r in phi.rows):
             raise InputError("degree vectors do not form a factorization pair")
+        if len(phi.rows) != len(phi.cols):
+            raise InputError("phi is not square")
         self.ring = ring
         self.phi = phi
         self.psi = psi
         if not phi.mul(psi) == g_identity(ring, phi.rows):
             raise VerificationError("phi psi is not g times the identity")
-        if not psi.mul(phi.shift(D)) == g_identity(ring, phi.cols):
-            raise VerificationError("psi phi is not g times the identity")
 
     def is_reduced(self) -> bool:
         return self.phi.is_reduced() and self.psi.is_reduced()
@@ -372,7 +374,7 @@ def g_identity(ring, degs) -> GradedMatrix:
 
 
 def mf_check(phi: GradedMatrix, psi: GradedMatrix) -> bool:
-    """Whether (phi, psi) multiplies to g Id exactly over the polynomial ring."""
+    """Whether (phi, psi) is a factorization of g (MatrixFactorization)."""
     try:
         MatrixFactorization(phi, psi)
         return True
@@ -384,7 +386,7 @@ def mf_complete(A: GradedMatrix) -> MatrixFactorization:
     """Complete a square presentation matrix to a matrix factorization.
 
     Solves A B = g Id exactly over S; since S is a domain and A becomes
-    injective, B A = g Id follows (and is verified by the constructor).
+    injective, B A = g Id follows (MatrixFactorization).
     """
     ring = A.ring
     if len(A.rows) != len(A.cols):
@@ -1038,7 +1040,8 @@ def split_by_idempotent(M: GradedModule, E: GradedMatrix):
     P^-1 P = Id and P'^-1 P' = Id exactly (_inverse), and the
     off-diagonal blocks vanish; then cok phi is the sum of the cokernels
     of the diagonal blocks, whatever E is, and MatrixFactorization
-    checks each pair of blocks.  The blocks are reduced because phi is.
+    checks each pair of blocks.  The blocks are reduced because phi is:
+    P^-1 phi P' has its entries in the maximal ideal, as phi does.
     The columns are taken in stable degree order, so the generators of
     each part are those of the minimal submodule presentation of im E
     and im(Id - E), in the same order.
@@ -1408,6 +1411,7 @@ def _minimal_core(M: GradedModule):
 
 
 def _indecomposable_parts(M: GradedModule, rng):
+    """The indecomposable summands of M, reduced as its split parts are."""
     top = TopAlgebra(M)
     K = M.ring.field
     for bar, make in _candidates(top, rng):
@@ -1418,14 +1422,8 @@ def _indecomposable_parts(M: GradedModule, rng):
                 return [M]
             continue
         idem = _lift_idempotent(make(), upoly.idempotent(mu, factors, K))
-        out = []
-        for part in split_by_idempotent(M, idem):
-            sub_core, sub_frees = _minimal_core(part)
-            if sub_frees or sub_core is None:
-                raise CertificationError(
-                    "free summand surfaced inside a split part")
-            out.extend(_indecomposable_parts(sub_core, rng))
-        return out
+        return [sub for part in split_by_idempotent(M, idem)
+                for sub in _indecomposable_parts(part, rng)]
     raise InconclusiveSplitError(
         "could not split the module or certify it indecomposable")
 

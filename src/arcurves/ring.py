@@ -370,7 +370,8 @@ class HypersurfaceRing:
 
     def normal_form(self, poly: WPoly) -> WPoly:
         """The representative with all y-exponents below q + v."""
-        if poly.max_y_exponent() is None or poly.max_y_exponent() < self.ybound:
+        top = poly.max_y_exponent()
+        if top is None or top < self.ybound:
             return poly
         out: dict[tuple[int, int], object] = {}
         for (i, j), c in poly.terms.items():

@@ -379,6 +379,16 @@ def test_double_push_report_passes(two_branch_ring):
     assert rep["free_summands"] == []
 
 
+def test_double_push_refuses_a_singular_change_of_basis(monkeypatch,
+                                                       two_branch_ring):
+    # H enters P' only; with a singular scalar part P' is not invertible
+    diag = arengine._diag
+    monkeypatch.setattr(arengine, "_diag", lambda ring, degs, values:
+                        diag(ring, degs, [ring.field.zero] * len(values)))
+    with pytest.raises(VerificationError, match="P' is not invertible"):
+        double_push_report(two_branch_ring)
+
+
 def test_explore_certifies_tau_squared(monkeypatch, two_branch_ideal,
                                       two_branch_datum):
     # an identification that never matches splits each vertex, so

@@ -87,6 +87,31 @@ def test_branch_images_of_variables(cusp_ring):
     assert lhs == 0
 
 
+def _largest_gap(gens):
+    """Frobenius number by enumeration: the largest t below the product of
+    the generators that no sum of generators reaches, or -1."""
+    reached = {0}
+    gaps = []
+    for t in range(1, gens[0] * gens[-1] + 1):
+        if any(t - g in reached for g in gens):
+            reached.add(t)
+        else:
+            gaps.append(t)
+    return max(gaps, default=-1)
+
+
+def test_frobenius_closed_form_matches_enumeration():
+    for p, q in [(3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7),
+                 (7, 3), (7, 6)]:
+        b = 1 if p % 2 else -1
+        ring = HypersurfaceRing(QQ, p, q, b, "1*x^0*y^1")
+        branches = factor_hypersurface(ring)
+        assert len(branches) == 2
+        for br in branches:
+            assert br.frobenius == _largest_gap(br.generators)
+            assert br.conductor == br.frobenius + 1
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7, 13, 31, 37, 43, 109])
 def test_pth_root_is_least_root_over_small_primes(ell):
     K = PrimeField(ell)

@@ -67,6 +67,34 @@ def test_mf_check_rejects_mismatch(cusp_ring):
     assert not mf_check(mf.phi, mf.phi)
 
 
+def test_non_square_pair_is_rejected(cusp_ring):
+    # phi psi = g, but psi phi = diag(g, 0): only a square phi can
+    # factor g, so the shape is refused before any product
+    r = cusp_ring
+    D = r.deg_g
+    z = r.zero_poly()
+    phi = GradedMatrix(r, (0,), (D, D + 3), [[r.g, z]])
+    psi = GradedMatrix(r, (D, D + 3), (D,), [[r.one()], [z]])
+    assert phi.mul(psi) == modmat.g_identity(r, (0,))
+    assert not mf_check(phi, psi)
+    with pytest.raises(InputError, match="not square"):
+        MatrixFactorization(phi, psi)
+
+
+def test_factorization_is_one_product(monkeypatch, cusp_ring):
+    mf = mf_from_ideal(cusp_ring)
+    calls = []
+    mul = GradedMatrix.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GradedMatrix, "mul", counted)
+    MatrixFactorization(mf.phi, mf.psi)
+    assert len(calls) == 1
+
+
 def test_mf_complete_recovers_partner(cusp_ring):
     mf = mf_from_ideal(cusp_ring)
     redone = mf_complete(mf.phi)
