@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import upoly
 from .errors import CertificationError, FormSplitError, InputError, NotSquarefreeError
 from .ring import (HypersurfaceRing, QElement, WPoly, _dehomogenized_form,
-                   _strip_monomial, semigroup_member)
+                   _strip_monomial)
 
 
 class Branch:
@@ -44,14 +44,6 @@ class Branch:
         # parameter image, i.e. the least semigroup generator.
         self.multiplicity = min(self.generators)
         self._piece_rows: dict = {}
-
-    def semigroup_contains(self, t: int) -> bool:
-        if t < 0:
-            return False
-        if self.generators == (1,):
-            return True
-        a, b = self.generators
-        return semigroup_member(t, a, b)
 
     def evaluate(self, poly: WPoly):
         """Image of a homogeneous polynomial, as (coeff, t-degree) or None."""
@@ -239,25 +231,16 @@ def gamma_prime(branch: Branch) -> QElement:
     """A degree-maximal element of the inverse different of the branch.
 
     Returns y^{q-1}/x on a binomial branch and 1/x on the y-axis branch,
-    fractions over x, which vanishes on no branch; the image is a
-    nonzero multiple of t^Frobenius.  Certified by the graded criterion:
-    the branch has no nonzero piece in the degree of the returned
-    fraction, and multiplying by either variable lands in the branch
-    ring.
+    fractions over x, which vanishes on no branch.  The image is a
+    nonzero multiple of t^F, F the branch's Frobenius number: on a
+    binomial branch (x -> c t^q, y -> t^p) it is t^(pq - p - q) / c, and
+    pq - p - q is Sylvester's largest gap of <q, p>
+    (_frobenius_closed_form); on the y-axis branch (x -> t) it is t^-1,
+    and F = -1.  F is the largest gap, so gamma' is not in the branch
+    ring, while F + s is in the semigroup for every s > 0 in it: gamma'
+    times the maximal ideal lands in the branch ring.
     """
     ring = branch.ring
     binomial = branch.kind == "binomial"
     num = ring.monomial(0, ring.q - 1) if binomial else ring.one()
-    frac = QElement(ring, num, ring.x_poly())
-    coeff, tdeg = branch.evaluate_q(frac)
-    if tdeg != branch.frobenius:
-        raise CertificationError("gamma' does not sit in the Frobenius degree")
-    if branch.semigroup_contains(tdeg):
-        raise CertificationError("gamma' lies in the branch ring")
-    for var in (ring.x_poly(), ring.y_poly()):
-        img = branch.evaluate(var)
-        if img is None:
-            continue
-        if not branch.semigroup_contains(tdeg + img[1]):
-            raise CertificationError("gamma' times the maximal ideal escapes R'")
-    return frac
+    return QElement(ring, num, ring.x_poly())

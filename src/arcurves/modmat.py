@@ -1377,17 +1377,13 @@ def decompose(M: GradedModule, rng=None):
     with two coprime factors gives an idempotent of k[a], made exact
     over S (_lift_idempotent), and M splits by a change of basis of its
     factorization (split_by_idempotent), with no elimination in M.
-    When the minimal polynomial of a's scalar part is a power of one
-    irreducible f with deg f = dim A/R, R the radical TopAlgebra finds,
-    M is indecomposable in every characteristic.  The minimal polynomial
-    of the image a' of a in A/rad A is a nonconstant divisor of that
-    power, so k[a'] has dimension at least deg f; TopAlgebra certifies
-    that R lies in rad A, so deg f = dim A/R >= dim A/rad A >= dim k[a'].
-    Hence k[a'] = A/rad A = k[t]/(f), a field, and End_0 is local.  The
-    random candidates draw their coordinates from min(char, 7) values,
-    so over F3 and F5 they range over the whole field.  When neither
-    outcome can be certified the function raises InconclusiveSplitError
-    rather than guessing.
+    The same minimal polynomial certifies a module or a split part
+    indecomposable when its distinct factors have total degree
+    dim A/R (_indecomposable_parts); any other part is split again on
+    its own top algebra.  The random candidates draw their coordinates
+    from min(char, 7) values, so over F3 and F5 they range over the
+    whole field.  When neither outcome can be certified the function
+    raises InconclusiveSplitError rather than guessing.
     """
     if rng is None:
         rng = random.Random(0)
@@ -1411,19 +1407,40 @@ def _minimal_core(M: GradedModule):
 
 
 def _indecomposable_parts(M: GradedModule, rng):
-    """The indecomposable summands of M, reduced as its split parts are."""
+    """The indecomposable summands of M, reduced as its split parts are.
+
+    Let a be a candidate whose scalar part has minimal polynomial
+    mu = prod f_i^m_i, with distinct irreducible f_i of total degree
+    dim A/R, R the radical TopAlgebra finds.  The image a' of a in
+    A/rad A has a minimal polynomial nu dividing mu, and mu divides a
+    power of nu, since nu(a) lies in the nilpotent rad A; so every f_i
+    divides nu.  TopAlgebra certifies R in rad A, so
+    dim A/R >= dim A/rad A >= dim k[a'] = deg nu >= sum deg f_i = dim A/R.
+    All are equal: A/rad A = k[a'] = prod k[t]/(f_i), a product of
+    fields.  With one factor End_0 is local, so M is indecomposable in
+    every characteristic.  Otherwise M splits by the idempotent e of
+    f_1^m_1; End_0 of the first part is e End_0 e, whose top
+    e (A/rad A) e = k[t]/(f_1) is a field, so that part is
+    indecomposable, and so is the second when mu has two distinct
+    factors.  Only a part this does not certify builds its own
+    TopAlgebra.
+    """
     top = TopAlgebra(M)
     K = M.ring.field
     for bar, make in _candidates(top, rng):
         mu = _min_poly(bar, len(M.gens), K)
         factors = upoly.factor(mu, K)
+        certified = sum(len(f) - 1 for f, _ in factors) == top.quotient_dim
         if len(factors) == 1:
-            if len(factors[0][0]) - 1 == top.quotient_dim:
+            if certified:
                 return [M]
             continue
         idem = _lift_idempotent(make(), upoly.idempotent(mu, factors, K))
-        return [sub for part in split_by_idempotent(M, idem)
-                for sub in _indecomposable_parts(part, rng)]
+        local = (certified, certified and len(factors) == 2)
+        out = []
+        for part, done in zip(split_by_idempotent(M, idem), local):
+            out += [part] if done else _indecomposable_parts(part, rng)
+        return out
     raise InconclusiveSplitError(
         "could not split the module or certify it indecomposable")
 

@@ -416,9 +416,6 @@ class HypersurfaceRing:
         out.sort(key=lambda ij: (ij[1], ij[0]))
         return out
 
-    def piece_dim(self, d: int) -> int:
-        return len(self.graded_piece(d))
-
     # ------------------------------------------------------------------
     # squarefreeness via the binary-form gcd
 
@@ -502,18 +499,10 @@ class QElement:
         return self._in_ring_cache
 
     def __mul__(self, other):
-        if isinstance(other, QElement):
-            return QElement(self.ring, self.num * other.num, self.den * other.den)
+        """The fraction times a polynomial or a scalar."""
         return QElement(self.ring, self.num * other, self.den)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, QElement):
-            raise TypeError("can only add QElements")
-        return QElement(self.ring,
-                        self.num * other.den + other.num * self.den,
-                        self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, QElement):

@@ -260,7 +260,8 @@ def factor(f, K):
 
     The order is part of the output: the first factor picks the
     idempotent that splits a module, so it shapes every presentation
-    ``decompose`` and ``push`` print.  Factors sort by degree, then by
+    ``decompose`` and ``push`` print; the list also decides whether a
+    split part needs its own top algebra.  Factors sort by degree, then by
     string order on to_text followed by ',', so 'T + 10' < 'T + 100' <
     'T + 3', and 'T' comes after every 'T + c' and 'T - c'.
     """

@@ -63,6 +63,28 @@ def test_push_cusp_matrices(cusp_ideal, cusp_datum):
     assert seq.middle.gens == (4, 6, 5, 3)
 
 
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_z_kills_the_branch_factor(seed, field):
+    # gamma_for does not check z h = 0: z is (g/h) x^i y^j in normal form
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    for br in factor_hypersurface(ring):
+        gd = gamma_for(ring, br)
+        assert ring.normal_form(gd.z * gd.branch.h).is_zero()
+
+
+@pytest.mark.parametrize("name", ["cusp", "two_branch"])
+def test_push_ranks_add(request, name):
+    # push does not compare the rank vectors: the sequence is exact
+    I = request.getfixturevalue(name + "_ideal")
+    gd = request.getfixturevalue(name + "_datum")
+    seq = push(I, gd)
+    for s in (seq, push(seq.middle, gd)):
+        left, middle, right = (s.ranks[k] for k in ("left", "middle", "right"))
+        assert len(middle) == len(left) == len(right)
+        assert middle == [a + b for a, b in zip(left, right)]
+
+
 def test_push_is_a_complex(cusp_ideal, cusp_datum):
     seq = push(cusp_ideal, cusp_datum)
     comp = seq.proj.compose(seq.inj)

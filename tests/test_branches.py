@@ -1,10 +1,15 @@
 """Branch factorization, parametrizations, semigroups, inverse different."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcurves import (FormSplitError, HypersurfaceRing, NotSquarefreeError,
-                      PrimeField, QQ, factor_hypersurface, gamma_prime,
-                      poly_from_string, singular_branch)
+                      PrimeField, QQ, factor_hypersurface, field_from_string,
+                      gamma_prime, poly_from_string, random_ring,
+                      singular_branch)
 from arcurves.branches import _pth_root
 
 
@@ -110,6 +115,39 @@ def test_frobenius_closed_form_matches_enumeration():
         for br in branches:
             assert br.frobenius == _largest_gap(br.generators)
             assert br.conductor == br.frobenius + 1
+
+
+def _in_semigroup(t, gens):
+    """Is t a sum of generators?  By enumeration, as in _largest_gap."""
+    reached = {0}
+    for s in range(1, t + 1):
+        if any(s - g in reached for g in gens):
+            reached.add(s)
+    return t in reached
+
+
+def _assert_gamma_prime_at_the_largest_gap(br):
+    # gamma_prime certifies nothing at run time: its image is a nonzero
+    # multiple of t^F, F is a gap, and F plus any generator is not.
+    coeff, exp = br.evaluate_q(gamma_prime(br))
+    assert exp == br.frobenius and coeff
+    assert not _in_semigroup(exp, br.generators)
+    assert all(_in_semigroup(exp + g, br.generators) for g in br.generators)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_gamma_prime_sits_at_the_largest_gap(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    for br in factor_hypersurface(ring):
+        _assert_gamma_prime_at_the_largest_gap(br)
+
+
+def test_gamma_prime_on_the_y_axis_branch(two_branch_ring):
+    br = next(b for b in factor_hypersurface(two_branch_ring)
+              if b.kind == "y-axis")
+    assert br.frobenius == -1
+    _assert_gamma_prime_at_the_largest_gap(br)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 13, 31, 37, 43, 109])

@@ -2,8 +2,11 @@
 
 import contextlib
 import functools
+import importlib
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,8 @@ from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
                              _canonical, _coefficient_matrix, _scatter,
                              _span_rref, _stably_zero_span,
                              hom_from_coefficients)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_entry_degree_validation(cusp_ring):
@@ -1799,3 +1804,152 @@ def test_decompose_builds_no_structure_table(monkeypatch):
             large += 1
     assert local and large
 
+
+# ----------------------------------------------------------------------
+# split parts certified by their parent's minimal polynomial
+
+
+def _count_top_algebras(monkeypatch):
+    built = []
+    init = TopAlgebra.__init__
+    monkeypatch.setattr(TopAlgebra, "__init__",
+                        lambda self, M: built.append(M) or init(self, M))
+    return built
+
+
+def _double_push_middle(ring):
+    gd = gamma_for(ring)
+    middle = push(mf_from_ideal(ring).cok(label="I"), gd).middle
+    return push(middle, gd).middle
+
+
+@pytest.mark.parametrize("name, builds, count", [("two_branch", 1, 2),
+                                                  ("cusp", 3, 3)])
+def test_split_parts_inherit_the_certificate(monkeypatch, request, name,
+                                             builds, count):
+    # On the two-branch ring the splitting candidate's minimal polynomial
+    # has two factors filling A/R: both parts are certified without a top
+    # algebra of their own.  On the cusp its two factors have degree 2 <
+    # dim A/R = 3, so both parts build one; the second is split again,
+    # and its two parts inherit that certificate.
+    M = _double_push_middle(request.getfixturevalue(name + "_ring"))
+    built = _count_top_algebras(monkeypatch)
+    parts, frees = decompose(M)
+    assert frees == [] and len(parts) == count
+    assert len(built) == builds
+
+
+def test_a_part_with_two_factors_left_is_split_again(monkeypatch, cusp_ring,
+                                                    cusp_ideal, cusp_datum):
+    # No candidate on the walks has three eigenvalues, so one is put
+    # first: diag(1, 2, 3) on I + syz I + cosyz I, whose top algebra is
+    # k^3.  The T - 1 part is certified; the other keeps two factors of
+    # mu, so it builds its own top algebra and is split again.
+    ring, K = cusp_ring, cusp_ring.field
+    summands = (cusp_ideal, cusp_ideal.syz(),
+                push(cusp_ideal, cusp_datum).right)
+    M = _direct_sum(_direct_sum(summands[0].mf, summands[1].mf),
+                    summands[2].mf).cok("sum")
+    eigen = [c for c, N in enumerate(summands, 1) for _ in N.gens]
+    r = len(eigen)
+    H = GradedMatrix(ring, M.gens, M.gens,
+                     [[ring.monomial(0, 0, eigen[i]) if i == j
+                       else ring.zero_poly() for j in range(r)]
+                      for i in range(r)])
+    candidates = modmat._candidates
+
+    def three_eigenvalues_first(top, rng):
+        if top.space.source is M:
+            assert top.quotient_dim == 3
+            yield {i * r + i: K(c) for i, c in enumerate(eigen)}, lambda: H
+        yield from candidates(top, rng)
+
+    monkeypatch.setattr(modmat, "_candidates", three_eigenvalues_first)
+    built = _count_top_algebras(monkeypatch)
+    parts, frees = decompose(M)
+    assert frees == [] and len(parts) == 3
+    assert len(built) == 2 and built[0] is M
+    assert sorted(built[1].gens) == sorted(summands[1].gens
+                                          + summands[2].gens)
+
+
+def test_component_walk_builds_24_top_algebras(monkeypatch):
+    # The four timed component_walk jobs of the benchmark, in process.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    traced = importlib.import_module("traced")
+    jobs = [job for job in workloads.WORKLOADS["component_walk"]
+            if not job.known_defect]
+    assert len(jobs) == 4
+    monkeypatch.chdir(workloads.ROOT)
+    built = _count_top_algebras(monkeypatch)
+    results = traced.run_pass(jobs, seed=0)
+    assert [r["rc"] for r in results] == [0] * 4
+    assert len(built) == 24
+
+
+def _reference_recursive_parts(M: GradedModule, rng):
+    """_indecomposable_parts with a top algebra for every split part:
+    each part is split again, or certified on its own top algebra."""
+    top = TopAlgebra(M)
+    K = M.ring.field
+    for bar, make in modmat._candidates(top, rng):
+        mu = modmat._min_poly(bar, len(M.gens), K)
+        factors = upoly.factor(mu, K)
+        if len(factors) == 1:
+            if len(factors[0][0]) - 1 == top.quotient_dim:
+                return [M]
+            continue
+        idem = modmat._lift_idempotent(make(),
+                                       upoly.idempotent(mu, factors, K))
+        return [sub for part in modmat.split_by_idempotent(M, idem)
+                for sub in _reference_recursive_parts(part, rng)]
+    raise InconclusiveSplitError(
+        "could not split the module or certify it indecomposable")
+
+
+def _split_outcome(split, M):
+    """What decompose reports, through the given _indecomposable_parts:
+    the free shifts and each part's describe() and psi, or the error."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modmat, "_indecomposable_parts", split)
+        try:
+            parts, frees = decompose(M)
+        except (CertificationError, InputError, VerificationError) as exc:
+            return type(exc).__name__, str(exc)
+    return frees, [(part.describe(), part.mf.psi.entry_strings())
+                   for part in parts]
+
+
+def _assert_split_as_recursively(M):
+    assert (_split_outcome(modmat._indecomposable_parts, M)
+            == _split_outcome(_reference_recursive_parts, M))
+
+
+def _walk_modules_or_fewer(seed, field):
+    # the modules decompose saw before a walk stopped on an error
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    modules = []
+    split = arengine.decompose
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arengine, "decompose",
+                   lambda M, rng=None: modules.append(M) or split(M, rng))
+        with contextlib.suppress(CertificationError, InputError,
+                                 VerificationError):
+            explore_component(mf_from_ideal(ring).cok(label="I"),
+                              gamma_for(ring), depth=3)
+    return modules
+
+
+@pytest.mark.parametrize("field", ["Q", "F101", "F7"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 10**6))
+def test_inherited_certificates_match_the_recursion(field, seed):
+    for M in _walk_modules_or_fewer(seed, field):
+        _assert_split_as_recursively(M)
+
+
+def test_inherited_certificates_match_the_recursion_on_the_cusp(cusp_ring):
+    # the cusp's double-push middle has a part that is split again
+    _assert_split_as_recursively(_double_push_middle(cusp_ring))
