@@ -188,7 +188,8 @@ def gamma_endo(M: GradedModule, gd: GammaDatum):
 class ARSequence:
     """An exact sequence 0 -> left -> middle -> right -> 0: its matrices
     alpha and beta (see push), the rank vectors of its terms, which add
-    by exactness, and maps inj and proj built on first read."""
+    by exactness when g is squarefree and are compared by push
+    otherwise, and maps inj and proj built on first read."""
 
     def __init__(self, left: GradedModule, middle: GradedModule,
                  right: GradedModule, datum: GammaDatum, alpha: GradedMatrix,
@@ -270,11 +271,13 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     beta (see _alpha_beta), and dimension additivity in the degree
     min(gens) + deg g of the middle term, where dim cok xi is found by
     eliminating xi over R and must equal dim M_d plus the right term's.
-    Rank additivity is proved, not checked: by the block shape of xi,
-    with psi' = psi(delta) injective over S (det psi != 0), the sequence
-    0 -> M -> cok xi -> cok psi' -> 0 is exact over S, so ranks add on
-    each branch; seq.ranks reports the three rank vectors.  No hom space
-    is built: proj inj = [0 I][I; 0] = 0.
+    By the block shape of xi, with psi' = psi(delta) injective over S
+    (det psi != 0), the sequence 0 -> M -> cok xi -> cok psi' -> 0 is
+    exact.  When g is squarefree, R localized at a branch prime is a
+    field, so ranks add on each branch and are not compared.  On a
+    non-reduced ring a branch rank is dim M (x) kappa(h), which is only
+    right exact, so there the rank vectors are compared.  seq.ranks
+    reports all three.  No hom space is built: proj inj = [0 I][I; 0] = 0.
     """
     ring = M.ring
     if not M.mf.is_reduced():
@@ -309,6 +312,10 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     r_left = rank_vector(M, branches)
     r_mid = rank_vector(middle, branches)
     r_right = rank_vector(right, branches)
+    if not ring.is_reduced and any(
+            m != a + b for m, a, b in zip(r_mid, r_left, r_right)):
+        raise VerificationError(
+            "middle ranks %s differ from %s + %s" % (r_mid, r_left, r_right))
     seq = ARSequence(M, middle, right, gd, alpha, beta,
                      {"left": r_left, "middle": r_mid, "right": r_right})
     # dim (cok xi)_d by eliminating xi over R, against the Hilbert

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcurves import (GradedMatrix, InputError, MatrixFactorization,
-                      VerificationError, decompose, double_push_report, e_avg,
-                      explore_component, factor_hypersurface,
-                      field_from_string, gamma_endo, gamma_for, hom_graded,
-                      iso_up_to_shift, mf_from_ideal, multiplicity,
-                      poly_from_string, push, random_ring,
+from arcurves import (QQ, GradedMatrix, HypersurfaceRing, InputError,
+                      MatrixFactorization, VerificationError, decompose,
+                      double_push_report, e_avg, explore_component,
+                      factor_hypersurface, field_from_string, gamma_endo,
+                      gamma_for, hom_graded, iso_up_to_shift, mf_from_ideal,
+                      multiplicity, poly_from_string, push, random_ring,
                       stably_zero_bruteforce, syz_transport,
                       verify_main_theorem, verify_syz_gamma)
 from arcurves import arengine, modmat
@@ -73,16 +73,41 @@ def test_z_kills_the_branch_factor(seed, field):
         assert ring.normal_form(gd.z * gd.branch.h).is_zero()
 
 
-@pytest.mark.parametrize("name", ["cusp", "two_branch"])
+def _nonreduced_cusp():
+    # b = 0: g = y^4, whose one branch prime (y) is not a field locally
+    return HypersurfaceRing(QQ, p=3, q=4, b=QQ(0), f="1*x^0*y^0", m=1, n=2)
+
+
+@pytest.mark.parametrize("name", ["cusp", "two_branch", "nonreduced_cusp"])
 def test_push_ranks_add(request, name):
-    # push does not compare the rank vectors: the sequence is exact
-    I = request.getfixturevalue(name + "_ideal")
-    gd = request.getfixturevalue(name + "_datum")
+    # on a reduced ring push does not compare the rank vectors: the
+    # sequence is exact and each branch prime is a field locally
+    if name == "nonreduced_cusp":
+        ring = _nonreduced_cusp()
+        I, gd = mf_from_ideal(ring).cok(label="I"), gamma_for(ring)
+    else:
+        I = request.getfixturevalue(name + "_ideal")
+        gd = request.getfixturevalue(name + "_datum")
     seq = push(I, gd)
     for s in (seq, push(seq.middle, gd)):
         left, middle, right = (s.ranks[k] for k in ("left", "middle", "right"))
         assert len(middle) == len(left) == len(right)
         assert middle == [a + b for a, b in zip(left, right)]
+
+
+def test_push_compares_ranks_on_a_nonreduced_ring(monkeypatch, cusp_ideal,
+                                                  cusp_datum):
+    # a branch rank is a fibre dimension, additive only when g is
+    # squarefree: push compares the vectors on a non-reduced ring only
+    ring = _nonreduced_cusp()
+    I, gd = mf_from_ideal(ring).cok(label="I"), gamma_for(ring)
+    rank_vector = arengine.rank_vector
+    monkeypatch.setattr(
+        arengine, "rank_vector",
+        lambda M, branches: [r + 1 for r in rank_vector(M, branches)])
+    with pytest.raises(VerificationError, match="middle ranks"):
+        push(I, gd)
+    assert push(cusp_ideal, cusp_datum).ranks["middle"] == [3]
 
 
 def test_push_is_a_complex(cusp_ideal, cusp_datum):

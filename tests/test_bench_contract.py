@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from arcurves.modmat import TopAlgebra
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -46,17 +48,24 @@ def test_known_defect_jobs_match_the_golden_reports(bench, monkeypatch):
 
 def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
     # The four timed walks split middle terms on the way: their reports
-    # must stay byte-identical to the recorded ones.
+    # must stay byte-identical to the recorded ones.  A split part whose
+    # indecomposability its parent's minimal polynomial proves builds no
+    # top algebra of its own: 24 in all, 6 per walk.
     workloads, traced = bench
     jobs = [job for job in workloads.WORKLOADS["component_walk"]
             if not job.known_defect]
     assert len(jobs) == 4
     golden = workloads.load_golden()
     monkeypatch.chdir(workloads.ROOT)
+    built = []
+    init = TopAlgebra.__init__
+    monkeypatch.setattr(TopAlgebra, "__init__",
+                        lambda self, M: built.append(M) or init(self, M))
     for job, result in zip(jobs, traced.run_pass(jobs, seed=0)):
         verdict = workloads.check(job, golden, result["rc"],
                                   result["stdout"], result["stderr"])
         assert verdict == "pass", (job.id, result["stderr"])
+    assert len(built) == 24
 
 
 def test_trace_sweep_jobs_match_the_golden_reports(bench, monkeypatch):

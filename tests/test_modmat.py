@@ -2,11 +2,8 @@
 
 import contextlib
 import functools
-import importlib
 import itertools
 import random
-import sys
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,9 +28,6 @@ from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
                              _canonical, _coefficient_matrix, _scatter,
                              _span_rref, _stably_zero_span,
                              hom_from_coefficients)
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
 
 def test_entry_degree_validation(cusp_ring):
     r = cusp_ring
@@ -1871,22 +1865,6 @@ def test_a_part_with_two_factors_left_is_split_again(monkeypatch, cusp_ring,
     assert len(built) == 2 and built[0] is M
     assert sorted(built[1].gens) == sorted(summands[1].gens
                                           + summands[2].gens)
-
-
-def test_component_walk_builds_24_top_algebras(monkeypatch):
-    # The four timed component_walk jobs of the benchmark, in process.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    traced = importlib.import_module("traced")
-    jobs = [job for job in workloads.WORKLOADS["component_walk"]
-            if not job.known_defect]
-    assert len(jobs) == 4
-    monkeypatch.chdir(workloads.ROOT)
-    built = _count_top_algebras(monkeypatch)
-    results = traced.run_pass(jobs, seed=0)
-    assert [r["rc"] for r in results] == [0] * 4
-    assert len(built) == 24
 
 
 def _reference_recursive_parts(M: GradedModule, rng):
