@@ -140,25 +140,28 @@ def _alpha_beta(M: GradedModule, gd: GammaDatum):
     """Solve the gamma endomorphism on M and its exact companion.
 
     Returns (alpha, beta): alpha, in the frame of psi's columns, solves
-    psi alpha = gamma psi and alpha phi = -gamma phi modulo g, and
-    beta = psi alpha phi / g.  The exact division certifies alpha as an
-    endomorphism of M: phi psi = psi phi = g Id (MatrixFactorization)
-    and S a domain give phi beta = alpha phi and beta psi = psi alpha on
-    the nose.  Checked: the division, and
-    phi beta = -gamma phi modulo g.
+    psi alpha = gamma psi modulo g, and beta = psi alpha phi / g.  That
+    equation is the paper's: gamma acts on M = cok phi = im psi, a
+    maximal Cohen-Macaulay module with no free summand over a Gorenstein
+    curve (Bass, Math. Z. 82, 1963).  alpha is fixed only up to
+    phi Y + Y' psi, so it is first solved jointly with
+    alpha phi = -gamma phi modulo g.  That gauge keeps alpha small, and
+    solve_W needs it; the paper does not.  Only when the joint system has
+    no solution is psi alpha = gamma psi solved alone.  On either path
+    the exact division certifies alpha as an endomorphism of M:
+    phi psi = psi phi = g Id (MatrixFactorization) and S a domain give
+    phi beta = alpha phi and beta psi = psi alpha on the nose.
     """
     ring = M.ring
     if not M.mf.is_reduced():
         raise InputError("factorization has unit entries; reduce it first")
     phi, psi = M.mf.phi, M.mf.psi
     D, G = ring.deg_g, ring.gamma_degree
-    Gphi = _in_ring_matrix(gd, phi)
-    sol = solve_graded_system(
-        ring,
-        {"A": (psi.cols, tuple(c + G for c in psi.cols))},
-        [([("L", psi, "A")], -_in_ring_matrix(gd, psi)),
-         ([("R", phi, "A")], Gphi)],
-        mode="mod_g")
+    unknowns = {"A": (psi.cols, tuple(c + G for c in psi.cols))}
+    gamma_psi = ([("L", psi, "A")], -_in_ring_matrix(gd, psi))
+    gauge = ([("R", phi, "A")], _in_ring_matrix(gd, phi))
+    sol = (solve_graded_system(ring, unknowns, [gamma_psi, gauge])
+           or solve_graded_system(ring, unknowns, [gamma_psi]))
     if sol is None:
         raise VerificationError("gamma endomorphism system has no solution")
     alpha = sol["A"]
@@ -168,8 +171,6 @@ def _alpha_beta(M: GradedModule, gd: GammaDatum):
     except InputError:
         raise VerificationError(
             "psi alpha phi is not divisible by g") from None
-    if not phi.mul(beta).eq_mod_g(-Gphi):
-        raise VerificationError("phi beta is not -gamma phi modulo g")
     return alpha, beta
 
 
@@ -335,14 +336,20 @@ def solve_W(seq: ARSequence):
 
     Finds Z' and Z with eta W = gamma eta modulo g, where
     W = [[alpha, Z'], [0, -beta + psi Z]] in the frame of eta's columns.
-    Only the upper-right block is a genuine constraint; the other three
-    hold by the alpha and beta identities.  Returns (W, Z, Z').
+    Only the upper-right block is a genuine constraint.  The other three
+    hold by the alpha and beta identities: the lower right one needs
+    phi beta = -gamma phi modulo g, which holds when alpha is in the
+    joint gauge of _alpha_beta and is checked first.  Returns (W, Z, Z').
     """
     ring = seq.left.ring
     gd = seq.datum
     phi, psi = seq.left.mf.phi, seq.left.mf.psi
     alpha, beta = seq.alpha, seq.beta
     D, G = ring.deg_g, ring.gamma_degree
+    if not phi.mul(beta).eq_mod_g(-_in_ring_matrix(gd, phi)):
+        raise VerificationError(
+            "phi beta is not -gamma phi modulo g: alpha is not in the "
+            "joint gauge alpha phi = -gamma phi")
     eta = seq.middle.mf.psi
     Gb = _in_ring_matrix(gd, beta)
     const = -(Gb + beta.mul(beta.shift(G)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 
 from .arengine import (double_push_report, e_avg, explore_component,
@@ -237,7 +236,7 @@ def cmd_push(ring, args) -> dict:
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     seq = push(I, gd)
-    parts, frees = decompose(seq.middle, rng=random.Random(args.seed))
+    parts, frees = decompose(seq.middle)
     return {
         "sequence": seq.describe(),
         "ranks": seq.ranks,
@@ -253,7 +252,7 @@ def cmd_decompose(ring, args) -> dict:
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     seq = push(I, gd)
-    parts, frees = decompose(seq.middle, rng=random.Random(args.seed))
+    parts, frees = decompose(seq.middle)
     return {
         "module": seq.middle.describe(),
         "parts": [p.describe() for p in parts],
@@ -275,7 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to a key=value ring config")
         p.add_argument("--seed", type=int, default=0,
-                       help="randomization seed (default: 0)")
+                       help="echoed in the report as \"seed\"; no result "
+                       "depends on it (default: 0)")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
 

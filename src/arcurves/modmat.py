@@ -18,8 +18,6 @@ identical input yields identical output.
 
 from __future__ import annotations
 
-import random
-
 from . import upoly
 from .errors import (CertificationError, InconclusiveSplitError, InputError,
                      VerificationError)
@@ -1334,14 +1332,25 @@ def _lift_idempotent(A: GradedMatrix, coeffs):
     raise CertificationError("idempotent lift did not converge")
 
 
-# Random End_0 elements tried after the structured candidates.
-_RANDOM_CANDIDATES = 120
+def _candidates(top: TopAlgebra):
+    """Scalar part and a maker of each candidate End_0 element: the basis
+    b_0, ..., b_(n-1), the products of two basis maps, the sums of two,
+    then the points a(t) = sum_i t^i b_i of the moment curve for
+    t = 1, ..., N while t is distinct in k, where
+    N = (n - 1) e (e - 1) / 2 + 1 and e = dim A/R.  A candidate's map is
+    only made when it splits the module.
 
-
-def _candidates(top: TopAlgebra, rng):
-    """Scalar part and a maker of each candidate End_0 element: the basis,
-    the products of two basis maps, the sums of two, then random draws.
-    A candidate's map is only made when it splits the module."""
+    Let the top A/rad A be commutative.  k is perfect, so A/rad A has e
+    distinct characters chi into an algebraic closure.  Two of them agree
+    at a(t) only at a root of sum_i t^i (chi(b_i) - chi'(b_i)), a nonzero
+    polynomial of degree < n since the b_i span A.  So at most N - 1
+    values of t make some pair agree, and of any N distinct t one a(t)
+    separates all e characters: it generates A/rad A, the distinct
+    factors of its minimal polynomial fill dim A/R, and it certifies
+    itself (_indecomposable_parts).  Over F_p with p < N, where only p
+    values of t are distinct, and on a non-commutative top, there is no
+    such guarantee.
+    """
     basis, bars = top.space.basis, top.scalars
     K = top.space.source.ring.field
     r = len(top.space.source.gens)
@@ -1362,12 +1371,15 @@ def _candidates(top: TopAlgebra, rng):
         for j in range(i + 1, n):
             yield combination([K.one if t in (i, j) else K.zero
                                for t in range(n)])
-    span = 7 if K.char == 0 else min(K.char, 7)
-    for _ in range(_RANDOM_CANDIDATES):
-        yield combination([K(rng.randrange(span)) for _ in range(n)])
+    e = top.quotient_dim
+    points = (n - 1) * e * (e - 1) // 2 + 1
+    if K.char:
+        points = min(points, K.char)
+    for t in range(1, points + 1):
+        yield combination([K(t ** i) for i in range(n)])
 
 
-def decompose(M: GradedModule, rng=None):
+def decompose(M: GradedModule):
     """Split a module into indecomposable summands.
 
     Returns (parts, free_shifts): parts are the nonfree indecomposable
@@ -1380,17 +1392,15 @@ def decompose(M: GradedModule, rng=None):
     The same minimal polynomial certifies a module or a split part
     indecomposable when its distinct factors have total degree
     dim A/R (_indecomposable_parts); any other part is split again on
-    its own top algebra.  The random candidates draw their coordinates
-    from min(char, 7) values, so over F3 and F5 they range over the
-    whole field.  When neither outcome can be certified the function
-    raises InconclusiveSplitError rather than guessing.
+    its own top algebra.  The candidates are a fixed sequence
+    (_candidates), so the parts depend on M alone.  When neither outcome
+    can be certified the function raises InconclusiveSplitError rather
+    than guessing.
     """
-    if rng is None:
-        rng = random.Random(0)
     core, frees = _minimal_core(M)
     if core is None:
         return [], frees
-    parts = _indecomposable_parts(core, rng)
+    parts = _indecomposable_parts(core)
     parts.sort(key=_module_sort_key)
     return parts, frees
 
@@ -1406,7 +1416,7 @@ def _minimal_core(M: GradedModule):
     return core.cok(label=M.label), frees
 
 
-def _indecomposable_parts(M: GradedModule, rng):
+def _indecomposable_parts(M: GradedModule):
     """The indecomposable summands of M, reduced as its split parts are.
 
     Let a be a candidate whose scalar part has minimal polynomial
@@ -1427,7 +1437,7 @@ def _indecomposable_parts(M: GradedModule, rng):
     """
     top = TopAlgebra(M)
     K = M.ring.field
-    for bar, make in _candidates(top, rng):
+    for bar, make in _candidates(top):
         mu = _min_poly(bar, len(M.gens), K)
         factors = upoly.factor(mu, K)
         certified = sum(len(f) - 1 for f, _ in factors) == top.quotient_dim
@@ -1439,7 +1449,7 @@ def _indecomposable_parts(M: GradedModule, rng):
         local = (certified, certified and len(factors) == 2)
         out = []
         for part, done in zip(split_by_idempotent(M, idem), local):
-            out += [part] if done else _indecomposable_parts(part, rng)
+            out += [part] if done else _indecomposable_parts(part)
         return out
     raise InconclusiveSplitError(
         "could not split the module or certify it indecomposable")
@@ -1459,15 +1469,14 @@ def iso_up_to_shift(M: GradedModule, N: GradedModule):
 
     Only minimal data decides: both factorizations are reduced first,
     and the generator-degree multisets fix the only candidate s.  The
-    shift is confirmed by maps of degree s from M to N and -s back that
-    are invertible on the top (each is then surjective by the graded
-    Nakayama lemma, and a surjective endomorphism of a noetherian module
-    is injective).  Hom_s(M, N) is Hom_0(M, N(s)) with the same
-    matrices, so no shifted copy of N is built.  The answer is exact:
-    between indecomposables the maps that are not isomorphisms form a
-    subspace (the endomorphism rings are local), so a hom basis holds an
-    isomorphism whenever one exists; otherwise both sides are split and
-    their parts matched by Krull-Schmidt.
+    shift is confirmed by one map of degree s from M to N that is
+    invertible on the top (_top_isomorphic).  Hom_s(M, N) is
+    Hom_0(M, N(s)) with the same matrices, so no shifted copy of N is
+    built.  The answer is exact: between indecomposables the maps that
+    are not isomorphisms form a subspace (the endomorphism rings are
+    local), so a hom basis holds an isomorphism whenever one exists;
+    otherwise both sides are split and their parts matched by
+    Krull-Schmidt.
     """
     core_m, frees_m = _minimal_core(M)
     core_n, frees_n = _minimal_core(N)
@@ -1518,11 +1527,19 @@ def invertible_on_top(hom: GradedHom) -> bool:
 
 
 def _top_isomorphic(A: GradedModule, B: GradedModule, s) -> bool:
-    """Whether basis maps of degree s from A to B and -s back are
-    invertible on the top.  The spaces are built afresh rather than
-    through hom_graded, so that A's hom cache does not keep B alive."""
-    return (any(map(invertible_on_top, HomSpace(A, B, s).basis))
-            and any(map(invertible_on_top, HomSpace(B, A, -s).basis)))
+    """Whether A and B(s), both reduced, have the same relation degrees
+    and a basis map f of degree s from A to B is invertible on the top.
+    Then A = B(s).  A reduced factorization is a minimal presentation, so
+    relation degrees are invariants.  f is onto by graded Nakayama, and
+    its scalar part, block diagonal by degree, makes the generator
+    degrees agree too.  So piece_dim gives A and B(s) the same Hilbert
+    function, and f is bijective in every degree.  The space is built
+    afresh rather than through hom_graded, so that A's hom cache does
+    not keep B alive.
+    """
+    if sorted(A.rels) != sorted(u - s for u in B.rels):
+        return False
+    return any(map(invertible_on_top, HomSpace(A, B, s).basis))
 
 
 # ----------------------------------------------------------------------

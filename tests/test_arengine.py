@@ -13,7 +13,7 @@ from arcurves import (QQ, GradedMatrix, HypersurfaceRing, InputError,
                       factor_hypersurface, field_from_string, gamma_endo,
                       gamma_for, hom_graded, iso_up_to_shift, mf_from_ideal,
                       multiplicity, poly_from_string, push, random_ring,
-                      stably_zero_bruteforce, syz_transport,
+                      solve_W, stably_zero_bruteforce, syz_transport,
                       verify_main_theorem, verify_syz_gamma)
 from arcurves import arengine, modmat
 
@@ -378,11 +378,9 @@ def test_double_push_summands(two_branch_ideal, two_branch_datum,
             assert iso_up_to_shift(part, old) == 0
 
 
-# random_ring seeds whose depth-1 middle term is indecomposable but
-# cannot be pushed: the joint gamma system of _alpha_beta (one matrix
-# for psi A = gamma psi and A phi = -gamma phi) has no solution.
-@pytest.mark.xfail(strict=True, raises=VerificationError,
-                   reason="push of the depth-1 summand: joint gamma system")
+# random_ring seeds whose depth-1 middle term is indecomposable and has
+# no alpha in the joint gauge (psi A = gamma psi and A phi = -gamma phi):
+# _alpha_beta solves psi A = gamma psi alone, and the push goes through.
 @pytest.mark.parametrize("field", ["Q", "F101"])
 @pytest.mark.parametrize("seed", [42, 55, 58])
 def test_push_on_the_depth_one_summand(seed, field):
@@ -393,6 +391,8 @@ def test_push_on_the_depth_one_summand(seed, field):
     assert len(parts) == 1 and frees == []
     seq2 = push(parts[0], gd, summands=parts)
     assert seq2.left is parts[0]
+    with pytest.raises(VerificationError, match="joint gauge"):
+        solve_W(seq2)
 
 
 def test_multiplicity_averages(two_branch_ideal, cusp_ideal):

@@ -358,18 +358,40 @@ def test_decompose_report(cfg, capsys):
 
 
 # Canonical push and decompose reports (sorted compact JSON without the
-# seed) of the six benchmark rings.
+# seed) of the six benchmark rings.  Under any --seed a report is the
+# pinned one plus the echoed seed.
 TESTS = Path(__file__).resolve().parent
 BENCH_CONFIGS = TESTS.parent / "perfbench" / "configs"
 PINNED = json.loads(
     (TESTS / "data" / "push_decompose_reports.json").read_text())
 
 
-@pytest.mark.parametrize("key", sorted(PINNED))
-def test_push_and_decompose_reports_are_pinned(key, capsys):
+@pytest.mark.parametrize("key, seed", [
+    pytest.param(key, seed, id=key if seed == 0 else f"{key} --seed {seed}")
+    for seed in (0, 17) for key in sorted(PINNED)])
+def test_push_and_decompose_reports_are_pinned(key, seed, capsys):
     command, ring = key.split()
     config = str(BENCH_CONFIGS / (ring + ".cfg"))
-    code, out, err = _run(capsys, [command, config, "--seed", "0"])
+    code, out, err = _run(capsys, [command, config, "--seed", str(seed)])
     assert (code, err) == (0, "")
-    assert out == json.dumps(dict(PINNED[key], seed=0), sort_keys=True,
+    assert out == json.dumps(dict(PINNED[key], seed=seed), sort_keys=True,
                              separators=(",", ":")) + "\n"
+
+
+# E6 (x^3 + y^4) and E8 (x^3 + y^5) are the simple curves of this family.
+# They have finite CM type (Greuel and Knoerrer, Math. Ann. 270, 1985), so
+# a deep enough walk closes: no vertex of the orbit quiver is left on the
+# boundary.  The module counts are not asserted: a graded count up to
+# shift need not equal the ungraded one.
+E6 = (TESTS.parent / "demos" / "cusp.cfg").read_text()
+
+
+@pytest.mark.parametrize("text, depth", [
+    pytest.param(E6, 4, id="E6"),
+    pytest.param(E6.replace("q = 4", "q = 5"), 8, id="E8")])
+def test_simple_curve_walks_close(cfg, capsys, text, depth):
+    code, out, err = _run(capsys, ["explore", cfg(text), "--depth",
+                                   str(depth)])
+    assert (code, err) == (0, "")
+    vertices = json.loads(out)["orbit_quiver"]["vertices"]
+    assert vertices and not any(v["boundary"] for v in vertices)

@@ -27,7 +27,7 @@ from arcurves.linalg import (SparseRREF, dense_vector, kernel_sparse,
 from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
                              _canonical, _coefficient_matrix, _scatter,
                              _span_rref, _stably_zero_span,
-                             hom_from_coefficients)
+                             hom_from_coefficients, invertible_on_top)
 
 def test_entry_degree_validation(cusp_ring):
     r = cusp_ring
@@ -1267,6 +1267,20 @@ def test_iso_up_to_shift_on_direct_sums(two_branch_ideal):
     assert iso_up_to_shift(AB, _direct_sum(B, A).cok("BA")) == 0
 
 
+def test_a_map_onto_that_is_invertible_on_the_top_is_not_enough():
+    # g = y (y^4 - x^3) (y^4 + x^3): R/(y (x^3 + y^4)) maps onto R/(y) by
+    # 1 -> 1, which is invertible on the top; the relation degrees 15 and
+    # 3 tell the two modules apart.
+    f = poly_from_string(QQ, 4, 3, "1*x^0*y^5-1*x^3*y^1")
+    ring = HypersurfaceRing(QQ, p=3, q=4, b=QQ(1), f=f)
+    A = _principal(ring, "1*x^3*y^1+1*x^0*y^5").cok("A")
+    B = _principal(ring, "1*x^0*y^1").cok("B")
+    assert A.gens == B.gens and A.rels != B.rels
+    assert any(map(invertible_on_top, HomSpace(A, B, 0).basis))
+    assert not modmat._top_isomorphic(A, B, 0)
+    assert iso_up_to_shift(A, B) is None and iso_up_to_shift(B, A) is None
+
+
 @settings(derandomize=True, deadline=None, max_examples=8)
 @given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
 def test_identification_draws_nothing_random(seed, field):
@@ -1281,7 +1295,7 @@ def test_identification_draws_nothing_random(seed, field):
         raise AssertionError("random.Random was constructed")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modmat.random, "Random", refuse)
+        mp.setattr(random, "Random", refuse)
         for M in modules:
             for N in modules:
                 iso_up_to_shift(M, N)
@@ -1572,7 +1586,7 @@ def _walk_modules(seed, field="Q", depth=3):
     split = arengine.decompose
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arengine, "decompose",
-                   lambda M, rng=None: modules.append(M) or split(M, rng))
+                   lambda M: modules.append(M) or split(M))
         explore_component(mf_from_ideal(ring).cok(label="I"),
                           gamma_for(ring), depth=depth)
     return tuple(modules)
@@ -1777,7 +1791,7 @@ def test_decompose_builds_no_structure_table(monkeypatch):
     modules = []
     split = arengine.decompose
     monkeypatch.setattr(arengine, "decompose",
-                        lambda M, rng=None: modules.append(M) or split(M, rng))
+                        lambda M: modules.append(M) or split(M))
     explore_component(mf_from_ideal(ring).cok(label="I"), gamma_for(ring),
                       depth=3)
     calls = []
@@ -1833,6 +1847,14 @@ def test_split_parts_inherit_the_certificate(monkeypatch, request, name,
     assert len(built) == builds
 
 
+def _three_summands(ideal, datum):
+    # I, syz I and cosyz I, and their direct sum, whose top algebra is k^3
+    summands = (ideal, ideal.syz(), push(ideal, datum).right)
+    M = _direct_sum(_direct_sum(summands[0].mf, summands[1].mf),
+                    summands[2].mf).cok("sum")
+    return summands, M
+
+
 def test_a_part_with_two_factors_left_is_split_again(monkeypatch, cusp_ring,
                                                     cusp_ideal, cusp_datum):
     # No candidate on the walks has three eigenvalues, so one is put
@@ -1840,10 +1862,7 @@ def test_a_part_with_two_factors_left_is_split_again(monkeypatch, cusp_ring,
     # k^3.  The T - 1 part is certified; the other keeps two factors of
     # mu, so it builds its own top algebra and is split again.
     ring, K = cusp_ring, cusp_ring.field
-    summands = (cusp_ideal, cusp_ideal.syz(),
-                push(cusp_ideal, cusp_datum).right)
-    M = _direct_sum(_direct_sum(summands[0].mf, summands[1].mf),
-                    summands[2].mf).cok("sum")
+    summands, M = _three_summands(cusp_ideal, cusp_datum)
     eigen = [c for c, N in enumerate(summands, 1) for _ in N.gens]
     r = len(eigen)
     H = GradedMatrix(ring, M.gens, M.gens,
@@ -1852,11 +1871,11 @@ def test_a_part_with_two_factors_left_is_split_again(monkeypatch, cusp_ring,
                       for i in range(r)])
     candidates = modmat._candidates
 
-    def three_eigenvalues_first(top, rng):
+    def three_eigenvalues_first(top):
         if top.space.source is M:
             assert top.quotient_dim == 3
             yield {i * r + i: K(c) for i, c in enumerate(eigen)}, lambda: H
-        yield from candidates(top, rng)
+        yield from candidates(top)
 
     monkeypatch.setattr(modmat, "_candidates", three_eigenvalues_first)
     built = _count_top_algebras(monkeypatch)
@@ -1867,12 +1886,29 @@ def test_a_part_with_two_factors_left_is_split_again(monkeypatch, cusp_ring,
                                           + summands[2].gens)
 
 
-def _reference_recursive_parts(M: GradedModule, rng):
+def test_a_moment_curve_point_certifies_a_commutative_top(cusp_ideal,
+                                                         cusp_datum):
+    # The last N = (n - 1) e (e - 1) / 2 + 1 candidates are the points of
+    # the moment curve; on the commutative top k^3 one of them has a
+    # minimal polynomial whose distinct factors fill dim A/R.
+    M = _three_summands(cusp_ideal, cusp_datum)[1]
+    K = M.ring.field
+    top = TopAlgebra(M)
+    n, e = top.space.dim, top.quotient_dim
+    points = (n - 1) * e * (e - 1) // 2 + 1
+    candidates = list(modmat._candidates(top))
+    assert e == 3 and len(candidates) == n * n + n * (n - 1) // 2 + points
+    assert any(sum(len(f) - 1 for f, _ in upoly.factor(
+        modmat._min_poly(bar, len(M.gens), K), K)) == e
+        for bar, _ in candidates[-points:])
+
+
+def _reference_recursive_parts(M: GradedModule):
     """_indecomposable_parts with a top algebra for every split part:
     each part is split again, or certified on its own top algebra."""
     top = TopAlgebra(M)
     K = M.ring.field
-    for bar, make in modmat._candidates(top, rng):
+    for bar, make in modmat._candidates(top):
         mu = modmat._min_poly(bar, len(M.gens), K)
         factors = upoly.factor(mu, K)
         if len(factors) == 1:
@@ -1882,7 +1918,7 @@ def _reference_recursive_parts(M: GradedModule, rng):
         idem = modmat._lift_idempotent(make(),
                                        upoly.idempotent(mu, factors, K))
         return [sub for part in modmat.split_by_idempotent(M, idem)
-                for sub in _reference_recursive_parts(part, rng)]
+                for sub in _reference_recursive_parts(part)]
     raise InconclusiveSplitError(
         "could not split the module or certify it indecomposable")
 
@@ -1912,7 +1948,7 @@ def _walk_modules_or_fewer(seed, field):
     split = arengine.decompose
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arengine, "decompose",
-                   lambda M, rng=None: modules.append(M) or split(M, rng))
+                   lambda M: modules.append(M) or split(M))
         with contextlib.suppress(CertificationError, InputError,
                                  VerificationError):
             explore_component(mf_from_ideal(ring).cok(label="I"),
