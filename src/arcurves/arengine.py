@@ -266,12 +266,15 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     The middle term is the cokernel of the doubled factorization
     xi = [[phi, -alpha], [0, psi]], paired with eta = [[psi, beta],
     [0, phi]]; the right term is the cosyzygy of M shifted down by
-    gamma's degree.  Preconditions: M carries a reduced factorization and
-    every indecomposable summand (the list may be supplied to skip a fresh
-    decomposition) has branch rank nonzero in k.  Certified: alpha and
-    beta (see _alpha_beta), and dimension additivity in the degree
-    min(gens) + deg g of the middle term, where dim cok xi is found by
-    eliminating xi over R and must equal dim M_d plus the right term's.
+    gamma's degree, M.mf.syz().shift(-delta).  Neither pair is multiplied
+    out: xi eta = [[phi psi, phi beta - alpha phi], [0, psi phi]] = g Id
+    on the nose, as phi beta = alpha phi (_alpha_beta).  Preconditions:
+    M carries a reduced factorization and every indecomposable summand
+    (the list may be supplied to skip a fresh decomposition) has branch
+    rank nonzero in k.  Certified: alpha and beta (see _alpha_beta), and
+    dimension additivity in the degree min(gens) + deg g of the middle
+    term, where dim cok xi is found by eliminating xi over R and must
+    equal dim M_d plus the right term's.
     By the block shape of xi, with psi' = psi(delta) injective over S
     (det psi != 0), the sequence 0 -> M -> cok xi -> cok psi' -> 0 is
     exact.  When g is squarefree, R localized at a branch prime is a
@@ -305,9 +308,9 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
         rows=psi.rows + tuple(r + G for r in phi.rows),
         cols=psi.cols + tuple(c + G for c in phi.cols))
     label = M.label or "M"
-    middle = MatrixFactorization(xi, eta).cok(label="push(%s)" % label)
-    right_mf = MatrixFactorization(psi.shift(delta), phi.shift(delta + D))
-    right = right_mf.cok(label="cosyz(%s)(%d)" % (label, -G))
+    middle = MatrixFactorization._derived(xi, eta).cok(
+        label="push(%s)" % label)
+    right = M.mf.syz().shift(-delta).cok(label="cosyz(%s)(%d)" % (label, -G))
 
     branches = (factor_hypersurface(ring) if ring.is_reduced else [gd.branch])
     r_left = rank_vector(M, branches)
@@ -377,8 +380,11 @@ def double_extension(seq: ARSequence, W: GradedMatrix) -> MatrixFactorization:
     """The factorization pair (theta, theta') of the double extension.
 
     theta stacks the doubled factorization against its shift, glued by
-    -W; theta' is forced, with corner block eta W xi / g, and the pair is
-    validated as a factorization of g on construction.
+    -W; theta' is forced, with corner block V = eta W xi / g.  The pair
+    is a factorization of g with no product taken: theta theta' has
+    diagonal blocks xi eta = g Id and eta xi = g Id, and corner
+    xi V - W xi = 0 on the nose, since the exact division gives
+    eta W xi = g V and so xi V = xi eta W xi / g = W xi.
     """
     ring = seq.left.ring
     D, G = ring.deg_g, ring.gamma_degree
@@ -395,7 +401,7 @@ def double_extension(seq: ARSequence, W: GradedMatrix) -> MatrixFactorization:
         [[eta, V], [None, xi.shift(G)]],
         rows=eta.rows + tuple(r + G for r in xi.rows),
         cols=eta.cols + tuple(c + G for c in xi.cols))
-    return MatrixFactorization(theta, theta_p)
+    return MatrixFactorization._derived(theta, theta_p)
 
 
 # ----------------------------------------------------------------------

@@ -334,9 +334,13 @@ def _scatter(pos):
 
 
 class MatrixFactorization:
-    """A pair (phi, psi) with phi psi = psi phi = g Id, checked exactly.
-    Only phi psi is multiplied out: phi is square, so det phi det psi =
-    g^n != 0 makes phi injective over S, and phi (psi phi - g Id) = 0."""
+    """A pair (phi, psi) with phi psi = psi phi = g Id.
+
+    The constructor checks a pair that enters the engine unproven, and
+    multiplies out phi psi only: phi is square, so det phi det psi =
+    g^n != 0 makes phi injective over S, and phi (psi phi - g Id) = 0.
+    A pair derived from certified ones is built by _derived, with no
+    product; its proof is written where it is derived."""
 
     def __init__(self, phi: GradedMatrix, psi: GradedMatrix):
         ring = phi.ring
@@ -351,6 +355,13 @@ class MatrixFactorization:
         if not phi.mul(psi) == g_identity(ring, phi.rows):
             raise VerificationError("phi psi is not g times the identity")
 
+    @classmethod
+    def _derived(cls, phi: GradedMatrix, psi: GradedMatrix):
+        """A pair proved a factorization by its derivation: not checked."""
+        mf = cls.__new__(cls)
+        mf.ring, mf.phi, mf.psi = phi.ring, phi, psi
+        return mf
+
     def is_reduced(self) -> bool:
         return self.phi.is_reduced() and self.psi.is_reduced()
 
@@ -358,7 +369,12 @@ class MatrixFactorization:
         return GradedModule(self, label=label)
 
     def syz(self) -> "MatrixFactorization":
-        return MatrixFactorization(self.psi, self.phi.shift(self.ring.deg_g))
+        """(psi, phi(deg g)), a factorization as psi phi = g Id."""
+        return self._derived(self.psi, self.phi.shift(self.ring.deg_g))
+
+    def shift(self, s: int) -> "MatrixFactorization":
+        """The factorization of (cok phi)(s): a shift changes no entry."""
+        return self._derived(self.phi.shift(-s), self.psi.shift(-s))
 
     def __repr__(self):
         return f"MatrixFactorization(rows={self.phi.rows}, cols={self.phi.cols})"
@@ -542,8 +558,7 @@ class GradedModule:
         return row
 
     def shift(self, s: int) -> "GradedModule":
-        mf = MatrixFactorization(self.mf.phi.shift(-s), self.mf.psi.shift(-s))
-        return mf.cok(label=self.label)
+        return self.mf.shift(s).cok(label=self.label)
 
     def syz(self) -> "GradedModule":
         return self.mf.syz().cok(label=_wrap_label(self.label, "syz"))
@@ -573,10 +588,11 @@ def _canonical(vec: dict, K) -> dict:
 
 def free_module(ring, shifts=(0,)) -> GradedModule:
     """sum_i R(-shifts[i]) as the cokernel of (g Id, Id): its presentation
-    over R is the zero matrix, with relation degrees shifts + deg g."""
+    over R is the zero matrix, with relation degrees shifts + deg g.
+    (g Id) Id = g Id needs no product."""
     ident = GradedMatrix.identity(ring, [w + ring.deg_g for w in shifts])
-    return MatrixFactorization(g_identity(ring, tuple(shifts)),
-                               ident).cok(label="free")
+    return MatrixFactorization._derived(g_identity(ring, tuple(shifts)),
+                                        ident).cok(label="free")
 
 
 # ----------------------------------------------------------------------
@@ -980,6 +996,14 @@ def mf_reduce(mf: MatrixFactorization):
     a unit in phi is a trivial (1)-block, a unit in psi is a (g)-block
     of phi, i.e. a free summand of cok phi.  A factorization without
     units comes back as it is.
+
+    The core is a factorization with no product taken.  Each pair
+    elimination replaces (a, b) by (U a V, V^-1 b U^-1) with U and V
+    invertible, so a b = g Id and b a = g Id still hold.  Then row i and
+    column j of a are u e_j and u e_i for the unit u, and the products
+    force row j and column i of b to be (g/u) e_i and (g/u) e_j.  The
+    dropped row and column are a (u) (g/u) block, and what is left
+    multiplies to g Id.
     """
     if mf.is_reduced():
         return mf, []
@@ -1017,7 +1041,7 @@ def mf_reduce(mf: MatrixFactorization):
     phi = GradedMatrix(ring, phi_rows, phi_cols, phi_ents)
     psi = GradedMatrix(ring, phi_cols, [r + ring.deg_g for r in phi_rows],
                        psi_ents)
-    return MatrixFactorization(phi, psi), frees
+    return MatrixFactorization._derived(phi, psi), frees
 
 
 # ----------------------------------------------------------------------
@@ -1035,11 +1059,16 @@ def split_by_idempotent(M: GradedModule, E: GradedMatrix):
     invertible, and P' is made from E' in the same way.  Then
     P^-1 phi P' is block diagonal, as phi maps im E' into im E and
     im(Id - E') into im(Id - E), and so is P'^-1 psi P.  Certified:
-    P^-1 P = Id and P'^-1 P' = Id exactly (_inverse), and the
-    off-diagonal blocks vanish; then cok phi is the sum of the cokernels
-    of the diagonal blocks, whatever E is, and MatrixFactorization
-    checks each pair of blocks.  The blocks are reduced because phi is:
-    P^-1 phi P' has its entries in the maximal ideal, as phi does.
+    X P = Id and X' P' = Id exactly for X = P^-1 and X' = P'^-1
+    (_inverse), and the off-diagonal blocks of X phi P' vanish; then
+    cok phi is the sum of the cokernels of the diagonal blocks, whatever
+    E is.  Each pair of blocks is a factorization with no product taken:
+    P' is square, so P' X' = Id and (X phi P')(X' psi P) = X phi psi P =
+    g Id.  As r == r2 the diagonal blocks of X phi P' are square, and
+    they are injective as det phi != 0; so X' psi P = g (X phi P')^-1 is
+    block diagonal too, and its blocks are g times the inverses of those
+    of X phi P'.  The blocks are reduced because phi is: X phi P' has
+    its entries in the maximal ideal, as phi does.
     The columns are taken in stable degree order, so the generators of
     each part are those of the minimal submodule presentation of im E
     and im(Id - E), in the same order.
@@ -1055,13 +1084,14 @@ def split_by_idempotent(M: GradedModule, E: GradedMatrix):
         raise CertificationError(
             f"idempotent has rank {r} on the generators, {r2} on the "
             "relations")
-    blocks = (_inverse(P).mul(phi).mul(P2), _inverse(P2).mul(psi).mul(P))
+    A = _inverse(P).mul(phi).mul(P2)
     n = len(P.cols)
-    if any(not A.entries[i][j].is_zero() for A in blocks
+    if any(not A.entries[i][j].is_zero()
            for i in range(n) for j in range(n) if (i < r) != (j < r)):
         raise CertificationError("split leaves an off-diagonal block")
-    return tuple(MatrixFactorization(_block(blocks[0], part),
-                                     _block(blocks[1], part)).cok()
+    B = _inverse(P2).mul(psi).mul(P)
+    return tuple(MatrixFactorization._derived(_block(A, part),
+                                              _block(B, part)).cok()
                  for part in (range(r), range(r, n)))
 
 

@@ -10,17 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from arcurves import (GradedMatrix, branch_images, check_subadditive,
+from arcurves import (GradedMatrix, MatrixFactorization, block_matrix,
+                      branch_images, check_subadditive,
                       classify_fragment, decompose, double_extension,
                       double_push_report, e_avg, explore_component, ext1_dim,
-                      gamma_endo, gamma_for, hom_graded, is_integral,
-                      iso_up_to_shift, mf_check, mf_from_ideal,
+                      free_module, gamma_endo, gamma_for, hom_graded,
+                      is_integral, iso_up_to_shift, mf_check, mf_from_ideal,
                       min_t_valuation, push, quotient_tau, random_ring,
                       solve_W, stable_end_dim, stably_zero_bruteforce,
                       stably_zero_trace, syz_transport, trace_Q, tree_class,
                       verify_main_theorem, verify_syz_gamma, zt_build, a_ray)
 from arcurves.cli import _is_unit_endo
 from arcurves.linalg import rank_dense
+from arcurves.modmat import mf_reduce
 
 
 def _verdict(num, ok, label):
@@ -58,8 +60,40 @@ def endo_sweeps(two_branch_ring, two_branch_datum, two_branch_ideal,
     return rows
 
 
+def _mixed_free_sum(I):
+    """I + R(w), w the degree of I's first generator, after the changes
+    of basis U = Id + E_(last, 0) and V = Id + e E_(0, last), e = psi's
+    first entry: (U phi V, V^-1 psi U^-1) has the free summand's unit in
+    a row and a column that mf_reduce must clear before it drops them."""
+    ring = I.ring
+    phi, psi = I.mf.phi, I.mf.psi
+    w = phi.rows[0]
+    free = free_module(ring, (w,)).mf
+    rows, cols = phi.rows + free.phi.rows, phi.cols + free.phi.cols
+    last = len(rows) - 1
+
+    def diag(a, b):
+        return block_matrix(ring, [[a, None], [None, b]],
+                            rows=a.rows + b.rows, cols=a.cols + b.cols)
+
+    def unipotent(degs, at, e):
+        return GradedMatrix(ring, degs, degs, [
+            [ring.one() if i == j else e if (i, j) == at else ring.zero_poly()
+             for j in range(len(degs))] for i in range(len(degs))])
+
+    e = psi.entries[0][0]
+    U, U_inv = (unipotent(rows, (last, 0), c)
+                for c in (ring.one(), -ring.one()))
+    V, V_inv = (unipotent(cols, (0, last), c) for c in (e, -e))
+    mixed = MatrixFactorization(U.mul(diag(phi, free.phi)).mul(V),
+                                V_inv.mul(diag(psi, free.psi)).mul(U_inv))
+    return mixed, w
+
+
 def test_criterion_1_factorization_identities(two_branch_ring, cusp_ring):
-    """(phi, psi), (xi, eta), (theta, theta') multiply to g Id exactly."""
+    """(phi, psi), (xi, eta), (theta, theta') multiply to g Id exactly, and
+    so do the pairs the engine derives without multiplying them out: the
+    syzygy, a shift, the right term, the split parts and a reduced core."""
     rng = random.Random(20260821)
     rings = [two_branch_ring, cusp_ring]
     rings.extend(random_ring(rng) for _ in range(10))
@@ -68,12 +102,19 @@ def test_criterion_1_factorization_identities(two_branch_ring, cusp_ring):
         assert ring.p <= 7 and ring.q <= 7
         I = mf_from_ideal(ring).cok(label="I")
         gd = gamma_for(ring)
-        ok = ok and mf_check(I.mf.phi, I.mf.psi)
         seq = push(I, gd)
-        ok = ok and mf_check(seq.middle.mf.phi, seq.middle.mf.psi)
         W, _, _ = solve_W(seq)
-        pair = double_extension(seq, W)
-        ok = ok and mf_check(pair.phi, pair.psi)
+        parts, frees = decompose(seq.middle)
+        # the second push's middle splits on every ring
+        again, frees_again = decompose(push(seq.middle, gd).middle)
+        mixed, w = _mixed_free_sum(I)
+        core, dropped = mf_reduce(mixed)
+        ok = (ok and frees == frees_again == [] and len(again) > 1
+              and dropped == [w])
+        pairs = [I.mf, I.syz().mf, I.shift(3).mf, seq.middle.mf,
+                 seq.right.mf, double_extension(seq, W), core]
+        pairs.extend(part.mf for part in parts + again)
+        ok = ok and all(mf_check(mf.phi, mf.psi) for mf in pairs)
     _verdict(1, ok, "factorization identities on 12 instances")
 
 

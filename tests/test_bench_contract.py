@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from arcurves.modmat import TopAlgebra
+from arcurves.modmat import GradedMatrix, TopAlgebra
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,7 +50,9 @@ def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
     # The four timed walks split middle terms on the way: their reports
     # must stay byte-identical to the recorded ones.  A split part whose
     # indecomposability its parent's minimal polynomial proves builds no
-    # top algebra of its own: 24 in all, 6 per walk.
+    # top algebra of its own: 24 in all, 6 per walk.  A factorization
+    # derived from a certified one is not multiplied out again: 176
+    # matrix products in all.
     workloads, traced = bench
     jobs = [job for job in workloads.WORKLOADS["component_walk"]
             if not job.known_defect]
@@ -61,11 +63,17 @@ def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
     init = TopAlgebra.__init__
     monkeypatch.setattr(TopAlgebra, "__init__",
                         lambda self, M: built.append(M) or init(self, M))
+    products = []
+    mul = GradedMatrix.mul
+    monkeypatch.setattr(GradedMatrix, "mul",
+                        lambda self, other: products.append(1)
+                        or mul(self, other))
     for job, result in zip(jobs, traced.run_pass(jobs, seed=0)):
         verdict = workloads.check(job, golden, result["rc"],
                                   result["stdout"], result["stderr"])
         assert verdict == "pass", (job.id, result["stderr"])
     assert len(built) == 24
+    assert len(products) == 176
 
 
 def test_trace_sweep_jobs_match_the_golden_reports(bench, monkeypatch):

@@ -395,3 +395,22 @@ def test_simple_curve_walks_close(cfg, capsys, text, depth):
     assert (code, err) == (0, "")
     vertices = json.loads(out)["orbit_quiver"]["vertices"]
     assert vertices and not any(v["boundary"] for v in vertices)
+
+
+# A walk on a curve that is not simple never closes.  A finite component
+# of the Auslander-Reiten quiver is the whole quiver (Auslander), so the
+# ring would have finite CM type (Yoshino, Cohen-Macaulay Modules over
+# Cohen-Macaulay Rings, Ch. 6), and in characteristic 0 finite CM type
+# means simple (Greuel and Knoerrer, Math. Ann. 270, 1985).  E12
+# (x^3 + y^7) is unimodal, and (x^3 + y^4) y has multiplicity 4 where a
+# simple curve has at most 3, so a walk of any depth leaves a vertex on
+# the boundary.  The module counts are not asserted.
+@pytest.mark.parametrize("text", [
+    pytest.param(E6.replace("q = 4", "q = 7"), id="E12"),
+    pytest.param((BENCH_CONFIGS / "two_branch_q.cfg").read_text(),
+                 id="two_branch_q")])
+def test_non_simple_curve_walks_stay_open(cfg, capsys, text):
+    code, out, err = _run(capsys, ["explore", cfg(text), "--depth", "8"])
+    assert (code, err) == (0, "")
+    vertices = json.loads(out)["orbit_quiver"]["vertices"]
+    assert any(v["boundary"] for v in vertices)

@@ -81,7 +81,10 @@ def test_non_square_pair_is_rejected(cusp_ring):
 
 
 def test_factorization_is_one_product(monkeypatch, cusp_ring):
+    # The public constructor multiplies out phi psi once; a pair derived
+    # from a certified one is built with no product.
     mf = mf_from_ideal(cusp_ring)
+    with_free = _direct_sum(mf, free_module(cusp_ring, (2,)).mf)
     calls = []
     mul = GradedMatrix.mul
 
@@ -91,6 +94,12 @@ def test_factorization_is_one_product(monkeypatch, cusp_ring):
 
     monkeypatch.setattr(GradedMatrix, "mul", counted)
     MatrixFactorization(mf.phi, mf.psi)
+    assert len(calls) == 1
+    mf.syz()
+    mf.shift(3)
+    free_module(cusp_ring, (0, 5))
+    core, frees = modmat.mf_reduce(with_free)
+    assert (core.phi, core.psi, frees) == (mf.phi, mf.psi, [2])
     assert len(calls) == 1
 
 
