@@ -14,10 +14,11 @@ from functools import cached_property
 
 from .branches import factor_hypersurface, gamma_prime, singular_branch
 from .errors import CertificationError, InputError, VerificationError
+from .homs import hom_graded
 from .linalg import SparseRREF, rank_dense
-from .modmat import (GradedMatrix, GradedModule, MatrixFactorization,
-                     _scalar_part, block_matrix, decompose, hom_graded,
-                     iso_up_to_shift, mf_from_ideal, rank_vector,
+from .matfact import (GradedMatrix, GradedModule, MatrixFactorization,
+                      block_matrix, mf_from_ideal, rank_vector)
+from .modmat import (_scalar_part, decompose, iso_up_to_shift,
                      solve_graded_system, stably_zero_bruteforce)
 from .quiver import (TranslationQuiver, check_subadditive, classify_fragment,
                      orbit_collapse)
@@ -348,7 +349,7 @@ def solve_W(seq: ARSequence):
     gd = seq.datum
     phi, psi = seq.left.mf.phi, seq.left.mf.psi
     alpha, beta = seq.alpha, seq.beta
-    D, G = ring.deg_g, ring.gamma_degree
+    G = ring.gamma_degree
     if not phi.mul(beta).eq_mod_g(-_in_ring_matrix(gd, phi)):
         raise VerificationError(
             "phi beta is not -gamma phi modulo g: alpha is not in the "
@@ -535,7 +536,6 @@ def explore_component(M0: GradedModule, gd: GammaDatum, depth: int = 2) -> dict:
     boundary.  The report carries the fragment, per-vertex weights, the
     middle part counts, and the shape classification.
     """
-    ring = M0.ring
     parts0, frees0 = decompose(M0)
     if frees0 or len(parts0) != 1:
         raise InputError("exploration starts at an indecomposable module")

@@ -1,206 +1,21 @@
-"""Graded matrices, matrix factorizations, modules, and hom spaces.
+"""Graded linear systems, stable homs, splitting and isomorphism.
 
-Conventions used throughout:
-
-  * A graded matrix A carries row degrees w and column degrees u, and
-    entry (i, j) is homogeneous of degree u[j] - w[i] (or zero).
-  * A presents the module cok(A) with generator degrees w and relation
-    degrees u, i.e. A maps F(u) into F(w).
-  * A homomorphism of degree d from cok(A) to cok(B) is a matrix H with
-    rows B.rows and columns A.rows + d, sending the j-th generator to
-    sum_i H[i][j] times the i-th generator of the target.
-  * A matrix factorization of g is a pair (phi, psi) with
-    phi psi = g Id and psi phi = g Id exactly over the polynomial ring.
-
-Everything is exact; all solved systems go through canonical RREF, so
-identical input yields identical output.
+The top of three layers, over the modules of matfact and the hom
+spaces of homs.  Everything is exact; all solved systems go through
+canonical RREF, so identical input yields identical output.
 """
 
 from __future__ import annotations
 
 from . import upoly
-from .errors import (CertificationError, InconclusiveSplitError, InputError,
-                     VerificationError)
+from .errors import CertificationError, InconclusiveSplitError, InputError
+from .homs import (GradedHom, HomSpace, _precomposition,
+                   hom_from_coefficients, hom_graded)
 from .linalg import (SparseRREF, dense_vector, kernel_sparse, rank_dense,
                      solve_sparse_system, sparse_vector)
-from .ring import HypersurfaceRing, WPoly
-
-
-class GradedMatrix:
-    """Matrix of weighted-homogeneous polynomials with degree bookkeeping."""
-
-    __slots__ = ("ring", "rows", "cols", "entries")
-
-    def __init__(self, ring: HypersurfaceRing, rows, cols, entries):
-        self.ring = ring
-        self.rows = tuple(rows)
-        self.cols = tuple(cols)
-        ents = []
-        for i in range(len(self.rows)):
-            row = []
-            for j in range(len(self.cols)):
-                e = entries[i][j]
-                if not e.is_zero() and e.degree != self.cols[j] - self.rows[i]:
-                    raise InputError(
-                        f"entry ({i},{j}) has degree {e.degree}, expected "
-                        f"{self.cols[j] - self.rows[i]}")
-                row.append(e)
-            ents.append(tuple(row))
-        self.entries = tuple(ents)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def zero(cls, ring, rows, cols):
-        z = ring.zero_poly()
-        return cls(ring, rows, cols, [[z] * len(cols) for _ in rows])
-
-    @classmethod
-    def identity(cls, ring, degs):
-        one = ring.one()
-        z = ring.zero_poly()
-        ents = [[one if i == j else z for j in range(len(degs))]
-                for i in range(len(degs))]
-        return cls(ring, degs, degs, ents)
-
-    def shift(self, s: int) -> "GradedMatrix":
-        return GradedMatrix(self.ring, [r + s for r in self.rows],
-                            [c + s for c in self.cols], self.entries)
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("degree vectors differ in matrix sum")
-        ents = [[self.entries[i][j] + other.entries[i][j]
-                 for j in range(len(self.cols))] for i in range(len(self.rows))]
-        return GradedMatrix(self.ring, self.rows, self.cols, ents)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        ents = [[-e for e in row] for row in self.entries]
-        return GradedMatrix(self.ring, self.rows, self.cols, ents)
-
-    def scale(self, value):
-        ents = [[e * value for e in row] for row in self.entries]
-        return GradedMatrix(self.ring, self.rows, self.cols, ents)
-
-    def mul(self, other: "GradedMatrix") -> "GradedMatrix":
-        """Exact product over the polynomial ring.
-
-        The column degrees of self must exceed the row degrees of other
-        by one constant (the composition shift, 0 for an empty inner
-        dimension); the result's columns are other's columns raised by
-        that constant.
-        """
-        if len(self.cols) != len(other.rows):
-            raise InputError("inner dimensions differ in matrix product")
-        if len(self.cols) == 0:
-            c0 = 0
-        else:
-            diffs = {self.cols[t] - other.rows[t] for t in range(len(self.cols))}
-            if len(diffs) != 1:
-                raise InputError("incompatible degree vectors in matrix product")
-            c0 = diffs.pop()
-        ring = self.ring
-        K = ring.field
-        ents = []
-        for arow in self.entries:
-            row = []
-            for j in range(len(other.cols)):
-                # One term dict per entry: sum over t of a_t b_tj.
-                acc: dict = {}
-                for a, brow in zip(arow, other.entries):
-                    b = brow[j].terms
-                    if not a.terms or not b:
-                        continue
-                    for (i1, j1), c1 in a.terms.items():
-                        for (i2, j2), c2 in b.items():
-                            key = (i1 + i2, j1 + j2)
-                            acc[key] = acc.get(key, 0) + c1 * c2
-                row.append(WPoly(K, ring.q, ring.p, acc))
-            ents.append(row)
-        return GradedMatrix(self.ring, self.rows,
-                            [c + c0 for c in other.cols], ents)
-
-    def nf(self) -> "GradedMatrix":
-        ents = [[self.ring.normal_form(e) for e in row] for row in self.entries]
-        return GradedMatrix(self.ring, self.rows, self.cols, ents)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and all(self.entries[i][j] == other.entries[i][j]
-                        for i in range(len(self.rows))
-                        for j in range(len(self.cols))))
-
-    def __hash__(self):
-        raise TypeError("GradedMatrix is unhashable")
-
-    def eq_mod_g(self, other) -> bool:
-        if len(self.rows) != len(other.rows) or len(self.cols) != len(other.cols):
-            return False
-        same = ([c - r for r in self.rows for c in self.cols] ==
-                [c - r for r in other.rows for c in other.cols])
-        if not same:
-            return False
-        diff = [[self.entries[i][j] - other.entries[i][j]
-                 for j in range(len(self.cols))] for i in range(len(self.rows))]
-        return all(self.ring.normal_form(e).is_zero()
-                   for row in diff for e in row)
-
-    def div_exact_g(self) -> "GradedMatrix":
-        """Entrywise exact quotient by g; column degrees drop by deg g."""
-        g = self.ring.g
-        ents = [[e.div_exact(g) for e in row] for row in self.entries]
-        return GradedMatrix(self.ring, self.rows,
-                            [c - self.ring.deg_g for c in self.cols], ents)
-
-    def is_reduced(self) -> bool:
-        """No entry is a unit, i.e. all entries lie in the maximal ideal."""
-        return all(e.is_zero() or e.degree > 0
-                   for row in self.entries for e in row)
-
-    def entry_strings(self):
-        return [[e.to_string() for e in row] for row in self.entries]
-
-    def __repr__(self):
-        return f"GradedMatrix(rows={self.rows}, cols={self.cols})"
-
-
-def block_matrix(ring, blocks, rows, cols) -> GradedMatrix:
-    """Assemble a matrix from a 2D grid of GradedMatrix blocks (None = 0).
-
-    rows and cols are the degree vectors of the result; the blocks only
-    have to match entrywise degrees, so uniformly shifted copies of a
-    block are accepted as they are.
-    """
-    z = ring.zero_poly()
-    heights = [next(len(b.rows) for b in brow if b is not None)
-               for brow in blocks]
-    ncolblocks = len(blocks[0])
-    widths = [next(len(blocks[bi][bj].cols) for bi in range(len(blocks))
-                   if blocks[bi][bj] is not None)
-              for bj in range(ncolblocks)]
-    total_r, total_c = sum(heights), sum(widths)
-    if total_r != len(rows) or total_c != len(cols):
-        raise InputError("block grid does not match the degree vectors")
-    ents = [[z] * total_c for _ in range(total_r)]
-    r0 = 0
-    for bi, brow in enumerate(blocks):
-        c0 = 0
-        for bj in range(ncolblocks):
-            blk = brow[bj]
-            if blk is not None:
-                for i in range(heights[bi]):
-                    for j in range(widths[bj]):
-                        ents[r0 + i][c0 + j] = blk.entries[i][j]
-            c0 += widths[bj]
-        r0 += heights[bi]
-    return GradedMatrix(ring, rows, cols, ents)
+from .matfact import (GradedMatrix, GradedModule, MatrixFactorization,
+                      _canonical, g_identity, mf_reduce)
+from .ring import WPoly
 
 
 # ----------------------------------------------------------------------
@@ -301,101 +116,6 @@ def solve_graded_system(ring, unknowns, equations, mode="mod_g"):
             for name, (rdegs, cdegs) in unknowns.items()}
 
 
-# ----------------------------------------------------------------------
-# R-spans in one degree
-
-
-def _span_rref(ring, d, columns, coords) -> SparseRREF:
-    """Degree-d piece of the R-span of homogeneous columns, as an RREF.
-
-    columns yields (degree, polys) pairs.  Each column is multiplied by
-    every monomial of degree d - degree, brought to normal form entry by
-    entry, and turned into a sparse row by coords(polys).
-    """
-    rr = SparseRREF(ring.field)
-    for deg, polys in columns:
-        for mono in ring.graded_piece(d - deg):
-            rr.insert(coords([p if p.is_zero()
-                              else ring.normal_form(p.shift_monomial(*mono))
-                              for p in polys]))
-    return rr
-
-
-def _scatter(pos):
-    """coords callback: the monomials of entry i land at pos[(i, monomial)]."""
-    def coords(polys):
-        return {pos[(i, key)]: c for i, poly in enumerate(polys)
-                for key, c in poly.terms.items()}
-    return coords
-
-
-# ----------------------------------------------------------------------
-# matrix factorizations
-
-
-class MatrixFactorization:
-    """A pair (phi, psi) with phi psi = psi phi = g Id.
-
-    The constructor checks a pair that enters the engine unproven, and
-    multiplies out phi psi only: phi is square, so det phi det psi =
-    g^n != 0 makes phi injective over S, and phi (psi phi - g Id) = 0.
-    A pair derived from certified ones is built by _derived, with no
-    product; its proof is written where it is derived."""
-
-    def __init__(self, phi: GradedMatrix, psi: GradedMatrix):
-        ring = phi.ring
-        D = ring.deg_g
-        if psi.rows != phi.cols or psi.cols != tuple(r + D for r in phi.rows):
-            raise InputError("degree vectors do not form a factorization pair")
-        if len(phi.rows) != len(phi.cols):
-            raise InputError("phi is not square")
-        self.ring = ring
-        self.phi = phi
-        self.psi = psi
-        if not phi.mul(psi) == g_identity(ring, phi.rows):
-            raise VerificationError("phi psi is not g times the identity")
-
-    @classmethod
-    def _derived(cls, phi: GradedMatrix, psi: GradedMatrix):
-        """A pair proved a factorization by its derivation: not checked."""
-        mf = cls.__new__(cls)
-        mf.ring, mf.phi, mf.psi = phi.ring, phi, psi
-        return mf
-
-    def is_reduced(self) -> bool:
-        return self.phi.is_reduced() and self.psi.is_reduced()
-
-    def cok(self, label=None) -> "GradedModule":
-        return GradedModule(self, label=label)
-
-    def syz(self) -> "MatrixFactorization":
-        """(psi, phi(deg g)), a factorization as psi phi = g Id."""
-        return self._derived(self.psi, self.phi.shift(self.ring.deg_g))
-
-    def shift(self, s: int) -> "MatrixFactorization":
-        """The factorization of (cok phi)(s): a shift changes no entry."""
-        return self._derived(self.phi.shift(-s), self.psi.shift(-s))
-
-    def __repr__(self):
-        return f"MatrixFactorization(rows={self.phi.rows}, cols={self.phi.cols})"
-
-
-def g_identity(ring, degs) -> GradedMatrix:
-    z = ring.zero_poly()
-    ents = [[ring.g if i == j else z for j in range(len(degs))]
-            for i in range(len(degs))]
-    return GradedMatrix(ring, degs, [d + ring.deg_g for d in degs], ents)
-
-
-def mf_check(phi: GradedMatrix, psi: GradedMatrix) -> bool:
-    """Whether (phi, psi) is a factorization of g (MatrixFactorization)."""
-    try:
-        MatrixFactorization(phi, psi)
-        return True
-    except (InputError, VerificationError):
-        return False
-
-
 def mf_complete(A: GradedMatrix) -> MatrixFactorization:
     """Complete a square presentation matrix to a matrix factorization.
 
@@ -413,449 +133,6 @@ def mf_complete(A: GradedMatrix) -> MatrixFactorization:
         raise CertificationError(
             "presentation does not complete to a factorization of g")
     return MatrixFactorization(A, sol["B"])
-
-
-def mf_from_ideal(ring: HypersurfaceRing) -> MatrixFactorization:
-    """The factorization presenting the two-generated ideal (x^m, y^n).
-
-    Generators sit in degrees (m q, n p); the pair is checked exactly and
-    the cokernel's Hilbert function is compared against the ideal
-    degreewise.
-    """
-    m, n = ring.m, ring.n
-    if m is None or n is None:
-        raise InputError("ring instance carries no (m, n) ideal data")
-    q, v = ring.q, ring.v
-    D = ring.deg_g
-    s = n * ring.p + m * q
-    corner = (ring.g - ring.monomial(0, q + v)).div_exact_x(m)
-    phi = GradedMatrix(ring, (m * q, n * ring.p), (D, s), [
-        [corner, -ring.monomial(0, n)],
-        [ring.monomial(0, q + v - n), ring.monomial(m, 0)],
-    ])
-    psi = GradedMatrix(ring, (D, s), (m * q + D, n * ring.p + D), [
-        [ring.monomial(m, 0), ring.monomial(0, n)],
-        [-ring.monomial(0, q + v - n), corner],
-    ])
-    mf = MatrixFactorization(phi, psi)
-    module = mf.cok(label="I")
-    for d in range(0, 3 * D + 1):
-        if module.piece_dim(d) != _ideal_piece_dim(ring, m, n, d):
-            raise VerificationError(
-                f"cok phi disagrees with the ideal (x^m, y^n) in degree {d}")
-    return mf
-
-
-def _ideal_piece_dim(ring, m, n, d) -> int:
-    pos = {(0, mono): t for t, mono in enumerate(ring.graded_piece(d))}
-    gens = ((m * ring.q, [ring.monomial(m, 0)]),
-            (n * ring.p, [ring.monomial(0, n)]))
-    return _span_rref(ring, d, gens, _scatter(pos)).rank
-
-
-# ----------------------------------------------------------------------
-# graded modules
-
-
-class GradedModule:
-    """The cokernel of a matrix factorization (phi, psi), built by its cok.
-
-    The presentation over R is phi in normal form."""
-
-    def __init__(self, mf: MatrixFactorization, label=None):
-        self.ring = mf.ring
-        self.matrix = mf.phi.nf()
-        self.gens = mf.phi.rows
-        self.rels = mf.phi.cols
-        self.mf = mf
-        self.label = label
-        self._ambient_cache: dict = {}
-        self._image_cache: dict = {}
-        self._coord_cache: dict = {}  # (gen, monomial) -> coordinates
-        self._hom_cache: dict = {}
-        self._trace_cache: dict = {}  # branch -> traceoracle._BranchTrace
-
-    # -- graded pieces -------------------------------------------------
-
-    def _ambient(self, d: int):
-        """The degree-d basis of the free cover and its index."""
-        cached = self._ambient_cache.get(d)
-        if cached is None:
-            basis = [(i, mono) for i, w in enumerate(self.gens)
-                     for mono in self.ring.graded_piece(d - w)]
-            cached = (basis, {key: t for t, key in enumerate(basis)})
-            self._ambient_cache[d] = cached
-        return cached
-
-    def ambient_basis(self, d: int):
-        """Basis of the degree-d piece of the free cover, as (gen, mono)."""
-        return self._ambient(d)[0]
-
-    def _image_rref(self, d: int) -> SparseRREF:
-        rr = self._image_cache.get(d)
-        if rr is None:
-            columns = [(u, [row[j] for row in self.matrix.entries])
-                       for j, u in enumerate(self.rels)]
-            rr = _span_rref(self.ring, d, columns,
-                            _scatter(self._ambient(d)[1]))
-            self._image_cache[d] = rr
-        return rr
-
-    def piece_dim(self, d: int) -> int:
-        """dim M_d = sum_i |S_(d - w_i)| - sum_j |S_(d - u_j)|, over the
-        degrees w of phi's rows and u of its columns.
-
-        phi psi = g Id exactly, so phi is injective over the domain S, and
-        g F(w) lies in its image, so cok phi is the same over S as over R:
-        0 -> S(-u) -> S(-w) -> M -> 0 is exact.
-        """
-        s_piece = self.ring.s_piece
-        return (sum(len(s_piece(d - w)) for w in self.gens)
-                - sum(len(s_piece(d - u)) for u in self.rels))
-
-    def nonpivot_basis(self, d: int):
-        """Indices into the ambient basis giving a basis of M_d."""
-        amb = self.ambient_basis(d)
-        pivots = self._image_rref(d).rows
-        return [t for t in range(len(amb)) if t not in pivots]
-
-    def element_coords(self, polys, d: int) -> dict:
-        """Canonical coordinates in M_d of a tuple of polys, in normal
-        form or not (see _accumulate)."""
-        out: dict = {}
-        for i, poly in enumerate(polys):
-            if not poly.is_zero():
-                self._accumulate(out, i, poly, d)
-        return _canonical(out, self.ring.field)
-
-    def _accumulate(self, out: dict, i: int, poly, d: int, shift=(0, 0),
-                    keys=None):
-        """Add into out the coordinates in M_d of x^a y^b poly e_i,
-        (a, b) = shift, for a nonzero poly: c times the table row of each
-        term c x^i y^j, coordinate t at keys[t] (at t when keys is None).
-
-        The sums are left to native + and *; normal form and reduction
-        are linear, so _canonical(out) is the canonical coordinates.
-        """
-        if poly.degree != d - self.ring.wdeg(*shift) - self.gens[i]:
-            raise InputError("element component has wrong degree")
-        a0, b0 = shift
-        for (a, b), c in poly.terms.items():
-            for t, v in self._monomial_coords(i, (a + a0, b + b0)).items():
-                if keys is not None:
-                    t = keys[t]
-                out[t] = out.get(t, 0) + c * v
-
-    def _monomial_coords(self, i: int, mono) -> dict:
-        """The table row of x^a y^b e_i, (a, b) = mono: its normal form
-        reduced against the image in its degree, made once."""
-        row = self._coord_cache.get((i, mono))
-        if row is None:
-            d = self.gens[i] + self.ring.wdeg(*mono)
-            nf = self.ring.normal_form(self.ring.monomial(*mono))
-            row = self._coord_cache[(i, mono)] = self._image_rref(d).reduce(
-                {self._ambient(d)[1][(i, m)]: c for m, c in nf.terms.items()})
-        return row
-
-    def shift(self, s: int) -> "GradedModule":
-        return self.mf.shift(s).cok(label=self.label)
-
-    def syz(self) -> "GradedModule":
-        return self.mf.syz().cok(label=_wrap_label(self.label, "syz"))
-
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "generator_degrees": list(self.gens),
-            "relation_degrees": list(self.rels),
-            "presentation": self.matrix.entry_strings(),
-        }
-
-    def __repr__(self):
-        tag = f" {self.label}" if self.label else ""
-        return f"GradedModule{tag}(gens={self.gens})"
-
-
-def _wrap_label(label, op):
-    return f"{op}({label})" if label else None
-
-
-def _canonical(vec: dict, K) -> dict:
-    """The nonzero entries of a vector of native sums, as field elements
-    in canonical form (so a zero is 0)."""
-    return {t: e for t, v in vec.items() if (e := K(v))}
-
-
-def free_module(ring, shifts=(0,)) -> GradedModule:
-    """sum_i R(-shifts[i]) as the cokernel of (g Id, Id): its presentation
-    over R is the zero matrix, with relation degrees shifts + deg g.
-    (g Id) Id = g Id needs no product."""
-    ident = GradedMatrix.identity(ring, [w + ring.deg_g for w in shifts])
-    return MatrixFactorization._derived(g_identity(ring, tuple(shifts)),
-                                        ident).cok(label="free")
-
-
-# ----------------------------------------------------------------------
-# hom spaces
-
-
-class GradedHom:
-    """A homomorphism cok(A) -> cok(B) of fixed degree: its coordinates in
-    its hom space, and its matrix H, made from them when first read; sums
-    and products of homs are homs, so arithmetic stays on coordinates."""
-
-    __slots__ = ("space", "source", "target", "degree", "coords", "_H",
-                 "_branch_coeffs")
-
-    def __init__(self, space, coords):
-        self.space = space
-        self.source, self.target = space.source, space.target
-        self.degree = space.degree
-        self.coords = coords
-        self._H = None
-        self._branch_coeffs = {}
-
-    @property
-    def H(self) -> GradedMatrix:
-        if self._H is None:
-            self._H = self.space._matrix(self.coords)
-        return self._H
-
-    def _coefficients(self, branch):
-        """C_b(H), the constant matrix of branch leading coefficients,
-        read off the coordinates: entry (i, j) is the sum of c times the
-        branch image of the monomial of each coordinate c at (i, j)
-        (HomSpace._images), so no matrix H is built.  Made once per
-        branch."""
-        C = self._branch_coeffs.get(branch)
-        if C is None:
-            images = self.space._images(branch)
-            sums: dict = {}
-            for t, c in self.coords:
-                hit = images.get(t)
-                if hit is not None:
-                    entry, v = hit
-                    sums[entry] = sums.get(entry, 0) + c * v
-            C = [[0] * len(self.source.gens) for _ in self.target.gens]
-            for (i, j), v in _canonical(sums, self.source.ring.field).items():
-                C[i][j] = v
-            self._branch_coeffs[branch] = C
-        return C
-
-    def scalar_part(self) -> dict:
-        """The scalar part of H (see _scalar_part) as {(i, j): c}, read
-        off the coordinates at the constant monomial."""
-        constants = self.space._constants
-        return {constants[t]: c for t, c in self.coords if t in constants}
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedHom):
-            return NotImplemented
-        return (self.source is other.source and self.target is other.target
-                and self.degree == other.degree and self.coords == other.coords)
-
-    def __hash__(self):
-        raise TypeError("GradedHom is unhashable")
-
-    def compose(self, first: "GradedHom") -> "GradedHom":
-        """self after first."""
-        if first.target is not self.source:
-            raise InputError("composition chain mismatch")
-        space = hom_graded(first.source, self.target,
-                           self.degree + first.degree)
-        return space._hom(space.coords_of(self.H.mul(first.H)))
-
-    def __add__(self, other):
-        if (self.source is not other.source or self.target is not other.target
-                or self.degree != other.degree):
-            raise InputError("cannot add homs from different spaces")
-        return self.space._hom(_combine(((1, self), (1, other)), self.space))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, value):
-        return self.space._hom(_combine(((value, self),), self.space))
-
-    def times_monomial(self, i: int, j: int) -> "GradedHom":
-        """The hom multiplied by the monomial x^i y^j (degree rises): each
-        coordinate c at (r, s, x^a y^b) adds c times the target's table
-        row of x^(a+i) y^(b+j) e_r to column s of the raised space."""
-        ring = self.source.ring
-        space = hom_graded(self.source, self.target,
-                           self.degree + ring.wdeg(i, j))
-        entries, table = self.space._entry_list, self.target._monomial_coords
-        out: dict = {}
-        for t, c in self.coords:
-            r, s, (a, b) = entries[t]
-            flat = space._flat[s]
-            for tt, v in table(r, (a + i, b + j)).items():
-                key = flat[tt]
-                out[key] = out.get(key, 0) + c * v
-        return space._hom(_freeze(_canonical(out, ring.field)))
-
-    def __repr__(self):
-        return (f"GradedHom(deg={self.degree}, "
-                f"{self.source!r} -> {self.target!r})")
-
-
-class HomSpace:
-    """The k-vector space of degree-d homomorphisms between two modules.
-
-    Hom(cok A, N)_d is the kernel of precomposition X -> X A on the sum
-    of the pieces N_(w_j + d) over the generator degrees w_j of cok A
-    (see _precomposition).  Its vectors live on the nonpivot coordinates
-    of N, so they are already reduced modulo N's relations; the basis is
-    their reduced row echelon form in the flat coordinates of a hom
-    matrix, and is therefore canonical.
-    """
-
-    def __init__(self, source: GradedModule, target: GradedModule, degree: int):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        ring = source.ring
-        # Coordinates of a hom matrix flattened row-major: entry (i, j)
-        # runs over the monomials of degree ws + degree - wt.
-        entry_index = {}
-        entry_list = []
-        for i, wt in enumerate(target.gens):
-            for j, ws in enumerate(source.gens):
-                for mono in ring.graded_piece(ws + degree - wt):
-                    entry_index[(i, j, mono)] = len(entry_list)
-                    entry_list.append((i, j, mono))
-        self._entry_list = entry_list
-        # _constants[t]: the entry (i, j) whose constant monomial is
-        # flat coordinate t.
-        self._constants = {entry_index[(i, j, mono)]: (i, j)
-                           for i, j, mono in entry_list if mono == (0, 0)}
-        # _flat[j][t]: flat coordinate of the t-th ambient basis element
-        # of the target in degree w_j + degree, as column j.
-        self._flat = [[entry_index[(i, j, mono)]
-                       for i, mono in target.ambient_basis(ws + degree)]
-                      for j, ws in enumerate(source.gens)]
-
-        variables, rows = _precomposition(source.matrix, target, degree)
-        kernel = kernel_sparse(rows, len(variables), ring.field)
-        flat = [self._flat[j][t] for j, t in variables]
-        reduced = SparseRREF(ring.field)
-        for vec in kernel:
-            reduced.insert({flat[v]: c for v, c in vec.items()})
-        self._span = reduced
-        self.basis = [self._hom(_freeze(reduced.pivots[piv]))
-                      for piv in sorted(reduced.pivots)]
-        self._branch_images: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def _hom(self, coords) -> GradedHom:
-        """The hom with these frozen coordinates; the caller certifies it."""
-        return GradedHom(self, coords)
-
-    def _matrix(self, coords) -> GradedMatrix:
-        ring = self.source.ring
-        ents = [[dict() for _ in self.source.gens] for _ in self.target.gens]
-        for t, c in coords:
-            i, j, mono = self._entry_list[t]
-            ents[i][j][mono] = c
-        polys = [[WPoly(ring.field, ring.q, ring.p, e) for e in row]
-                 for row in ents]
-        return GradedMatrix(ring, self.target.gens,
-                            tuple(w + self.degree for w in self.source.gens),
-                            polys)
-
-    def _images(self, branch) -> dict:
-        """{flat coordinate: ((i, j), branch image of its monomial)} for
-        the monomials that do not vanish on the branch, read off
-        Branch.piece_row block by block in the order of _entry_list;
-        made once per branch."""
-        images = self._branch_images.get(branch)
-        if images is None:
-            images = self._branch_images[branch] = {}
-            ring = self.source.ring
-            t = 0
-            for i, wt in enumerate(self.target.gens):
-                for j, ws in enumerate(self.source.gens):
-                    w = ws + self.degree - wt
-                    for k, v in branch.piece_row(w)[0].items():
-                        images[t + k] = ((i, j), v)
-                    t += len(ring.graded_piece(w))
-        return images
-
-    def coords_of(self, H: GradedMatrix):
-        """Canonical coordinates of a hom matrix, in normal form or not."""
-        return _freeze(self._coords(
-            ((i, j, e) for i, row in enumerate(H.entries)
-             for j, e in enumerate(row) if not e.is_zero()), (0, 0)))
-
-    def _coords(self, entries, shift) -> dict:
-        """The coordinates of x^a y^b times a matrix given by its nonzero
-        entries (i, j, poly), (a, b) = shift: entry (i, j) is read by the
-        target's accumulator in degree w_j + degree into column j."""
-        gens, d = self.source.gens, self.degree
-        out: dict = {}
-        for i, j, poly in entries:
-            self.target._accumulate(out, i, poly, gens[j] + d, shift,
-                                    self._flat[j])
-        return _canonical(out, self.source.ring.field)
-
-    def from_matrix(self, H: GradedMatrix) -> GradedHom:
-        """The hom given by a matrix from outside the hom layer, certified
-        a hom by membership of its coordinates in this space's span."""
-        coords = self.coords_of(H)
-        if not self._span.contains(dict(coords)):
-            raise InputError("matrix does not define a homomorphism here")
-        return self._hom(coords)
-
-    def zero(self) -> GradedHom:
-        return self._hom(())
-
-    def expand(self, hom: GradedHom):
-        """Coefficients of a hom of this space in the canonical basis."""
-        vec = dict(hom.coords)
-        K = self.source.ring.field
-        out = []
-        for b in self.basis:
-            piv = min(dict(b.coords))
-            out.append(vec.get(piv, K.zero))
-        return out
-
-    def __repr__(self):
-        return (f"HomSpace(dim={self.dim}, deg={self.degree}, "
-                f"{self.source!r} -> {self.target!r})")
-
-
-def _freeze(vec: dict):
-    return tuple(sorted(vec.items()))
-
-
-def hom_graded(source: GradedModule, target: GradedModule,
-               degree: int) -> HomSpace:
-    key = (id(target), degree)
-    cached = source._hom_cache.get(key)
-    if cached is not None and cached[0] is target:
-        return cached[1]
-    space = HomSpace(source, target, degree)
-    source._hom_cache[key] = (target, space)
-    return space
-
-
-def hom_from_coefficients(space: HomSpace, coeffs) -> GradedHom:
-    return space._hom(_combine(zip(coeffs, space.basis), space))
-
-
-def _combine(terms, space: HomSpace):
-    """Frozen coordinates of sum c h over the (c, h) pairs, h in space."""
-    out: dict = {}
-    for c, h in terms:
-        for t, v in h.coords:
-            out[t] = out.get(t, 0) + c * v
-    return _freeze(_canonical(out, space.source.ring.field))
 
 
 # ----------------------------------------------------------------------
@@ -903,29 +180,6 @@ def stable_end_dim(M: GradedModule, d: int) -> int:
     return space.dim - _stably_zero_span(space).rank
 
 
-def _precomposition(A: GradedMatrix, N: GradedModule, d: int):
-    """The map X -> X A from Hom(F(A.rows), N)_d to Hom(F(A.cols), N)_d.
-
-    Variable (i, t) sends generator i to the t-th nonpivot basis element
-    of N_(A.rows[i] + d).  Returns the variables and the rows of the map,
-    one per (column of A, coordinate in N); the kernel is Hom(cok A, N)_d.
-    """
-    K = A.ring.field
-    variables = [(i, t) for i, w in enumerate(A.rows)
-                 for t in N.nonpivot_basis(w + d)]
-    rows: dict = {}
-    for v, (i, t) in enumerate(variables):
-        gen, mono = N.ambient_basis(A.rows[i] + d)[t]
-        for j, e in enumerate(A.entries[i]):
-            if e.is_zero():
-                continue
-            image: dict = {}
-            N._accumulate(image, gen, e, A.cols[j] + d, mono)
-            for tt, c in _canonical(image, K).items():
-                rows.setdefault((j, tt), {})[v] = c
-    return variables, list(rows.values())
-
-
 def ext1_dim(mf: MatrixFactorization, N: GradedModule, d: int) -> int:
     """dim Ext^1(cosyzygy of cok phi, N) in degree d.
 
@@ -941,107 +195,6 @@ def ext1_dim(mf: MatrixFactorization, N: GradedModule, d: int) -> int:
 
     mid = sum(N.piece_dim(w + d) for w in mf.phi.rows)
     return mid - rank(mf.phi) - rank(mf.psi.shift(-mf.ring.deg_g))
-
-
-# ----------------------------------------------------------------------
-# unit splitting of factorizations
-
-
-def _find_unit(ents, rows, cols):
-    for i in range(len(rows)):
-        for j in range(len(cols)):
-            e = ents[i][j]
-            if not e.is_zero() and e.degree == 0:
-                return i, j
-    return None
-
-
-def _pair_eliminate(a_ents, a_rows, a_cols, b_ents, i, j, field):
-    """Clear row i and column j of matrix a around the unit at (i, j).
-
-    b is the partner factorization matrix; row operations on a are
-    mirrored as inverse column operations on b and vice versa, which
-    keeps both products of the pair unchanged.
-    """
-    uinv = field.inv(a_ents[i][j].coeff(0, 0))
-    for r in range(len(a_rows)):
-        if r == i or a_ents[r][j].is_zero():
-            continue
-        c = a_ents[r][j] * uinv
-        # a: row_r -= c row_i;  b: col_i += c col_r.
-        for t in range(len(a_cols)):
-            a_ents[r][t] = a_ents[r][t] - c * a_ents[i][t]
-        for s in range(len(b_ents)):
-            b_ents[s][i] = b_ents[s][i] + c * b_ents[s][r]
-    for t in range(len(a_cols)):
-        if t == j or a_ents[i][t].is_zero():
-            continue
-        c = a_ents[i][t] * uinv
-        # a: col_t -= c col_j;  b: row_j += c row_t.
-        for r in range(len(a_rows)):
-            a_ents[r][t] = a_ents[r][t] - c * a_ents[r][j]
-        for s in range(len(b_ents[j])):
-            b_ents[j][s] = b_ents[j][s] + c * b_ents[t][s]
-
-
-def _drop(ents, i, j):
-    return [[e for t, e in enumerate(row) if t != j]
-            for r, row in enumerate(ents) if r != i]
-
-
-def mf_reduce(mf: MatrixFactorization):
-    """Split all trivial blocks off a factorization.
-
-    Returns (reduced factorization or None, free generator degrees):
-    a unit in phi is a trivial (1)-block, a unit in psi is a (g)-block
-    of phi, i.e. a free summand of cok phi.  A factorization without
-    units comes back as it is.
-
-    The core is a factorization with no product taken.  Each pair
-    elimination replaces (a, b) by (U a V, V^-1 b U^-1) with U and V
-    invertible, so a b = g Id and b a = g Id still hold.  Then row i and
-    column j of a are u e_j and u e_i for the unit u, and the products
-    force row j and column i of b to be (g/u) e_i and (g/u) e_j.  The
-    dropped row and column are a (u) (g/u) block, and what is left
-    multiplies to g Id.
-    """
-    if mf.is_reduced():
-        return mf, []
-    ring = mf.ring
-    K = ring.field
-    phi_ents = [list(r) for r in mf.phi.entries]
-    psi_ents = [list(r) for r in mf.psi.entries]
-    phi_rows = list(mf.phi.rows)
-    phi_cols = list(mf.phi.cols)
-    frees = []
-    while True:
-        hit = _find_unit(phi_ents, phi_rows, phi_cols)
-        if hit is not None:
-            i, j = hit
-            _pair_eliminate(phi_ents, phi_rows, phi_cols, psi_ents, i, j, K)
-            phi_ents = _drop(phi_ents, i, j)
-            psi_ents = _drop(psi_ents, j, i)
-            del phi_rows[i], phi_cols[j]
-            continue
-        psi_rows = phi_cols
-        psi_cols = [r + ring.deg_g for r in phi_rows]
-        hit = _find_unit(psi_ents, psi_rows, psi_cols)
-        if hit is not None:
-            a, b = hit
-            _pair_eliminate(psi_ents, psi_rows, psi_cols, phi_ents, a, b, K)
-            psi_ents = _drop(psi_ents, a, b)
-            phi_ents = _drop(phi_ents, b, a)
-            frees.append(phi_rows[b])
-            del phi_rows[b], phi_cols[a]
-            continue
-        break
-    frees.sort()
-    if not phi_rows:
-        return None, frees
-    phi = GradedMatrix(ring, phi_rows, phi_cols, phi_ents)
-    psi = GradedMatrix(ring, phi_cols, [r + ring.deg_g for r in phi_rows],
-                       psi_ents)
-    return MatrixFactorization._derived(phi, psi), frees
 
 
 # ----------------------------------------------------------------------
@@ -1570,40 +723,3 @@ def _top_isomorphic(A: GradedModule, B: GradedModule, s) -> bool:
     if sorted(A.rels) != sorted(u - s for u in B.rels):
         return False
     return any(map(invertible_on_top, HomSpace(A, B, s).basis))
-
-
-# ----------------------------------------------------------------------
-# ranks along branches and multiplicity
-
-
-def rank_vector(M: GradedModule, branches):
-    """Generic rank of M along each branch, via parametrized elimination.
-
-    On a branch the presentation matrix becomes a matrix of monomials
-    c t^e whose exponents are forced by the grading; scaling rows and
-    columns by the matching fractional powers of t turns each residue
-    block into a constant matrix, so the rank over the Laurent field
-    equals the rank of the coefficient matrix over k.
-    """
-    K = M.ring.field
-    return [len(M.gens) - rank_dense(_coefficient_matrix(branch, M.matrix), K)
-            for branch in branches]
-
-
-def _coefficient_matrix(branch, matrix: GradedMatrix):
-    """Constant matrix of branch leading coefficients (monomial images)."""
-    K = matrix.ring.field
-    out = []
-    for row in matrix.entries:
-        crow = []
-        for e in row:
-            image = branch.evaluate(e)
-            crow.append(K.zero if image is None else image[0])
-        out.append(crow)
-    return out
-
-
-def multiplicity(M: GradedModule, branches) -> int:
-    """Sum over branches of generic rank times branch multiplicity."""
-    ranks = rank_vector(M, branches)
-    return sum(r * br.multiplicity for r, br in zip(ranks, branches))

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from .branches import Branch, factor_hypersurface
 from .errors import CertificationError, InputError
+from .homs import GradedHom, hom_graded
 from .linalg import SparseRREF, kernel_sparse, solve_sparse_system
-from .modmat import (GradedHom, GradedModule, TopAlgebra, _canonical,
-                     _coefficient_matrix, hom_graded, stably_zero_bruteforce)
+from .matfact import GradedModule, _canonical, _coefficient_matrix
+from .modmat import TopAlgebra, stably_zero_bruteforce
 from .ring import QElement, WPoly
 
 __all__ = [

@@ -22,7 +22,7 @@ from arcurves import (GradedMatrix, MatrixFactorization, block_matrix,
                       verify_main_theorem, verify_syz_gamma, zt_build, a_ray)
 from arcurves.cli import _is_unit_endo
 from arcurves.linalg import rank_dense
-from arcurves.modmat import mf_reduce
+from arcurves.matfact import mf_reduce
 
 
 def _verdict(num, ok, label):

@@ -15,7 +15,7 @@ from arcurves import (QQ, GradedMatrix, HypersurfaceRing, InputError,
                       multiplicity, poly_from_string, push, random_ring,
                       solve_W, stably_zero_bruteforce, syz_transport,
                       verify_main_theorem, verify_syz_gamma)
-from arcurves import arengine, modmat
+from arcurves import arengine, homs, matfact, modmat
 
 
 def test_gamma_datum_two_branch(two_branch_datum):
@@ -120,8 +120,8 @@ def test_push_builds_no_hom_space(monkeypatch, cusp_ring, cusp_datum):
     # a fresh module, so that no cached space hides a build
     M = mf_from_ideal(cusp_ring).cok(label="I")
     built = []
-    init = modmat.HomSpace.__init__
-    monkeypatch.setattr(modmat.HomSpace, "__init__",
+    init = homs.HomSpace.__init__
+    monkeypatch.setattr(homs.HomSpace, "__init__",
                         lambda self, *a: built.append(a) or init(self, *a))
     push(M, cusp_datum, summands=[M])
     assert built == []
@@ -132,9 +132,9 @@ def test_section_maps_are_certified_when_read(monkeypatch, cusp_ring,
     M = mf_from_ideal(cusp_ring).cok(label="I")
     seq = push(M, cusp_datum, summands=[M])
     read = []
-    from_matrix = modmat.HomSpace.from_matrix
+    from_matrix = homs.HomSpace.from_matrix
     monkeypatch.setattr(
-        modmat.HomSpace, "from_matrix",
+        homs.HomSpace, "from_matrix",
         lambda self, H: read.append((self.source, self.target))
         or from_matrix(self, H))
     inj, proj = seq.inj, seq.proj
@@ -469,7 +469,7 @@ def test_push_counts_the_middle_by_elimination(monkeypatch, cusp_ring,
                                                cusp_datum):
     # dim (cok xi)_d comes from eliminating xi, so an elimination that
     # finds one pivot too many is caught by the additivity check
-    real = modmat.GradedModule.nonpivot_basis
+    real = matfact.GradedModule.nonpivot_basis
 
     def lossy(self, d):
         basis = real(self, d)
@@ -477,7 +477,7 @@ def test_push_counts_the_middle_by_elimination(monkeypatch, cusp_ring,
                    and d == min(self.gens) + self.ring.deg_g)
         return basis[1:] if checked else basis
 
-    monkeypatch.setattr(modmat.GradedModule, "nonpivot_basis", lossy)
+    monkeypatch.setattr(matfact.GradedModule, "nonpivot_basis", lossy)
     ideal = mf_from_ideal(cusp_ring).cok(label="I")
     with pytest.raises(VerificationError, match="dimension additivity fails"):
         push(ideal, cusp_datum)

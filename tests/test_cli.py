@@ -36,7 +36,7 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_ring_info_cusp(cfg, capsys):
+def test_ring_info_cusp(cfg, capsys, tmp_path):
     code, out, err = _run(capsys, ["ring-info", cfg(CUSP)])
     assert code == 0 and err == ""
     doc = json.loads(out)
@@ -46,6 +46,21 @@ def test_ring_info_cusp(cfg, capsys):
     assert doc["gamma_datum"]["gamma"] == "(1*x^0*y^3)/(1*x^1*y^0)"
     assert doc["config_sha256"] == hashlib.sha256(
         CUSP.encode()).hexdigest()
+    # The digest is of the UTF-8 bytes, also beyond ASCII.
+    text = "# Spitze über Q: φ ψ = g·Id\n" + CUSP
+    path = tmp_path / "utf8.cfg"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, _ = _run(capsys, ["ring-info", str(path)])
+    assert code == 0
+    assert json.loads(out)["config_sha256"] == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 119, 120, 1000])
+def test_config_digest_matches_hashlib(size):
+    # Sizes on both sides of the one- and two-block padding boundaries.
+    data = bytes((7 * i + 3) % 256 for i in range(size))
+    assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_ring_info_two_branches(cfg, capsys):
@@ -176,6 +191,31 @@ def test_cli_loads_no_sympy(cfg, text):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert cli.main(argv) == 0, argv\n"
               "    assert 'sympy' not in sys.modules, argv\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(arcurves.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_loads_no_openssl():
+    # The config fingerprint is computed in Python: no command loads
+    # OpenSSL through hashlib.
+    import os
+    import subprocess
+    import sys
+
+    import arcurves
+    path = str(Path(__file__).resolve().parent.parent / "demos" / "cusp.cfg")
+    commands = [["ring-info", path], ["explore", path, "--depth", "1"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from arcurves import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "    assert '_hashlib' not in sys.modules, argv\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(arcurves.__file__))]

@@ -18,16 +18,16 @@ from arcurves import (GradedMatrix, InputError, MatrixFactorization,
                       solve_graded_system,
                       stably_zero_bruteforce, factor_hypersurface)
 from arcurves import (QQ, HypersurfaceRing, WPoly, arengine, end_generators,
-                      explore_component, modmat, upoly)
+                      explore_component, homs, matfact, modmat, upoly)
 from arcurves.cli import _endo_corpus
 from arcurves.errors import (CertificationError, InconclusiveSplitError,
                              VerificationError)
+from arcurves.homs import GradedHom, HomSpace, hom_from_coefficients
 from arcurves.linalg import (SparseRREF, dense_vector, kernel_sparse,
                              rank_dense, solve_sparse_system, sparse_vector)
-from arcurves.modmat import (GradedHom, GradedModule, HomSpace, TopAlgebra,
-                             _canonical, _coefficient_matrix, _scatter,
-                             _span_rref, _stably_zero_span,
-                             hom_from_coefficients, invertible_on_top)
+from arcurves.matfact import (GradedModule, _canonical, _coefficient_matrix,
+                              _scatter, _span_rref)
+from arcurves.modmat import TopAlgebra, _stably_zero_span, invertible_on_top
 
 def test_entry_degree_validation(cusp_ring):
     r = cusp_ring
@@ -74,7 +74,7 @@ def test_non_square_pair_is_rejected(cusp_ring):
     z = r.zero_poly()
     phi = GradedMatrix(r, (0,), (D, D + 3), [[r.g, z]])
     psi = GradedMatrix(r, (D, D + 3), (D,), [[r.one()], [z]])
-    assert phi.mul(psi) == modmat.g_identity(r, (0,))
+    assert phi.mul(psi) == matfact.g_identity(r, (0,))
     assert not mf_check(phi, psi)
     with pytest.raises(InputError, match="not square"):
         MatrixFactorization(phi, psi)
@@ -98,7 +98,7 @@ def test_factorization_is_one_product(monkeypatch, cusp_ring):
     mf.syz()
     mf.shift(3)
     free_module(cusp_ring, (0, 5))
-    core, frees = modmat.mf_reduce(with_free)
+    core, frees = matfact.mf_reduce(with_free)
     assert (core.phi, core.psi, frees) == (mf.phi, mf.psi, [2])
     assert len(calls) == 1
 
@@ -285,7 +285,7 @@ def test_solver_matches_the_cell_by_cell_reference(seed, field):
             mp.setattr(owner, "solve_graded_system", recording)
         seq = push(I, gd)
         arengine._alpha_beta(I.syz(), gd)
-        middle, _ = modmat.mf_reduce(seq.middle.mf)
+        middle, _ = matfact.mf_reduce(seq.middle.mf)
         if middle is not None:
             # gamma need not act on it; then both solvers find no solution
             with contextlib.suppress(VerificationError):
@@ -552,10 +552,10 @@ def _relation_in_span_of_the_others(A: GradedMatrix, j: int) -> bool:
     for i, w in enumerate(A.rows):
         for mono in ring.graded_piece(d - w):
             pos[(i, mono)] = len(pos)
-    coords = modmat._scatter(pos)
+    coords = matfact._scatter(pos)
     others = [(u, [row[t] for row in A.entries])
               for t, u in enumerate(A.cols) if t != j]
-    span = modmat._span_rref(ring, d, others, coords)
+    span = matfact._span_rref(ring, d, others, coords)
     return span.contains(coords([row[j] for row in A.entries]))
 
 
@@ -807,9 +807,11 @@ def test_split_eliminates_nothing(monkeypatch, two_branch_ring):
         monkeypatch.setattr(GradedModule, name,
                             lambda *a, _n=name, _m=method: calls.append(_n)
                             or _m(*a))
-    kernel, solve = modmat.kernel_sparse, modmat.solve_graded_system
-    monkeypatch.setattr(modmat, "kernel_sparse",
-                        lambda *a: calls.append("kernel_sparse") or kernel(*a))
+    kernel, solve = kernel_sparse, modmat.solve_graded_system
+    for owner in (homs, modmat):
+        monkeypatch.setattr(owner, "kernel_sparse",
+                            lambda *a: calls.append("kernel_sparse")
+                            or kernel(*a))
     monkeypatch.setattr(modmat, "solve_graded_system",
                         lambda *a, **k: calls.append("solve_graded_system")
                         or solve(*a, **k))
@@ -938,8 +940,9 @@ def test_stably_zero_span_builds_no_hom_space(monkeypatch, two_branch_ideal):
     def refuse(*args, **kwargs):
         raise AssertionError("the span built a module or a hom space")
 
-    monkeypatch.setattr(modmat, "HomSpace", refuse)
-    monkeypatch.setattr(modmat, "free_module", refuse)
+    for owner in (homs, modmat):
+        monkeypatch.setattr(owner, "HomSpace", refuse)
+    monkeypatch.setattr(matfact, "free_module", refuse)
     assert sum(_stably_zero_span(space).rank for space in spaces) > 0
 
 
@@ -967,7 +970,7 @@ def _reference_coords_of(space, H):
         for t, c in _reference_element_coords(
                 space.target, column, ws + space.degree).items():
             out[space._flat[j][t]] = c
-    return modmat._freeze(out)
+    return homs._freeze(out)
 
 
 def _reference_times_monomial(h, i, j):
@@ -1107,12 +1110,12 @@ def _reference_basis(space, variables, rows):
     reduced = SparseRREF(K)
     for vec in kernel_sparse(rows, len(variables), K):
         reduced.insert({flat[v]: c for v, c in vec.items()})
-    return [modmat._freeze(reduced.pivots[piv])
+    return [homs._freeze(reduced.pivots[piv])
             for piv in sorted(reduced.pivots)]
 
 
 def _frozen_rows(rows):
-    return sorted(modmat._freeze(row) for row in rows)
+    return sorted(homs._freeze(row) for row in rows)
 
 
 @settings(derandomize=True, deadline=None, max_examples=6)
@@ -1129,7 +1132,7 @@ def test_precomposition_matches_the_normal_form_route(seed, field):
         for A in (M.matrix, mf.phi, mf.psi.shift(-D)):
             for N in modules:
                 for d in range(-D // 2, D // 2 + 1):
-                    variables, rows = modmat._precomposition(A, N, d)
+                    variables, rows = homs._precomposition(A, N, d)
                     ref_vars, ref_rows = _reference_precomposition(A, N, d)
                     assert variables == ref_vars
                     assert _frozen_rows(rows) == _frozen_rows(ref_rows)
@@ -1169,7 +1172,7 @@ def test_times_monomial_reads_only_the_table(monkeypatch, two_branch_ring):
 
 
 def _reference_minimal_core(M):
-    core, frees = modmat.mf_reduce(M.mf)
+    core, frees = matfact.mf_reduce(M.mf)
     if core is None:
         return None, frees
     return core.cok(label=M.label), frees
@@ -1315,7 +1318,7 @@ def test_identification_keeps_the_module_and_its_caches(monkeypatch,
     M = two_branch_ideal.syz().syz()
     N = two_branch_ideal
     assert M.mf.is_reduced()
-    core, frees = modmat.mf_reduce(M.mf)
+    core, frees = matfact.mf_reduce(M.mf)
     assert core is M.mf and frees == []
     for d in range(min(M.gens), max(M.gens) + M.ring.deg_g):
         M.nonpivot_basis(d)

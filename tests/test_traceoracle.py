@@ -19,8 +19,9 @@ from arcurves import (GradedHom, GradedMatrix, branch_images, end_generators,
                       trace_report)
 from arcurves import HypersurfaceRing, cli, traceoracle
 from arcurves.cli import _endo_corpus
+from arcurves.homs import HomSpace
 from arcurves.linalg import SparseRREF, solve_sparse_system
-from arcurves.modmat import GradedModule, HomSpace, _coefficient_matrix
+from arcurves.matfact import GradedModule, _coefficient_matrix
 from arcurves.ring import WPoly
 from arcurves.traceoracle import (_branch_trace, _cokernel_trace, _in_ring,
                                   _nonunit_generators, _product_stably_zero,
