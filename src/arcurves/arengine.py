@@ -59,50 +59,32 @@ class GammaDatum:
         }
 
 
-def _branch_cofactor(ring, branch):
-    # g/h in S; exact since h is one of g's irreducible factors
-    return ring.g.div_exact(branch.h)
-
-
 def gamma_for(ring: HypersurfaceRing, branch=None) -> GammaDatum:
     """Build the gamma datum of a branch (default: the conductor branch).
 
-    Scans z through the annihilator of the branch prime, cofactor times
-    monomials in increasing weighted degree then monomial order, until
-    z times gamma' escapes R; certifies the escape, that gamma
-    multiplies the maximal ideal into R, and that gamma sits in the
-    socle degree G expected by the matrix machinery.  z kills the
-    branch factor h by construction: z is the normal form of
-    (g/h) x^i y^j, and g.div_exact(h) raises on a remainder, so
-    z h = g x^i y^j = 0 in R.
+    gamma = gamma' z with z the normal form of g/h, h the branch factor;
+    g.div_exact(h) raises on a remainder, so z h = g = 0 in R.  No other
+    z can serve: every z killing h is a multiple of g/h, and
+    deg(g/h) + deg gamma' = deg g - p - q = G on both kinds of branch
+    (binomial: (deg g - pq) + (pq - p - q); y-axis: (deg g - p) - q),
+    so any multiple of positive degree misses the socle degree G.
+    Certified: gamma escapes R, gamma times each variable returns to R,
+    and gamma sits in degree G, as the matrix machinery expects.
     """
     if branch is None:
         branch = singular_branch(ring)
     gp = gamma_prime(branch)
-    cofactor = _branch_cofactor(ring, branch)
-    window = branch.conductor * branch.scale + ring.deg_g
-    found = None
-    for d in range(window + 1):
-        for (i, j) in ring.graded_piece(d):
-            z = ring.normal_form(cofactor.shift_monomial(i, j))
-            if z.is_zero():
-                continue
-            candidate = gp * z
-            if candidate.in_ring() is None:
-                found = (z, candidate)
-                break
-        if found is not None:
-            break
-    if found is None:
-        raise CertificationError("no z found in window")
-    z, gamma = found
+    z = ring.normal_form(ring.g.div_exact(branch.h))
+    gamma = gp * z
+    if gamma.in_ring() is not None:
+        raise CertificationError("gamma' g/h does not escape R")
     for var in (ring.x_poly(), ring.y_poly()):
         if (gamma * var).in_ring() is None:
             raise VerificationError(
                 "gamma times %s does not return to R" % var.to_string())
     if gamma.degree != ring.gamma_degree:
         raise CertificationError(
-            "gamma found in degree %s, socle degree is %d"
+            "gamma lies in degree %s, socle degree is %d"
             % (gamma.degree, ring.gamma_degree))
     return GammaDatum(ring, branch, gp, z, gamma)
 
@@ -339,11 +321,19 @@ def solve_W(seq: ARSequence):
     """Complete the gamma endomorphism of the doubled factorization.
 
     Finds Z' and Z with eta W = gamma eta modulo g, where
-    W = [[alpha, Z'], [0, -beta + psi Z]] in the frame of eta's columns.
-    Only the upper-right block is a genuine constraint.  The other three
-    hold by the alpha and beta identities: the lower right one needs
-    phi beta = -gamma phi modulo g, which holds when alpha is in the
-    joint gauge of _alpha_beta and is checked first.  Returns (W, Z, Z').
+    eta = [[psi, beta], [0, phi]] and W = [[alpha, Z'], [0, -beta + psi Z]]
+    in the frame of eta's columns.  Block by block, eta W is
+      upper left   psi alpha, which is gamma psi modulo g (_alpha_beta);
+      lower left   0 = gamma 0;
+      lower right  phi (-beta + psi Z) = -phi beta + g Z, which is
+                   gamma phi modulo g exactly when phi beta = -gamma phi,
+                   true when alpha is in the joint gauge of _alpha_beta
+                   and checked first, as the fallback gauge need not be;
+      upper right  psi Z' + beta (-beta + psi Z), which is gamma beta
+                   modulo g exactly when Z' and Z solve the one system
+                   below.
+    So eta W = gamma eta modulo g holds once the solve succeeds, and is
+    not multiplied out.  Returns (W, Z, Z').
     """
     ring = seq.left.ring
     gd = seq.datum
@@ -372,8 +362,6 @@ def solve_W(seq: ARSequence):
         ring,
         [[alpha, Zp], [None, W22]],
         rows=eta.cols, cols=tuple(c + G for c in eta.cols))
-    if not eta.mul(W).eq_mod_g(_in_ring_matrix(gd, eta)):
-        raise VerificationError("eta W is not gamma eta modulo g")
     return W, Z, Zp
 
 
@@ -532,28 +520,30 @@ def explore_component(M0: GradedModule, gd: GammaDatum, depth: int = 2) -> dict:
     Each visited module is pushed; the middle decomposes into parts that
     are matched against the table up to shift, arrows record summand
     multiplicities as symmetric values, and the right-hand terms define
-    the translation.  Vertices whose sequences were not expanded are
-    boundary.  The report carries the fragment, per-vertex weights, the
-    middle part counts, and the shape classification.
+    the translation.  The walk is its quiver: identify adds a vertex
+    when it first tables a module, and arrows, loops and tau go straight
+    into it.  Vertices whose sequences were not expanded are boundary.
+    The report carries the fragment, per-vertex weights, the middle part
+    counts, and the shape classification.
     """
     parts0, frees0 = decompose(M0)
     if frees0 or len(parts0) != 1:
         raise InputError("exploration starts at an indecomposable module")
     table = []
+    q = TranslationQuiver()
 
     def identify(module):
         for idx, entry in enumerate(table):
             if iso_up_to_shift(module, entry["module"]) is not None:
                 return idx
-        table.append({"name": "V%d" % len(table), "module": module,
-                      "e_avg": e_avg(module), "pushed": False})
+        name = "V%d" % len(table)
+        table.append({"name": name, "module": module, "pushed": False})
+        q.add_vertex(name, label="%s %s" % (name, list(module.gens)),
+                     weight=e_avg(module))
         return len(table) - 1
 
     start = identify(M0)
     frontier = [start]
-    arrows: dict = {}
-    tau: dict = {}
-    loops: set = set()
     middle_parts: dict = {}
     middle_e: dict = {}
     sequences = 0
@@ -567,69 +557,52 @@ def explore_component(M0: GradedModule, gd: GammaDatum, depth: int = 2) -> dict:
             if entry["pushed"]:
                 continue
             entry["pushed"] = True
+            name = entry["name"]
             seq = push(entry["module"], gd, summands=[entry["module"]])
             sequences += 1
-            middle_e[entry["name"]] = e_avg(seq.middle)
+            middle_e[name] = e_avg(seq.middle)
             parts, frees = decompose(seq.middle)
             right_idx = identify(seq.right)
+            right = table[right_idx]["name"]
             if not table[right_idx]["pushed"]:
                 nxt.append(right_idx)
-            prior = tau.get(right_idx)
-            if prior is not None and prior != idx:
-                raise VerificationError("translation disagrees at %s"
-                                        % table[right_idx]["name"])
-            tau[right_idx] = idx
+            if q.tau.setdefault(right, name) != name:
+                raise VerificationError("translation disagrees at %s" % right)
             groups: dict = {}
             for part in parts:
                 pid = identify(part)
                 groups[pid] = groups.get(pid, 0) + 1
                 if not table[pid]["pushed"]:
                     nxt.append(pid)
-            middle_parts[entry["name"]] = sum(groups.values())
+            middle_parts[name] = sum(groups.values())
             if frees:
-                middle_parts[entry["name"] + ":free"] = len(frees)
+                middle_parts[name + ":free"] = len(frees)
             for pid, count in groups.items():
-                for (a, b) in ((idx, pid), (pid, right_idx)):
-                    if a == b:
-                        loops.add(a)
-                        continue
-                    prior = arrows.get((a, b))
+                mid = table[pid]["name"]
+                for (a, b) in ((name, mid), (mid, right)):
+                    prior = q.arrows.get((a, b))
                     if prior is None:
-                        arrows[(a, b)] = (count, count)
+                        q.add_arrow(a, b, (count, count))
                     elif prior != (count, count):
                         raise VerificationError(
-                            "mesh multiplicities disagree on %s -> %s"
-                            % (table[a]["name"], table[b]["name"]))
+                            "mesh multiplicities disagree on %s -> %s" % (a, b))
         frontier = sorted(set(nxt))
 
     # Omega^2 is a shift on a hypersurface and tau is Omega up to shift
-    for v, u in tau.items():
-        if tau.get(u, v) != v:
-            raise VerificationError("tau^2 is not the identity at %s"
-                                    % table[v]["name"])
-
-    q = TranslationQuiver()
-    for i, entry in enumerate(table):
-        # a vertex is only fully meshed once pushed and reached as a right
-        # term, so anything else stays boundary
-        q.add_vertex(entry["name"],
-                     label="%s %s" % (entry["name"],
-                                      list(entry["module"].gens)),
-                     weight=entry["e_avg"],
-                     boundary=not (entry["pushed"] and i in tau))
-    for (a, b), val in arrows.items():
-        q.add_arrow(table[a]["name"], table[b]["name"], val)
-    for a, b in tau.items():
-        q.set_tau(table[a]["name"], table[b]["name"])
-    for a in loops:
-        q.flag_loop(table[a]["name"])
+    for v, u in q.tau.items():
+        if q.tau.get(u, v) != v:
+            raise VerificationError("tau^2 is not the identity at %s" % v)
+    # a vertex is only fully meshed once pushed and reached as a right
+    # term, so anything else stays boundary
+    q.boundary.update(e["name"] for e in table
+                      if not (e["pushed"] and e["name"] in q.tau))
     orbits = orbit_collapse(q)
     return {
         "quiver": q,
         "orbit_quiver": orbits,
         "modules": [{"name": e["name"],
                      "gens": list(e["module"].gens),
-                     "e_avg": str(e["e_avg"]),
+                     "e_avg": str(q.weights[e["name"]]),
                      "e_avg_middle": (str(middle_e[e["name"]])
                                       if e["name"] in middle_e else None),
                      "label": e["module"].label,

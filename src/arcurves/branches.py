@@ -16,7 +16,7 @@ are all decided by integer arithmetic on t-exponents.
 from __future__ import annotations
 
 from . import upoly
-from .errors import CertificationError, FormSplitError, InputError, NotSquarefreeError
+from .errors import FormSplitError, InputError, NotSquarefreeError
 from .ring import (HypersurfaceRing, QElement, WPoly, _dehomogenized_form,
                    _strip_monomial)
 
@@ -158,7 +158,17 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
     """All branches of the curve, in a deterministic order.
 
     Raises NotSquarefreeError when g has a repeated factor and
-    FormSplitError when some binomial factor has no root in k.
+    FormSplitError when some binomial factor has no root in k.  The
+    branches multiply back to g up to a scalar, so they are not
+    multiplied out.  g = x^i0 y^j0 F, where the stripped F has x- and
+    y-exponent minimum zero and is the binary form y^(qN) P(x^p / y^q)
+    with P of degree N and P(0) != 0 (_factor_binary_form).  When
+    upoly.linear_factors reports split, its exact roots r fill every
+    squarefree part of P, so P = lc(P) prod (T - r)^mult and F is a
+    scalar times the product of the x^p - r y^q, each a scalar times its
+    binomial branch's h; every mult is 1 here, or this raises.  x does
+    not divide g (it contains y^(q+v)), so i0 = 0, and g squarefree
+    leaves j0 <= 1, the y-axis branch h = y when j0 = 1.
     """
     cached = getattr(ring, "_branches_cache", None)
     if cached is not None:
@@ -166,8 +176,7 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
     if not ring.is_reduced:
         raise NotSquarefreeError("not squarefree")
     K = ring.field
-    g = ring.g
-    i0, j0, stripped = _strip_monomial(g)
+    _, j0, stripped = _strip_monomial(ring.g)
     branches = []
     if j0 >= 1:
         branches.append(_axis_branch(ring))
@@ -180,32 +189,23 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
         pairs.sort(key=lambda ab: str(K(ab[0] * K.inv(ab[1]))))
         for alpha, beta in pairs:
             branches.append(_binomial_branch(ring, alpha, beta))
-    # The factors must multiply back to g up to a scalar.
-    product = ring.monomial(i0, j0)
-    for br in branches:
-        if br.kind == "binomial":
-            product = product * br.h
-    key = next(iter(product.terms))
-    if not product * (g.terms[key] * K.inv(product.terms[key])) == g:
-        raise CertificationError("branch product does not recover g")
     ring._branches_cache = branches
     return branches
 
 
 def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
-    """Linear factors (alpha, beta, multiplicity) of the form in (x^p, y^q)."""
+    """Linear factors (alpha, beta, multiplicity) of the form in (x^p, y^q).
+
+    Each root r gives T - r with T = x^p / y^q: alpha = 1, beta = -r.
+    No root is 0: stripped has an x-free term, so the T^0 coefficient of
+    its dehomogenized form is nonzero and T = 0 is no root.
+    """
     K = ring.field
     coeffs = _dehomogenized_form(stripped, ring.p, ring.q)
     roots, split = upoly.linear_factors(coeffs, K)
     if not split:
         raise FormSplitError("form does not split over k")
-    out = []
-    for root, mult in roots:
-        # T - root with T = x^p / y^q: alpha = 1, beta = -root.
-        if not root:
-            raise CertificationError("binary form vanished at the origin")
-        out.append((K.one, K(-root), mult))
-    return out
+    return [(K.one, K(-root), mult) for root, mult in roots]
 
 
 def singular_branch(ring: HypersurfaceRing) -> Branch:

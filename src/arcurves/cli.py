@@ -179,6 +179,7 @@ def cmd_ring_info(ring, args) -> dict:
         report["branches"].append(entry)
     gd = gamma_for(ring)
     report["gamma_datum"] = gd.describe()
+    # a degree bound on z: deg z = deg(g/h) < deg g (gamma_for)
     report["windows"]["z_search"] = (gd.branch.conductor * gd.branch.scale
                                      + ring.deg_g)
     return report

@@ -11,9 +11,10 @@ from arcurves import (QQ, GradedMatrix, HypersurfaceRing, InputError,
                       MatrixFactorization, VerificationError, decompose,
                       double_push_report, e_avg, explore_component,
                       factor_hypersurface, field_from_string, gamma_endo,
-                      gamma_for, hom_graded, iso_up_to_shift, mf_from_ideal,
-                      multiplicity, poly_from_string, push, random_ring,
-                      solve_W, stably_zero_bruteforce, syz_transport,
+                      gamma_for, gamma_prime, hom_graded, iso_up_to_shift,
+                      mf_from_ideal, multiplicity, poly_from_string, push,
+                      random_ring, singular_branch, solve_W,
+                      stably_zero_bruteforce, syz_transport,
                       verify_main_theorem, verify_syz_gamma)
 from arcurves import arengine, homs, matfact, modmat
 
@@ -63,19 +64,30 @@ def test_push_cusp_matrices(cusp_ideal, cusp_datum):
     assert seq.middle.gens == (4, 6, 5, 3)
 
 
-@settings(derandomize=True, deadline=None, max_examples=12)
-@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
-def test_z_kills_the_branch_factor(seed, field):
-    # gamma_for does not check z h = 0: z is (g/h) x^i y^j in normal form
-    ring = random_ring(random.Random(seed), field_from_string(field))
-    for br in factor_hypersurface(ring):
-        gd = gamma_for(ring, br)
-        assert ring.normal_form(gd.z * gd.branch.h).is_zero()
-
-
 def _nonreduced_cusp():
     # b = 0: g = y^4, whose one branch prime (y) is not a field locally
     return HypersurfaceRing(QQ, p=3, q=4, b=QQ(0), f="1*x^0*y^0", m=1, n=2)
+
+
+def _check_z(ring, branches):
+    # gamma_for builds z = NF(g/h) with no search and does not check
+    # z h = 0; deg(g/h) + deg gamma' = G is why no other z would do
+    for br in branches:
+        gd = gamma_for(ring, br)
+        assert gd.z == ring.normal_form(ring.g.div_exact(br.h))
+        assert ring.normal_form(gd.z * gd.branch.h).is_zero()
+        assert (ring.g.degree - br.h.degree + gamma_prime(br).degree
+                == ring.gamma_degree)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_z_kills_the_branch_factor(seed, field):
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    _check_z(ring, factor_hypersurface(ring))
+    # and the y-axis branch h = y of b = 0, where g = y^4 is not squarefree
+    cusp = _nonreduced_cusp()
+    _check_z(cusp, [singular_branch(cusp)])
 
 
 @pytest.mark.parametrize("name", ["cusp", "two_branch", "nonreduced_cusp"])
@@ -395,6 +407,18 @@ def test_push_on_the_depth_one_summand(seed, field):
         solve_W(seq2)
 
 
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+def test_W_completes_gamma_on_eta(seed, field):
+    # solve_W does not multiply eta W out: its docstring proves
+    # eta W = gamma eta modulo g block by block
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    seq = push(mf_from_ideal(ring).cok(label="I"), gamma_for(ring))
+    W, _, _ = solve_W(seq)
+    eta = seq.middle.mf.psi
+    assert eta.mul(W).eq_mod_g(arengine._in_ring_matrix(seq.datum, eta))
+
+
 def test_multiplicity_averages(two_branch_ideal, cusp_ideal):
     assert e_avg(two_branch_ideal) == 4
     assert e_avg(cusp_ideal) == 3
@@ -442,6 +466,43 @@ def test_explore_certifies_tau_squared(monkeypatch, two_branch_ideal,
     # pushing twice no longer comes back to where it started
     monkeypatch.setattr(arengine, "iso_up_to_shift", lambda M, N: None)
     with pytest.raises(VerificationError, match="tau\\^2"):
+        explore_component(two_branch_ideal, two_branch_datum, depth=2)
+
+
+# On the two-branch ring the walk pushes V0 = I into the middle V2 with
+# right term V1, then V1 (right term V0, middle V3) and V2 (right term V3,
+# middle parts V1 and V4): so V2 -> V1 is met twice and tau(V1) = V0.
+
+
+def test_explore_certifies_mesh_multiplicities(monkeypatch, two_branch_ideal,
+                                               two_branch_datum):
+    # V0's middle counted twice gives V2 -> V1 the value (2, 2), which
+    # V2's own push then finds once
+    real = arengine.decompose
+
+    def doubled(M):
+        parts, frees = real(M)
+        return (parts * 2 if M.label == "push(I)" else parts), frees
+
+    monkeypatch.setattr(arengine, "decompose", doubled)
+    with pytest.raises(VerificationError,
+                       match="^mesh multiplicities disagree on V2 -> V1$"):
+        explore_component(two_branch_ideal, two_branch_datum, depth=2)
+
+
+def test_explore_certifies_the_translation(monkeypatch, two_branch_ideal,
+                                           two_branch_datum):
+    # V2's right term taken for V1 would make V2 = tau(V1) besides V0
+    real = arengine.iso_up_to_shift
+
+    def merged(M, N):
+        if (M.label, N.label) == ("cosyz(push(I))(-8)", "cosyz(I)(-8)"):
+            return 0
+        return real(M, N)
+
+    monkeypatch.setattr(arengine, "iso_up_to_shift", merged)
+    with pytest.raises(VerificationError,
+                       match="^translation disagrees at V1$"):
         explore_component(two_branch_ideal, two_branch_datum, depth=2)
 
 

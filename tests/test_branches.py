@@ -40,6 +40,34 @@ def test_parametrization_kills_g(two_branch_ring):
         assert br.evaluate(br.h) is None
 
 
+def _assert_branches_multiply_to_g(ring):
+    # factor_hypersurface does not multiply its branches out: its
+    # docstring proves that they give g up to a scalar
+    product = ring.one()
+    for br in factor_hypersurface(ring):
+        product = product * br.h
+    key = next(iter(product.terms))
+    scalar = ring.g.terms[key] * ring.field.inv(product.terms[key])
+    assert product * scalar == ring.g
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10**6),
+       field=st.sampled_from(["Q", "F101", "F7"]))
+def test_branches_multiply_back_to_g(seed, field):
+    _assert_branches_multiply_to_g(
+        random_ring(random.Random(seed), field_from_string(field)))
+
+
+def test_four_branches_multiply_back_to_g():
+    # f = (y^4 - x^3)(y^4 - 8 x^3)(y^4 - 27 x^3), with x^3 + y^4
+    ring = HypersurfaceRing(
+        QQ, p=3, q=4, b=QQ(1),
+        f="1*x^0*y^12-36*x^3*y^8+251*x^6*y^4-216*x^9*y^0", m=1, n=2)
+    assert len(factor_hypersurface(ring)) == 4
+    _assert_branches_multiply_to_g(ring)
+
+
 def test_singular_branch_is_the_form_branch(two_branch_ring, cusp_ring):
     for ring in (two_branch_ring, cusp_ring):
         br = singular_branch(ring)
