@@ -502,11 +502,13 @@ def _add_images(a, b, K):
 def e_avg(M: GradedModule) -> Fraction:
     """Average of the multiplicities of M and its syzygy.
 
-    Rank is additive on 0 -> syz M -> R^r -> M -> 0, so the two
-    multiplicities add up to r e(R), with r the number of generators,
-    and neither the syzygy nor a rank is computed.
+    Multiplicity adds on 0 -> syz M -> R^r -> M -> 0 (see
+    explore_component), so the two multiplicities add up to r e(R), with
+    r the number of generators, and neither the syzygy nor a rank is
+    computed.  e(R) is the order of g, the least i + j over its terms
+    x^i y^j (R = k[x, y]/(g) is a plane curve), so no branch is needed.
     """
-    e_ring = sum(b.multiplicity for b in factor_hypersurface(M.ring))
+    e_ring = min(i + j for i, j in M.ring.g.terms)
     return Fraction(len(M.gens) * e_ring, 2)
 
 
@@ -525,6 +527,27 @@ def explore_component(M0: GradedModule, gd: GammaDatum, depth: int = 2) -> dict:
     into it.  Vertices whose sequences were not expanded are boundary.
     The report carries the fragment, per-vertex weights, the middle part
     counts, and the shape classification.
+
+    The walk needs neither a reduced ring nor branches, so it runs when
+    b = 0 too, where g = y^q f is not squarefree:
+      * Almost split sequences ending (and starting) in a maximal
+        Cohen-Macaulay module exist when the module is locally free on
+        the punctured spectrum (Auslander, "Isolated singularities and
+        existence of almost split sequences", LNM 1178, 1986).  R has
+        dimension one, so that spectrum is the minimal primes P.
+      * The ideal I = (x^m, y^n) qualifies: x does not divide g, so x
+        lies in no minimal prime, and I_P contains the unit x^m, so
+        I_P = R_P.  Nothing here asks R_P to be a field.
+      * Modules locally free there are closed under what the walk does:
+        shifts; syzygies and cosyzygies (Omega^2 is a shift, and a
+        sequence ending in a free R_P-module splits); middle terms of
+        extensions of such modules (the localized sequence splits); and
+        direct summands (projective over the local R_P is free).  So
+        every module the walk meets begins an almost split sequence.
+      * The weights (e_avg) read multiplicity, which adds on exact
+        sequences of modules of dimension one (Matsumura, Commutative
+        Ring Theory, Thm. 14.6) whether or not g is squarefree, and
+        e(R) is read off g, not off the branches.
     """
     parts0, frees0 = decompose(M0)
     if frees0 or len(parts0) != 1:

@@ -170,9 +170,8 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
     not divide g (it contains y^(q+v)), so i0 = 0, and g squarefree
     leaves j0 <= 1, the y-axis branch h = y when j0 = 1.
     """
-    cached = getattr(ring, "_branches_cache", None)
-    if cached is not None:
-        return cached
+    if ring._branches_cache is not None:
+        return ring._branches_cache
     if not ring.is_reduced:
         raise NotSquarefreeError("not squarefree")
     K = ring.field

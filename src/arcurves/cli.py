@@ -16,7 +16,8 @@ from .arengine import (double_push_report, e_avg, explore_component,
                        gamma_for, push, verify_main_theorem,
                        verify_syz_gamma)
 from .branches import factor_hypersurface, gamma_prime, singular_branch
-from .errors import CertificationError, InputError, VerificationError
+from .errors import (CertificationError, InputError, NotSquarefreeError,
+                     VerificationError)
 from .fields import field_from_string
 from .homs import hom_graded
 from .matfact import mf_from_ideal
@@ -185,7 +186,18 @@ def cmd_ring_info(ring, args) -> dict:
     return report
 
 
+def _require_trace_oracle(ring, suite):
+    """The trace oracle reads traces in the total quotient ring Q(R),
+    which is a product of fields only when g is squarefree; g is not
+    squarefree exactly when b = 0 (HypersurfaceRing)."""
+    if not ring.is_reduced:
+        raise NotSquarefreeError(
+            f"verify {suite} runs the trace oracle, which needs a "
+            f"squarefree g: with b = 0, g = y^{ring.q} f is not squarefree")
+
+
 def cmd_verify_main_theorem(ring, args) -> dict:
+    _require_trace_oracle(ring, "main-theorem")
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     rep = verify_main_theorem(I, gd)
@@ -225,6 +237,7 @@ def cmd_verify_trace_oracle(ring, args) -> dict:
     window = args.window if args.window is not None else ring.deg_g
     if window < 0:
         raise InputError("--window must be nonnegative, got %d" % window)
+    _require_trace_oracle(ring, "trace-oracle")
     corpus, _ = _endo_corpus(ring)
     tested = 0
     disagreements = []
@@ -246,6 +259,9 @@ def cmd_verify_trace_oracle(ring, args) -> dict:
                 val = min_t_valuation(images)
                 if not _is_unit_endo(h) and val is not None and val < 1:
                     nonradical.append(dict(where, valuation=val))
+        # no later module reads M's hom spaces, so at most one module's
+        # are held at a time
+        M.clear_hom_layer()
     return {
         "modules": len(corpus),
         "endomorphisms": tested,

@@ -91,13 +91,14 @@ class GradedHom:
         if (self.source is not other.source or self.target is not other.target
                 or self.degree != other.degree):
             raise InputError("cannot add homs from different spaces")
-        return self.space._hom(_combine(((1, self), (1, other)), self.space))
+        return self.space._hom(_combine(((1, self.coords), (1, other.coords)),
+                                        self.space))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, value):
-        return self.space._hom(_combine(((value, self),), self.space))
+        return self.space._hom(_combine(((value, self.coords),), self.space))
 
     def times_monomial(self, i: int, j: int) -> "GradedHom":
         """The hom multiplied by the monomial x^i y^j (degree rises): each
@@ -129,7 +130,10 @@ class HomSpace:
     (see _precomposition).  Its vectors live on the nonpivot coordinates
     of N, so they are already reduced modulo N's relations; the basis is
     their reduced row echelon form in the flat coordinates of a hom
-    matrix, and is therefore canonical.
+    matrix, and is therefore canonical.  The space keeps the basis as
+    coordinates, and basis makes its homs when read: a hom refers to its
+    space, so a space that held its homs would sit in a reference cycle
+    with them, freed only by a full garbage collection.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int):
@@ -164,13 +168,19 @@ class HomSpace:
         for vec in kernel:
             reduced.insert({flat[v]: c for v, c in vec.items()})
         self._span = reduced
-        self.basis = [self._hom(_freeze(reduced.pivots[piv]))
-                      for piv in sorted(reduced.pivots)]
+        self._basis = [_freeze(reduced.pivots[piv])
+                       for piv in sorted(reduced.pivots)]
         self._branch_images: dict = {}
+        self._stably_zero = None  # modmat._stably_zero_span
+
+    @property
+    def basis(self):
+        """The canonical basis, as new homs on every read."""
+        return [GradedHom(self, coords) for coords in self._basis]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._basis)
 
     def _hom(self, coords) -> GradedHom:
         """The hom with these frozen coordinates; the caller certifies it."""
@@ -238,11 +248,8 @@ class HomSpace:
         """Coefficients of a hom of this space in the canonical basis."""
         vec = dict(hom.coords)
         K = self.source.ring.field
-        out = []
-        for b in self.basis:
-            piv = min(dict(b.coords))
-            out.append(vec.get(piv, K.zero))
-        return out
+        # a basis vector's first coordinate is its pivot
+        return [vec.get(coords[0][0], K.zero) for coords in self._basis]
 
     def __repr__(self):
         return (f"HomSpace(dim={self.dim}, deg={self.degree}, "
@@ -265,14 +272,15 @@ def hom_graded(source: GradedModule, target: GradedModule,
 
 
 def hom_from_coefficients(space: HomSpace, coeffs) -> GradedHom:
-    return space._hom(_combine(zip(coeffs, space.basis), space))
+    return space._hom(_combine(zip(coeffs, space._basis), space))
 
 
 def _combine(terms, space: HomSpace):
-    """Frozen coordinates of sum c h over the (c, h) pairs, h in space."""
+    """Frozen coordinates of sum c h over the (c, h.coords) pairs, h in
+    space."""
     out: dict = {}
-    for c, h in terms:
-        for t, v in h.coords:
+    for c, coords in terms:
+        for t, v in coords:
             out[t] = out.get(t, 0) + c * v
     return _freeze(_canonical(out, space.source.ring.field))
 

@@ -353,6 +353,18 @@ class GradedModule:
         self._coord_cache: dict = {}  # (gen, monomial) -> coordinates
         self._hom_cache: dict = {}
         self._trace_cache: dict = {}  # branch -> traceoracle._BranchTrace
+        self._end_generators = None  # traceoracle.end_generators
+
+    def clear_hom_layer(self) -> None:
+        """Drop what the layers above keep on this module: its hom spaces,
+        with the stably zero spans kept on them, its trace functionals and
+        its End generators.  Each refers back to the module, so until they
+        are dropped the module sits in a reference cycle with them that
+        only a full garbage collection frees.  Anything dropped is built
+        again when next asked for."""
+        self._hom_cache.clear()
+        self._trace_cache.clear()
+        self._end_generators = None
 
     # -- graded pieces -------------------------------------------------
 

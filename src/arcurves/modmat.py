@@ -152,9 +152,8 @@ def _stably_zero_span(space: HomSpace) -> SparseRREF:
     Their monomial multiples are read through the target's monomial
     table, modulo the matrices B C.  Built once per hom space.
     """
-    span = getattr(space, "_stably_zero", None)
-    if span is not None:
-        return span
+    if space._stably_zero is not None:
+        return space._stably_zero
     M, N, d = space.source, space.target, space.degree
     ring = M.ring
     span = SparseRREF(ring.field)

@@ -324,6 +324,8 @@ class HypersurfaceRing:
         self._nf_cache: dict[int, dict] = {}
         self._piece_cache: dict[int, list] = {}
         self._s_piece_cache: dict[int, list] = {}
+        self._branches_cache = None  # branches.factor_hypersurface
+        self._annihilators: dict = {}  # traceoracle._in_ring
 
     # ------------------------------------------------------------------
     # construction helpers

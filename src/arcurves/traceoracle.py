@@ -163,7 +163,7 @@ def _in_ring(ring, images, w) -> bool:
     w, kept on the ring, so a test is a product with each of its vectors
     and no elimination.
     """
-    cache = ring.__dict__.setdefault("_annihilators", {})
+    cache = ring._annihilators
     if w not in cache:
         rows = [b.piece_row(w) for b in factor_hypersurface(ring)]
         images_of = [{b: row[t] for b, (row, _) in enumerate(rows) if t in row}
@@ -298,9 +298,8 @@ def end_generators(M: GradedModule) -> EndGenerators:
     set therefore generates End(M) modulo maps through frees, which is
     all the trace and socle tests need.
     """
-    cached = getattr(M, "_end_generators", None)
-    if cached is not None:
-        return cached
+    if M._end_generators is not None:
+        return M._end_generators
     ring = M.ring
     K = ring.field
     spread = max(M.gens) - min(M.gens)

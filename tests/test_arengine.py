@@ -69,6 +69,12 @@ def _nonreduced_cusp():
     return HypersurfaceRing(QQ, p=3, q=4, b=QQ(0), f="1*x^0*y^0", m=1, n=2)
 
 
+def _nonreduced_y6():
+    # b = 0 over F101: g = y^5 y = y^6
+    return HypersurfaceRing(field_from_string("F101"), p=3, q=5, b=0,
+                            f="1*x^0*y^1", m=1, n=2)
+
+
 def _check_z(ring, branches):
     # gamma_for builds z = NF(g/h) with no search and does not check
     # z h = 0; deg(g/h) + deg gamma' = G is why no other z would do
@@ -177,6 +183,25 @@ def test_sequence_does_not_split(cusp_ideal, cusp_datum):
     ident = hom_graded(cusp_ideal, cusp_ideal, 0).from_matrix(
         GradedMatrix.identity(cusp_ideal.ring, cusp_ideal.gens))
     assert not seq.factors_through_left(ident)
+
+
+@pytest.mark.parametrize("make", [_nonreduced_cusp, _nonreduced_y6])
+def test_nonreduced_sequences_are_almost_split_on_the_left(make):
+    # The walk's modules are locally free on the punctured spectrum
+    # (explore_component), so push of I and of syz I is almost split:
+    # the identity does not factor through the middle term, and the
+    # nonunits of positive degree do.
+    ring = make()
+    gd = gamma_for(ring)
+    I = mf_from_ideal(ring).cok(label="I")
+    for M in (I, I.syz()):
+        seq = push(M, gd)
+        ident = hom_graded(M, M, 0).from_matrix(
+            GradedMatrix.identity(ring, M.gens))
+        assert not seq.factors_through_left(ident)
+        for d in range(1, ring.deg_g + 1):
+            for h in hom_graded(M, M, d).basis:
+                assert seq.factors_through_left(h)
 
 
 def test_radical_endos_factor_through_middle(cusp_ideal, cusp_datum):
@@ -422,6 +447,10 @@ def test_W_completes_gamma_on_eta(seed, field):
 def test_multiplicity_averages(two_branch_ideal, cusp_ideal):
     assert e_avg(two_branch_ideal) == 4
     assert e_avg(cusp_ideal) == 3
+    # b = 0: e(R) is the order of g = y^4 or y^6, and no branch is
+    # factored, which would raise NotSquarefreeError
+    for make, e_ring in ((_nonreduced_cusp, 4), (_nonreduced_y6, 6)):
+        assert e_avg(mf_from_ideal(make()).cok()) == e_ring
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)

@@ -1,7 +1,9 @@
 """End-to-end command tests: reports, determinism, exit discipline."""
 
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -309,6 +311,64 @@ def test_verify_trace_oracle_window(cfg, capsys):
     assert doc["pass"] is True
     assert doc["windows"]["endomorphism_degree"] == [-2, 2]
     assert doc["disagreements"] == []
+
+
+def test_trace_oracle_sweep_frees_each_module(cfg, capsys, monkeypatch):
+    # With the cycle collector off, only reference counting frees memory:
+    # a corpus module and the hom spaces it cached must be gone once the
+    # command returns, and the report still counts every module.
+    held = {}
+    endo_corpus, hom_graded = cli._endo_corpus, cli.hom_graded
+
+    def corpus(ring):
+        modules, gd = endo_corpus(ring)
+        held["modules"] = len(modules)
+        held["first"] = weakref.ref(modules[0])
+        return modules, gd
+
+    def spaces(M, N, d):
+        space = hom_graded(M, N, d)
+        if M is held["first"]() and d == 0:
+            held["end0"] = weakref.ref(space)
+        return space
+
+    monkeypatch.setattr(cli, "_endo_corpus", corpus)
+    monkeypatch.setattr(cli, "hom_graded", spaces)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, out, err = _run(capsys, ["verify", "trace-oracle",
+                                       cfg(TWO_BRANCH)])
+        assert (code, err) == (0, "")
+        assert held["first"]() is None and held["end0"]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert json.loads(out)["modules"] == held["modules"] == 5
+
+
+NONREDUCED = TWO_BRANCH.replace("b = 1", "b = 0")
+
+
+@pytest.mark.parametrize("suite", ["main-theorem", "trace-oracle"])
+def test_trace_oracle_suites_name_the_squarefree_requirement(cfg, capsys,
+                                                             suite):
+    code, out, err = _run(capsys, ["verify", suite, cfg(NONREDUCED)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": f"verify {suite} runs the trace oracle, which needs a "
+                   "squarefree g: with b = 0, g = y^4 f is not squarefree"}
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(CUSP.replace("b = 1", "b = 0"), id="y4_Q"),
+    pytest.param(NONREDUCED.replace("q = 4", "q = 5").replace(
+        "field = Q", "field = F101"), id="y6_F101")])
+def test_nonreduced_walks_report(cfg, capsys, text):
+    code, out, err = _run(capsys, ["explore", cfg(text), "--depth", "3"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sequences"] > 0
 
 
 def test_explore_depth_zero_dot(cfg, capsys):
