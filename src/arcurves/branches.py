@@ -80,20 +80,13 @@ class Branch:
         return cached
 
     def evaluate_q(self, qe: QElement):
-        """Image of a fraction as (coeff, t-degree) or None; cached on qe."""
-        key = id(self)
-        if key in qe._image_cache:
-            return qe._image_cache[key]
-        den_img = self.evaluate(qe.den)
+        """Image of a fraction as (coeff, t-degree) or None."""
         num_img = self.evaluate(qe.num)
         if num_img is None:
-            result = None
-        else:
-            K = self.ring.field
-            result = (K(num_img[0] * K.inv(den_img[0])),
-                      num_img[1] - den_img[1])
-        qe._image_cache[key] = result
-        return result
+            return None
+        den_img = self.evaluate(qe.den)
+        K = self.ring.field
+        return K(num_img[0] * K.inv(den_img[0])), num_img[1] - den_img[1]
 
     def describe(self) -> dict:
         return {
@@ -166,9 +159,10 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
     upoly.linear_factors reports split, its exact roots r fill every
     squarefree part of P, so P = lc(P) prod (T - r)^mult and F is a
     scalar times the product of the x^p - r y^q, each a scalar times its
-    binomial branch's h; every mult is 1 here, or this raises.  x does
-    not divide g (it contains y^(q+v)), so i0 = 0, and g squarefree
-    leaves j0 <= 1, the y-axis branch h = y when j0 = 1.
+    binomial branch's h.  Every mult is 1: ring.is_reduced found
+    gcd(P, P') = 1 on this same P.  x does not divide g (it contains
+    y^(q+v)), so i0 = 0, and g squarefree leaves j0 <= 1, the y-axis
+    branch h = y when j0 = 1.
     """
     if ring._branches_cache is not None:
         return ring._branches_cache
@@ -180,11 +174,7 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
     if j0 >= 1:
         branches.append(_axis_branch(ring))
     if stripped.degree > 0:
-        pairs = []
-        for alpha, beta, mult in _factor_binary_form(ring, stripped):
-            if mult >= 2:
-                raise NotSquarefreeError("not squarefree")
-            pairs.append((alpha, beta))
+        pairs = _factor_binary_form(ring, stripped)
         pairs.sort(key=lambda ab: str(K(ab[0] * K.inv(ab[1]))))
         for alpha, beta in pairs:
             branches.append(_binomial_branch(ring, alpha, beta))
@@ -193,7 +183,7 @@ def factor_hypersurface(ring: HypersurfaceRing) -> list[Branch]:
 
 
 def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
-    """Linear factors (alpha, beta, multiplicity) of the form in (x^p, y^q).
+    """Linear factors (alpha, beta) of the form in (x^p, y^q).
 
     Each root r gives T - r with T = x^p / y^q: alpha = 1, beta = -r.
     No root is 0: stripped has an x-free term, so the T^0 coefficient of
@@ -204,7 +194,7 @@ def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
     roots, split = upoly.linear_factors(coeffs, K)
     if not split:
         raise FormSplitError("form does not split over k")
-    return [(K.one, K(-root), mult) for root, mult in roots]
+    return [(K.one, K(-root)) for root, _ in roots]
 
 
 def singular_branch(ring: HypersurfaceRing) -> Branch:

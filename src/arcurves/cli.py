@@ -12,6 +12,16 @@ import argparse
 import json
 import sys
 
+# CPython's built-in SHA-256: hashlib would load OpenSSL, about 3 MB of
+# each job's peak memory, to fingerprint a config of a few hundred bytes.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 from .arengine import (double_push_report, e_avg, explore_component,
                        gamma_for, push, verify_main_theorem,
                        verify_syz_gamma)
@@ -104,58 +114,7 @@ def _config_payload(path: str):
     except UnicodeDecodeError as e:
         raise InputError(
             f"config {path} is not UTF-8 text: {e.reason}") from None
-    return text, _sha256_hex(text.encode("utf-8"))
-
-
-# SHA-256 (FIPS 180-4) in Python: the standard library's would load
-# OpenSSL, about 3 MB of each job's peak memory, to fingerprint a config
-# of a few hundred bytes.
-_MASK = 0xFFFFFFFF
-
-
-def _iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)), by Newton's method on integers."""
-    x = 1 << (n.bit_length() // k + 1)
-    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
-        x = y
-    return x
-
-
-_PRIMES = [p for p in range(2, 312)
-           if all(p % d for d in range(2, _iroot(p, 2) + 1))]
-# The fractional parts of the square roots of the first 8 primes and of
-# the cube roots of the first 64, to 32 bits (sections 4.2.2 and 5.3.3).
-_H0 = [_iroot(p << 64, 2) & _MASK for p in _PRIMES[:8]]
-_ROUND = [_iroot(p << 96, 3) & _MASK for p in _PRIMES]
-
-
-def _rotr(x: int, n: int) -> int:
-    return (x >> n | x << (32 - n)) & _MASK
-
-
-def _sha256_hex(data: bytes) -> str:
-    """The SHA-256 digest of data, as hexadecimal."""
-    size = len(data)
-    data += b"\x80" + bytes((55 - size) % 64) + (8 * size).to_bytes(8, "big")
-    state = _H0
-    for off in range(0, len(data), 64):
-        w = [int.from_bytes(data[t:t + 4], "big")
-             for t in range(off, off + 64, 4)]
-        for t in range(16, 64):
-            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ w[t - 15] >> 3
-            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ w[t - 2] >> 10
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK)
-        a, b, c, d, e, f, g, h = state
-        for k, x in zip(_ROUND, w):
-            t1 = (h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25))
-                  + (e & f ^ ~e & g) + k + x)
-            t2 = ((_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22))
-                  + (a & b ^ a & c ^ b & c))
-            a, b, c, d, e, f, g, h = ((t1 + t2) & _MASK, a, b, c,
-                                      (d + t1) & _MASK, e, f, g)
-        state = [(u + v) & _MASK
-                 for u, v in zip(state, (a, b, c, d, e, f, g, h))]
-    return b"".join(u.to_bytes(4, "big") for u in state).hex()
+    return text, _sha256(text.encode("utf-8")).hexdigest()
 
 
 def _ideal_module(ring):
@@ -206,6 +165,7 @@ def cmd_verify_main_theorem(ring, args) -> dict:
 
 
 def cmd_verify_syz_gamma(ring, args) -> dict:
+    _require_trace_oracle(ring, "syz-gamma")
     I = _ideal_module(ring)
     gd = gamma_for(ring)
     reports = [verify_syz_gamma(I, gd)]
@@ -308,7 +268,7 @@ def cmd_push(ring, args) -> dict:
         "sequence": seq.describe(),
         "ranks": seq.ranks,
         "e_avg": {"left": str(e_avg(seq.left)),
-                  "middle": str(e_avg(seq.middle))} if ring.is_reduced else {},
+                  "middle": str(e_avg(seq.middle))},
         "middle_summands": [list(p.gens) for p in parts],
         "middle_free_summands": frees,
         "windows": {"hilbert_additivity": seq.additivity_degree},

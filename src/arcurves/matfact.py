@@ -295,11 +295,17 @@ def mf_check(phi: GradedMatrix, psi: GradedMatrix) -> bool:
 
 
 def mf_from_ideal(ring: HypersurfaceRing) -> MatrixFactorization:
-    """The factorization presenting the two-generated ideal (x^m, y^n).
+    """The factorization presenting the two-generated ideal I = (x^m, y^n).
 
-    Generators sit in degrees (m q, n p); the pair is checked exactly and
-    the cokernel's Hilbert function is compared against the ideal
-    degreewise.
+    Generators sit in degrees (m q, n p).  The pair is proved, not
+    multiplied out: corner x^m = g - y^(q+v), so each diagonal entry of
+    phi psi is corner x^m + y^(q+v) = g and each off-diagonal one
+    cancels, and phi psi = g Id.  cok phi = I: phi's columns, the Koszul
+    column (-y^n, x^m) and the column (corner, y^(q+v-n)) that writes g
+    in x^m, y^n, are relations of (x^m, y^n) in R.  They span all of
+    them: if a x^m + b y^n = c g in S, then (a, b) - c (corner,
+    y^(q+v-n)) is a syzygy of the regular sequence x^m, y^n in S, a
+    multiple of (-y^n, x^m).
     """
     m, n = ring.m, ring.n
     if m is None or n is None:
@@ -316,20 +322,7 @@ def mf_from_ideal(ring: HypersurfaceRing) -> MatrixFactorization:
         [ring.monomial(m, 0), ring.monomial(0, n)],
         [-ring.monomial(0, q + v - n), corner],
     ])
-    mf = MatrixFactorization(phi, psi)
-    module = mf.cok(label="I")
-    for d in range(0, 3 * D + 1):
-        if module.piece_dim(d) != _ideal_piece_dim(ring, m, n, d):
-            raise VerificationError(
-                f"cok phi disagrees with the ideal (x^m, y^n) in degree {d}")
-    return mf
-
-
-def _ideal_piece_dim(ring, m, n, d) -> int:
-    pos = {(0, mono): t for t, mono in enumerate(ring.graded_piece(d))}
-    gens = ((m * ring.q, [ring.monomial(m, 0)]),
-            (n * ring.p, [ring.monomial(0, n)]))
-    return _span_rref(ring, d, gens, _scatter(pos)).rank
+    return MatrixFactorization._derived(phi, psi)
 
 
 # ----------------------------------------------------------------------

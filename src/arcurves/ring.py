@@ -472,18 +472,16 @@ class QElement:
 
     The numerator is homogeneous and the denominator c x^e, a
     nonzerodivisor, so equality, arithmetic, and membership in R are all
-    decided exactly.  Branch images are cached by the branch module.
+    decided exactly.
     """
 
-    __slots__ = ("ring", "num", "den", "_image_cache", "_in_ring_cache")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: HypersurfaceRing, num: WPoly, den: WPoly):
         _x_power(den)
         self.ring = ring
         self.num = ring.normal_form(num)
         self.den = den
-        self._image_cache: dict = {}
-        self._in_ring_cache = ("unset",)
 
     @property
     def degree(self):
@@ -496,9 +494,7 @@ class QElement:
 
     def in_ring(self):
         """The element of R this fraction equals, in normal form, or None."""
-        if self._in_ring_cache == ("unset",):
-            self._in_ring_cache = self.ring.q_membership(self.num, self.den)
-        return self._in_ring_cache
+        return self.ring.q_membership(self.num, self.den)
 
     def __mul__(self, other):
         """The fraction times a polynomial or a scalar."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd as igcd, lcm
 
-from .errors import CertificationError, InconclusiveSplitError
+from .errors import InconclusiveSplitError
 from .fields import QQ, PrimeField, is_prime
 
 # Good primes tried before a factor of degree >= 4 over Q is given up on.
@@ -274,14 +274,13 @@ def idempotent(f, factors, K):
     """e with e = 1 mod f1^e1, e = 0 mod f / f1^e1 and deg e < deg f.
 
     e = t (f / f1^e1) with t the gcdex cofactor, deg t < deg f1^e1.
+    The factors are distinct monic irreducibles, so f1^e1 and f / f1^e1
+    are coprime and t (f / f1^e1) = 1 modulo f1^e1.
     """
     f1, e1 = factors[0]
     block = [K.one]
     for _ in range(e1):
         block = mul(block, f1, K)
     rest = divmod_(f, block, K)[0]
-    t, h = gcdex(block, rest, K)
-    if len(h) != 1:
-        raise CertificationError("factor blocks of the minimal polynomial "
-                                 "are not coprime")
+    t, _ = gcdex(block, rest, K)
     return mul(t, rest, K)

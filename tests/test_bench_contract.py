@@ -51,8 +51,8 @@ def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
     # must stay byte-identical to the recorded ones.  A split part whose
     # indecomposability its parent's minimal polynomial proves builds no
     # top algebra of its own: 24 in all, 6 per walk.  A factorization
-    # derived from a certified one is not multiplied out again: 176
-    # matrix products in all.
+    # derived from a certified one, or proved where it is built as the
+    # ideal's is, is not multiplied out: 172 matrix products in all.
     workloads, traced = bench
     jobs = [job for job in workloads.WORKLOADS["component_walk"]
             if not job.known_defect]
@@ -73,7 +73,7 @@ def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
                                   result["stdout"], result["stderr"])
         assert verdict == "pass", (job.id, result["stderr"])
     assert len(built) == 24
-    assert len(products) == 176
+    assert len(products) == 172
 
 
 def test_trace_sweep_jobs_match_the_golden_reports(bench, monkeypatch):

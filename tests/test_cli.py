@@ -59,10 +59,13 @@ def test_ring_info_cusp(cfg, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 119, 120, 1000])
-def test_config_digest_matches_hashlib(size):
+def test_config_digest_matches_hashlib(size, tmp_path):
     # Sizes on both sides of the one- and two-block padding boundaries.
-    data = bytes((7 * i + 3) % 256 for i in range(size))
-    assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+    text = "".join(chr(32 + (7 * i + 3) % 95) for i in range(size))
+    path = tmp_path / "ring.cfg"
+    path.write_bytes(text.encode("utf-8"))
+    assert cli._config_payload(str(path)) == (
+        text, hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 def test_ring_info_two_branches(cfg, capsys):
@@ -227,6 +230,37 @@ def test_cli_loads_no_openssl():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_config_digest_on_every_import_path():
+    # The digest comes from _sha2 (CPython 3.12+), else from _sha256
+    # (3.10 and 3.11), else from hashlib: hide the first, then both, so
+    # the paths this interpreter does not take run too.
+    import os
+    import subprocess
+    import sys
+
+    import arcurves
+    path = str(Path(__file__).resolve().parent.parent / "demos" / "cusp.cfg")
+    script = ("import contextlib, io, json, sys\n"
+              "for name in json.loads(sys.argv[1]):\n"
+              "    sys.modules[name] = None\n"
+              "from arcurves import cli\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              "    assert cli.main(['ring-info', sys.argv[2]]) == 0\n"
+              "print(json.loads(out.getvalue())['config_sha256'])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(arcurves.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    expected = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    for hidden in ([], ["_sha2"], ["_sha2", "_sha256"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(hidden), path],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (hidden, proc.stderr)
+        assert proc.stdout.strip() == expected, hidden
+
+
 def test_ring_info_over_mersenne_61_field(cfg, capsys):
     # 2^61 - 1 is certified prime without trial division, and the
     # branch's p-th root is found in F_(2^61 - 1).
@@ -350,7 +384,8 @@ def test_trace_oracle_sweep_frees_each_module(cfg, capsys, monkeypatch):
 NONREDUCED = TWO_BRANCH.replace("b = 1", "b = 0")
 
 
-@pytest.mark.parametrize("suite", ["main-theorem", "trace-oracle"])
+@pytest.mark.parametrize("suite", ["main-theorem", "syz-gamma",
+                                   "trace-oracle"])
 def test_trace_oracle_suites_name_the_squarefree_requirement(cfg, capsys,
                                                              suite):
     code, out, err = _run(capsys, ["verify", suite, cfg(NONREDUCED)])
@@ -447,6 +482,14 @@ def test_push_report(cfg, capsys):
     assert doc["ranks"] == {"left": [1], "middle": [2], "right": [1]}
     assert doc["middle_summands"] == [[4, 6, 5, 3]]
     assert doc["sequence"]["middle"]["generator_degrees"] == [4, 6, 5, 3]
+
+
+def test_push_reports_e_avg_on_a_nonreduced_ring(cfg, capsys):
+    # b = 0: g = y^4, and e_avg reads e(R) off the order of g
+    code, out, err = _run(capsys, ["push", cfg(CUSP.replace("b = 1",
+                                                            "b = 0"))])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["e_avg"] == {"left": "4", "middle": "8"}
 
 
 def test_decompose_report(cfg, capsys):

@@ -59,6 +59,31 @@ def test_ideal_factorization_entries(two_branch_ring, cusp_ring):
                                        ["1*x^0*y^2", "1*x^1*y^0"]]
 
 
+def _ideal_rings():
+    for field in ("Q", "F101", "F7"):
+        for seed in range(6):
+            yield random_ring(random.Random(seed), field_from_string(field))
+    # b = 0: g = y^4 over Q and g = y^6 over F101
+    yield HypersurfaceRing(QQ, p=3, q=4, b=0, f="1*x^0*y^0", m=1, n=2)
+    yield HypersurfaceRing(field_from_string("F101"), p=3, q=5, b=0,
+                           f="1*x^0*y^1", m=1, n=2)
+
+
+@pytest.mark.parametrize("ring", list(_ideal_rings()), ids=repr)
+def test_ideal_factorization_presents_the_ideal(ring):
+    # mf_from_ideal proves phi psi = g Id and cok phi = (x^m, y^n) and
+    # multiplies nothing out: check both, the Hilbert function against
+    # the span of x^m and y^n in R_d
+    mf = mf_from_ideal(ring)
+    assert mf_check(mf.phi, mf.psi)
+    I = mf.cok()
+    gens = ((ring.m * ring.q, [ring.monomial(ring.m, 0)]),
+            (ring.n * ring.p, [ring.monomial(0, ring.n)]))
+    for d in range(3 * ring.deg_g + 1):
+        pos = {(0, mono): t for t, mono in enumerate(ring.graded_piece(d))}
+        assert I.piece_dim(d) == _span_rref(ring, d, gens, _scatter(pos)).rank
+
+
 def test_mf_check_rejects_mismatch(cusp_ring):
     mf = mf_from_ideal(cusp_ring)
     assert mf_check(mf.phi, mf.psi)
