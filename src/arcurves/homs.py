@@ -271,6 +271,16 @@ def hom_graded(source: GradedModule, target: GradedModule,
     return space
 
 
+def drop_hom_graded(source: GradedModule, target: GradedModule,
+                    degree: int) -> None:
+    """Forget the space hom_graded cached for these arguments, and the
+    stably zero span kept on it.  A hom of the space keeps the space
+    alive; the next hom_graded call builds it again."""
+    cached = source._hom_cache.pop((id(target), degree), None)
+    if cached is not None:
+        cached[1]._stably_zero = None
+
+
 def hom_from_coefficients(space: HomSpace, coeffs) -> GradedHom:
     return space._hom(_combine(zip(coeffs, space._basis), space))
 

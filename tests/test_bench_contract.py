@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from arcurves.homs import HomSpace
 from arcurves.modmat import GradedMatrix, TopAlgebra
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -79,17 +80,25 @@ def test_component_walk_jobs_match_the_golden_reports(bench, monkeypatch):
 def test_trace_sweep_jobs_match_the_golden_reports(bench, monkeypatch):
     # The four timed trace-oracle sweeps read every hom through the
     # modules' monomial tables: their reports must stay byte-identical to
-    # the recorded ones.
+    # the recorded ones.  A sweep drops each degree's hom space once it is
+    # tested, but never one it reads again: 616 spaces are built in all,
+    # none of them twice.
     workloads, traced = bench
     jobs = [job for job in workloads.WORKLOADS["trace_sweep"]
             if not job.known_defect]
     assert len(jobs) == 4
     golden = workloads.load_golden()
     monkeypatch.chdir(workloads.ROOT)
+    built = []
+    init = HomSpace.__init__
+    monkeypatch.setattr(HomSpace, "__init__",
+                        lambda self, *args: built.append(1)
+                        or init(self, *args))
     for job, result in zip(jobs, traced.run_pass(jobs, seed=0)):
         verdict = workloads.check(job, golden, result["rc"],
                                   result["stdout"], result["stderr"])
         assert verdict == "pass", (job.id, result["stderr"])
+    assert len(built) == 616
 
 
 def test_import_loads_no_heavy_modules():

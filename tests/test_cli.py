@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arcurves import cli
+from arcurves import cli, end_generators
 
 TWO_BRANCH = """\
 field = Q
@@ -206,8 +206,9 @@ def test_cli_loads_no_sympy(cfg, text):
 
 
 def test_cli_loads_no_openssl():
-    # The config fingerprint is computed in Python: no command loads
-    # OpenSSL through hashlib.
+    # The config fingerprint comes from CPython's built-in SHA-256
+    # (_sha2, or _sha256 before 3.12): no command loads OpenSSL through
+    # hashlib.
     import os
     import subprocess
     import sys
@@ -348,10 +349,13 @@ def test_verify_trace_oracle_window(cfg, capsys):
 
 
 def test_trace_oracle_sweep_frees_each_module(cfg, capsys, monkeypatch):
-    # With the cycle collector off, only reference counting frees memory:
-    # a corpus module and the hom spaces it cached must be gone once the
-    # command returns, and the report still counts every module.
-    held = {}
+    # With the cycle collector off, only reference counting frees memory.
+    # When the sweep asks for degree d + 1 of the first module, degree d's
+    # hom space is gone unless an End generator of degree d keeps it; the
+    # first module is gone when the sweep asks for the next module's
+    # spaces; the rest are gone once the command returns, and the report
+    # still counts every module.
+    held = {"spaces": {}, "alive": [], "next": []}
     endo_corpus, hom_graded = cli._endo_corpus, cli.hom_graded
 
     def corpus(ring):
@@ -361,9 +365,16 @@ def test_trace_oracle_sweep_frees_each_module(cfg, capsys, monkeypatch):
         return modules, gd
 
     def spaces(M, N, d):
+        if M is held["first"]():
+            kept = {g.degree for g in end_generators(M).gens}
+            prior = held["spaces"].get(d - 1)
+            if prior is not None and prior() is not None and d - 1 not in kept:
+                held["alive"].append(d - 1)
+        elif not held["next"]:
+            held["next"].append(held["first"]() is None)
         space = hom_graded(M, N, d)
-        if M is held["first"]() and d == 0:
-            held["end0"] = weakref.ref(space)
+        if M is held["first"]():
+            held["spaces"][d] = weakref.ref(space)
         return space
 
     monkeypatch.setattr(cli, "_endo_corpus", corpus)
@@ -374,10 +385,13 @@ def test_trace_oracle_sweep_frees_each_module(cfg, capsys, monkeypatch):
         code, out, err = _run(capsys, ["verify", "trace-oracle",
                                        cfg(TWO_BRANCH)])
         assert (code, err) == (0, "")
-        assert held["first"]() is None and held["end0"]() is None
+        assert held["first"]() is None and held["spaces"][0]() is None
     finally:
         if enabled:
             gc.enable()
+    # the default window is [-deg g, deg g], deg g = 15
+    assert sorted(held["spaces"]) == list(range(-15, 16))
+    assert held["alive"] == [] and held["next"] == [True]
     assert json.loads(out)["modules"] == held["modules"] == 5
 
 

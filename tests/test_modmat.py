@@ -17,8 +17,9 @@ from arcurves import (GradedMatrix, InputError, MatrixFactorization,
                       poly_from_string, push, random_ring, rank_vector,
                       solve_graded_system,
                       stably_zero_bruteforce, factor_hypersurface)
-from arcurves import (QQ, HypersurfaceRing, WPoly, arengine, end_generators,
-                      explore_component, homs, matfact, modmat, upoly)
+from arcurves import (QQ, HypersurfaceRing, PrimeField, WPoly, arengine,
+                      end_generators, explore_component, homs, matfact,
+                      modmat, upoly)
 from arcurves.cli import _endo_corpus
 from arcurves.errors import (CertificationError, InconclusiveSplitError,
                              VerificationError)
@@ -536,6 +537,54 @@ def test_hom_spaces_solve_no_matrix_equation(monkeypatch, two_branch_ring):
             for d in range(-4, 5):
                 _stably_zero_span(hom_graded(M, N, d))
     assert calls == []
+
+
+def _stable_corpus(ring):
+    """I, syz I, the right term of push(I) and its middle term: whole, or
+    split into its parts."""
+    I = mf_from_ideal(ring).cok(label="I")
+    seq = push(I, gamma_for(ring))
+    return [I, I.syz(), seq.right], seq.middle
+
+
+def _hom_dims(M, N, d):
+    """(dim Hom(M, N)_d, dim of its stable quotient)."""
+    space = hom_graded(M, N, d)
+    return space.dim, space.dim - _stably_zero_span(space).rank
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("seed", range(6))
+def test_stable_hom_has_serre_functor_shift_by_a(seed, field):
+    # The graded stable category of MCM modules over R has Serre functor
+    # (a(R)) (Auslander; Buchweitz; Yoshino, Ch. 3), a(R) = deg g - p - q:
+    # dim Hom_st(M, N)_d = dim Hom_st(N, M)_(a - d).
+    ring = random_ring(random.Random(seed), field_from_string(field))
+    modules, middle = _stable_corpus(ring)
+    modules.extend(decompose(middle)[0])
+    a, D = ring.gamma_degree, ring.deg_g
+    assert a == D - ring.p - ring.q
+    for M, N in itertools.product(modules, repeat=2):
+        for d in range(-D, D + 1):
+            assert (_hom_dims(M, N, d)[1]
+                    == _hom_dims(N, M, a - d)[1]), (M, N, d)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hom_dims_over_q_match_a_large_prime(seed):
+    # Hom and stable-hom dimensions are read off ranks, and a rank over Q
+    # drops mod p only when p divides every minor that carries it: the
+    # same ring over F_1000000007 must give the same dimensions.
+    def dims(field):
+        ring = random_ring(random.Random(seed), field)
+        modules, middle = _stable_corpus(ring)
+        modules.append(middle)
+        D = ring.deg_g
+        return [_hom_dims(M, N, d)
+                for M, N in itertools.product(modules, repeat=2)
+                for d in range(-D, D + 1)]
+
+    assert dims(QQ) == dims(PrimeField(1000000007))
 
 
 def _direct_sum(a: MatrixFactorization, b: MatrixFactorization):
