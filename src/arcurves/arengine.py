@@ -243,15 +243,39 @@ def _rank_unit_check(module, gd, what):
     return r
 
 
+def _glued(mf: MatrixFactorization, A: GradedMatrix,
+           B: GradedMatrix) -> MatrixFactorization:
+    """The pair ([[phi, -A(-D)], [0, psi(delta)]], [[psi, B], [0, phi(G)]])
+    glued from mf = (phi, psi), delta = G - D, for A from psi.cols to
+    psi.cols + G and B with phi B = A phi on the nose: a factorization of
+    g with no product taken, as its product is [[phi psi, phi B - A phi],
+    [0, psi phi]] = g Id.  push glues (alpha, beta), double_extension
+    (W, V)."""
+    ring = mf.ring
+    D, G = ring.deg_g, ring.gamma_degree
+    delta = G - D
+    phi, psi = mf.phi, mf.psi
+    first = block_matrix(
+        ring,
+        [[phi, -A.shift(-D)], [None, psi.shift(delta)]],
+        rows=phi.rows + tuple(r + delta for r in psi.rows),
+        cols=phi.cols + tuple(c + delta for c in psi.cols))
+    second = block_matrix(
+        ring,
+        [[psi, B], [None, phi.shift(G)]],
+        rows=psi.rows + tuple(r + G for r in phi.rows),
+        cols=psi.cols + tuple(c + G for c in phi.cols))
+    return MatrixFactorization._derived(first, second)
+
+
 def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     """The almost split sequence starting at M.
 
     The middle term is the cokernel of the doubled factorization
     xi = [[phi, -alpha], [0, psi]], paired with eta = [[psi, beta],
     [0, phi]]; the right term is the cosyzygy of M shifted down by
-    gamma's degree, M.mf.syz().shift(-delta).  Neither pair is multiplied
-    out: xi eta = [[phi psi, phi beta - alpha phi], [0, psi phi]] = g Id
-    on the nose, as phi beta = alpha phi (_alpha_beta).  Preconditions:
+    gamma's degree, M.mf.syz().shift(-delta).  The pair is not multiplied
+    out (_glued), as phi beta = alpha phi (_alpha_beta).  Preconditions:
     M carries a reduced factorization and every indecomposable summand
     (the list may be supplied to skip a fresh decomposition) has branch
     rank nonzero in k.  Certified: alpha and beta (see _alpha_beta), and
@@ -277,22 +301,10 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     for part in summands:
         _rank_unit_check(part, gd, part.label or "a summand")
     alpha, beta = _alpha_beta(M, gd)
-    phi, psi = M.mf.phi, M.mf.psi
-    D, G = ring.deg_g, ring.gamma_degree
-    delta = G - D
-    xi = block_matrix(
-        ring,
-        [[phi, -alpha.shift(-D)], [None, psi.shift(delta)]],
-        rows=phi.rows + tuple(r + delta for r in psi.rows),
-        cols=phi.cols + tuple(c + delta for c in psi.cols))
-    eta = block_matrix(
-        ring,
-        [[psi, beta], [None, phi.shift(G)]],
-        rows=psi.rows + tuple(r + G for r in phi.rows),
-        cols=psi.cols + tuple(c + G for c in phi.cols))
     label = M.label or "M"
-    middle = MatrixFactorization._derived(xi, eta).cok(
-        label="push(%s)" % label)
+    middle = _glued(M.mf, alpha, beta).cok(label="push(%s)" % label)
+    G = ring.gamma_degree
+    delta = G - ring.deg_g
     right = M.mf.syz().shift(-delta).cok(label="cosyz(%s)(%d)" % (label, -G))
 
     branches = (factor_hypersurface(ring) if ring.is_reduced else [gd.branch])
@@ -370,27 +382,14 @@ def double_extension(seq: ARSequence, W: GradedMatrix) -> MatrixFactorization:
 
     theta stacks the doubled factorization against its shift, glued by
     -W; theta' is forced, with corner block V = eta W xi / g.  The pair
-    is a factorization of g with no product taken: theta theta' has
-    diagonal blocks xi eta = g Id and eta xi = g Id, and corner
-    xi V - W xi = 0 on the nose, since the exact division gives
-    eta W xi = g V and so xi V = xi eta W xi / g = W xi.
+    is a factorization of g with no product taken (_glued), as
+    xi V = W xi on the nose: the exact division gives eta W xi = g V, so
+    xi V = xi eta W xi / g = W xi.
     """
     ring = seq.left.ring
-    D, G = ring.deg_g, ring.gamma_degree
-    delta = G - D
     xi, eta = seq.middle.mf.phi, seq.middle.mf.psi
-    theta = block_matrix(
-        ring,
-        [[xi, -W.shift(-D)], [None, eta.shift(delta)]],
-        rows=xi.rows + tuple(r + delta for r in eta.rows),
-        cols=xi.cols + tuple(c + delta for c in eta.cols))
-    V = eta.mul(W).mul(xi.shift(D + G)).div_exact_g()
-    theta_p = block_matrix(
-        ring,
-        [[eta, V], [None, xi.shift(G)]],
-        rows=eta.rows + tuple(r + G for r in xi.rows),
-        cols=eta.cols + tuple(c + G for c in xi.cols))
-    return MatrixFactorization._derived(theta, theta_p)
+    V = eta.mul(W).mul(xi.shift(ring.deg_g + ring.gamma_degree)).div_exact_g()
+    return _glued(seq.middle.mf, W, V)
 
 
 # ----------------------------------------------------------------------

@@ -37,9 +37,6 @@ from .ring import HypersurfaceRing, poly_from_string
 from .traceoracle import (end_generators, is_integral, min_t_valuation,
                           stably_zero_trace, trace_images)
 
-VERIFY_SUITES = ("main-theorem", "syz-gamma", "trace-oracle", "section7")
-
-
 # ----------------------------------------------------------------------
 # config parsing
 
@@ -244,6 +241,18 @@ def cmd_verify_section7(ring, args) -> dict:
     return double_push_report(ring)
 
 
+VERIFY_SUITES = {"main-theorem": cmd_verify_main_theorem,
+                 "syz-gamma": cmd_verify_syz_gamma,
+                 "trace-oracle": cmd_verify_trace_oracle,
+                 "section7": cmd_verify_section7}
+
+
+def cmd_verify(ring, args) -> dict:
+    if args.window is not None and args.which != "trace-oracle":
+        raise InputError("--window applies only to verify trace-oracle")
+    return VERIFY_SUITES[args.which](ring, args)
+
+
 def cmd_explore(ring, args) -> dict:
     if args.depth < 0:
         raise InputError("--depth must be nonnegative, got %d" % args.depth)
@@ -328,23 +337,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+COMMANDS = {"ring-info": cmd_ring_info, "verify": cmd_verify,
+            "explore": cmd_explore, "push": cmd_push,
+            "decompose": cmd_decompose}
+
+# How main reports an error of each class: its "error" kind and exit
+# code.  Any other exception is internal, exit code 4.
+ERRORS = {OSError: ("input", 2), InputError: ("input", 2),
+          VerificationError: ("verification", 1),
+          CertificationError: ("certification", 3)}
+
+
 def _dispatch(ring, args):
-    if args.command == "ring-info":
-        return cmd_ring_info(ring, args)
-    if args.command == "verify":
-        if args.window is not None and args.which != "trace-oracle":
-            raise InputError("--window applies only to verify trace-oracle")
-        return {
-            "main-theorem": cmd_verify_main_theorem,
-            "syz-gamma": cmd_verify_syz_gamma,
-            "trace-oracle": cmd_verify_trace_oracle,
-            "section7": cmd_verify_section7,
-        }[args.which](ring, args)
-    if args.command == "explore":
-        return cmd_explore(ring, args)
-    if args.command == "push":
-        return cmd_push(ring, args)
-    return cmd_decompose(ring, args)
+    return COMMANDS[args.command](ring, args)
 
 
 def _render(doc) -> str:
@@ -371,25 +376,13 @@ def main(argv=None) -> int:
         doc["config_sha256"] = sha
         doc["seed"] = args.seed
         _write(args.out, _render(doc))
-    except (OSError, InputError) as e:
-        sys.stderr.write(json.dumps({"error": "input", "message": str(e)},
-                                    sort_keys=True) + "\n")
-        return 2
-    except VerificationError as e:
-        sys.stderr.write(json.dumps(
-            {"error": "verification", "message": str(e)},
-            sort_keys=True) + "\n")
-        return 1
-    except CertificationError as e:
-        sys.stderr.write(json.dumps(
-            {"error": "certification", "message": str(e)},
-            sort_keys=True) + "\n")
-        return 3
     except Exception as e:
-        sys.stderr.write(json.dumps(
-            {"error": "internal", "message": f"{type(e).__name__}: {e}"},
-            sort_keys=True) + "\n")
-        return 4
+        kind, code = next((ERRORS[c] for c in type(e).__mro__
+                           if c in ERRORS), ("internal", 4))
+        message = f"{type(e).__name__}: {e}" if code == 4 else str(e)
+        sys.stderr.write(json.dumps({"error": kind, "message": message},
+                                    sort_keys=True) + "\n")
+        return code
     return 0 if doc.get("pass", True) else 1
 
 

@@ -13,7 +13,7 @@ and nothing of modmat.
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import SparseRREF, kernel_sparse
+from .linalg import kernel_sparse
 from .matfact import GradedMatrix, GradedModule, _canonical
 from .ring import WPoly
 
@@ -128,12 +128,17 @@ class HomSpace:
     Hom(cok A, N)_d is the kernel of precomposition X -> X A on the sum
     of the pieces N_(w_j + d) over the generator degrees w_j of cok A
     (see _precomposition).  Its vectors live on the nonpivot coordinates
-    of N, so they are already reduced modulo N's relations; the basis is
-    their reduced row echelon form in the flat coordinates of a hom
-    matrix, and is therefore canonical.  The space keeps the basis as
-    coordinates, and basis makes its homs when read: a hom refers to its
-    space, so a space that held its homs would sit in a reference cycle
-    with them, freed only by a full garbage collection.
+    of N, so they are already reduced modulo N's relations.  The basis
+    is the one kernel_sparse reads off the map's RREF with the columns
+    keyed in decreasing flat coordinate of a hom matrix: the vector of
+    free column f is 1 at f and elsewhere nonzero only at pivot columns
+    left of f, so at larger flat coordinates, and at no free column.  So
+    in flat coordinates the basis, reversed, is in reduced row echelon
+    form, and is the canonical basis by uniqueness of the RREF.  The
+    space keeps it once, as frozen coordinates, and basis makes its homs
+    when read: a hom refers to its space, so a space that held its homs
+    would sit in a reference cycle with them, freed only by a full
+    garbage collection.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int):
@@ -162,14 +167,15 @@ class HomSpace:
                       for j, ws in enumerate(source.gens)]
 
         variables, rows = _precomposition(source.matrix, target, degree)
-        kernel = kernel_sparse(rows, len(variables), ring.field)
         flat = [self._flat[j][t] for j, t in variables]
-        reduced = SparseRREF(ring.field)
-        for vec in kernel:
-            reduced.insert({flat[v]: c for v, c in vec.items()})
-        self._span = reduced
-        self._basis = [_freeze(reduced.pivots[piv])
-                       for piv in sorted(reduced.pivots)]
+        # column k of the kernel: the k-th largest flat coordinate
+        by_flat = sorted(flat, reverse=True)
+        column = {f: k for k, f in enumerate(by_flat)}
+        kernel = kernel_sparse(
+            ({column[flat[v]]: c for v, c in row.items()} for row in rows),
+            len(flat), ring.field)
+        self._basis = [_freeze({by_flat[k]: c for k, c in vec.items()})
+                       for vec in reversed(kernel)]
         self._branch_images: dict = {}
         self._stably_zero = None  # modmat._stably_zero_span
 
@@ -235,11 +241,13 @@ class HomSpace:
 
     def from_matrix(self, H: GradedMatrix) -> GradedHom:
         """The hom given by a matrix from outside the hom layer, certified
-        a hom by membership of its coordinates in this space's span."""
-        coords = self.coords_of(H)
-        if not self._span.contains(dict(coords)):
+        a hom by membership of its coordinates v in this space's span: as
+        basis vector b_i alone is nonzero at its pivot, v lies in the
+        span exactly when v = sum v[pivot_i] b_i."""
+        hom = self._hom(self.coords_of(H))
+        if hom_from_coefficients(self, self.expand(hom)) != hom:
             raise InputError("matrix does not define a homomorphism here")
-        return self._hom(coords)
+        return hom
 
     def zero(self) -> GradedHom:
         return self._hom(())

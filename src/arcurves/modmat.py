@@ -169,8 +169,7 @@ def _stably_zero_span(space: HomSpace) -> SparseRREF:
 
 def stably_zero_bruteforce(h: GradedHom) -> bool:
     """Whether h factors through a free module, by direct linear algebra."""
-    space = hom_graded(h.source, h.target, h.degree)
-    return _stably_zero_span(space).contains(dict(h.coords))
+    return _stably_zero_span(h.space).contains(dict(h.coords))
 
 
 def stable_end_dim(M: GradedModule, d: int) -> int:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from arcurves.homs import HomSpace
+from arcurves.linalg import SparseRREF
 from arcurves.modmat import GradedMatrix, TopAlgebra
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -82,23 +83,37 @@ def test_trace_sweep_jobs_match_the_golden_reports(bench, monkeypatch):
     # modules' monomial tables: their reports must stay byte-identical to
     # the recorded ones.  A sweep drops each degree's hom space once it is
     # tested, but never one it reads again: 616 spaces are built in all,
-    # none of them twice.
+    # none of them twice.  A space is one elimination, the kernel of its
+    # precomposition map, beside the monomial tables it fills: 3118 rows
+    # are inserted while spaces are built.
     workloads, traced = bench
     jobs = [job for job in workloads.WORKLOADS["trace_sweep"]
             if not job.known_defect]
     assert len(jobs) == 4
     golden = workloads.load_golden()
     monkeypatch.chdir(workloads.ROOT)
-    built = []
+    built, building, inserted = [], [], []
     init = HomSpace.__init__
-    monkeypatch.setattr(HomSpace, "__init__",
-                        lambda self, *args: built.append(1)
-                        or init(self, *args))
+
+    def counted_init(self, *args):
+        built.append(1)
+        building.append(1)
+        try:
+            init(self, *args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(HomSpace, "__init__", counted_init)
+    insert = SparseRREF.insert
+    monkeypatch.setattr(SparseRREF, "insert",
+                        lambda self, row: inserted.extend(building[:1])
+                        or insert(self, row))
     for job, result in zip(jobs, traced.run_pass(jobs, seed=0)):
         verdict = workloads.check(job, golden, result["rc"],
                                   result["stdout"], result["stderr"])
         assert verdict == "pass", (job.id, result["stderr"])
     assert len(built) == 616
+    assert len(inserted) == 3118
 
 
 def test_import_loads_no_heavy_modules():

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from arcurves import cli, end_generators
+from arcurves.errors import (CertificationError, InconclusiveSplitError,
+                             InputError, NotSquarefreeError,
+                             VerificationError)
 
 TWO_BRANCH = """\
 field = Q
@@ -286,6 +289,25 @@ def test_unexpected_exception_is_internal_error(cfg, capsys, monkeypatch):
     assert code == 4 and out == ""
     assert json.loads(err) == {"error": "internal",
                                "message": "RuntimeError: boom"}
+
+
+@pytest.mark.parametrize("error, kind, code", [
+    (FileNotFoundError(2, "gone"), "input", 2),
+    (InputError("bad input"), "input", 2),
+    (NotSquarefreeError("not squarefree"), "input", 2),
+    (VerificationError("false"), "verification", 1),
+    (CertificationError("uncertified"), "certification", 3),
+    (InconclusiveSplitError("inconclusive"), "certification", 3),
+])
+def test_each_error_class_has_its_kind_and_exit_code(cfg, capsys, monkeypatch,
+                                                     error, kind, code):
+    def fail(ring, args):
+        raise error
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    got, out, err = _run(capsys, ["ring-info", cfg(CUSP)])
+    assert got == code and out == ""
+    assert err == json.dumps({"error": kind, "message": str(error)},
+                             sort_keys=True) + "\n"
 
 
 def test_missing_file_is_input_error(capsys):

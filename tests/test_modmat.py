@@ -1193,7 +1193,8 @@ def _frozen_rows(rows):
 
 
 @settings(derandomize=True, deadline=None, max_examples=6)
-@given(seed=st.integers(0, 10**6), field=st.sampled_from(["Q", "F101"]))
+@given(seed=st.integers(0, 10**6),
+       field=st.sampled_from(["Q", "F101", "F7"]))
 def test_precomposition_matches_the_normal_form_route(seed, field):
     ring = random_ring(random.Random(seed), field_from_string(field))
     D = ring.deg_g
@@ -1216,6 +1217,60 @@ def test_precomposition_matches_the_normal_form_route(seed, field):
                                 == _reference_basis(space, ref_vars, ref_rows))
                         nonzero += space.dim > 0
     assert nonzero
+
+
+def test_a_hom_space_is_one_elimination(monkeypatch, two_branch_ring):
+    # Once the target's tables are warm, a hom space is the kernel of its
+    # precomposition map, read off one elimination, and it keeps its
+    # basis as coordinates only: no echelon form outlives the build.
+    I = mf_from_ideal(two_branch_ring).cok(label="I")
+    cases = [(M, N, d) for M in (I, I.syz()) for N in (I, I.syz())
+             for d in range(-4, 5)]
+    for case in cases:
+        HomSpace(*case)
+    made, kernels = [], []
+    init = SparseRREF.__init__
+    monkeypatch.setattr(SparseRREF, "__init__",
+                        lambda self, field: made.append(1)
+                        or init(self, field))
+    kernel = homs.kernel_sparse
+    monkeypatch.setattr(homs, "kernel_sparse",
+                        lambda *args: kernels.append(1) or kernel(*args))
+    nonzero = 0
+    for case in cases:
+        made.clear()
+        kernels.clear()
+        space = HomSpace(*case)
+        assert made == [1] and kernels == [1]
+        assert not any(isinstance(v, SparseRREF)
+                       for v in vars(space).values())
+        nonzero += space.dim > 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("field", ["Q", "F7"])
+def test_from_matrix_rejects_a_matrix_that_is_no_hom(field):
+    # I = (x, y^2) on the cusp, generators e0 = x and e1 = y^2, with the
+    # relation x e1 - y^2 e0 = 0.  A 1 at (0, 0) alone sends it to
+    # -y^2 x, a 1 at (1, 1) alone to x y^2, both nonzero in I, so
+    # neither is a hom; the identity, their sum, is.
+    ring = HypersurfaceRing(field_from_string(field), 3, 4, 1,
+                            "1*x^0*y^0", m=1, n=2)
+    I = mf_from_ideal(ring).cok(label="I")
+    assert I.gens == (4, 6)
+    space = hom_graded(I, I, 0)
+
+    def ones(*entries):
+        return GradedMatrix(ring, I.gens, I.gens,
+                            [[ring.one() if (i, j) in entries
+                              else ring.zero_poly() for j in range(2)]
+                             for i in range(2)])
+
+    assert space.expand(space.from_matrix(ones((0, 0), (1, 1)))) == [1]
+    for entry in ((0, 0), (1, 1)):
+        with pytest.raises(InputError,
+                           match="matrix does not define a homomorphism"):
+            space.from_matrix(ones(entry))
 
 
 def test_times_monomial_reads_only_the_table(monkeypatch, two_branch_ring):
