@@ -63,9 +63,6 @@ class TranslationQuiver:
             raise InputError("tau endpoints must be vertices")
         self.tau[v] = w
 
-    def flag_loop(self, v) -> None:
-        self.loops.add(v)
-
     def successors(self, v) -> list:
         return [d for (s, d) in self.arrows if s == v]
 
@@ -82,15 +79,13 @@ class TranslationQuiver:
 def validate(q: TranslationQuiver) -> list[str]:
     """Check the stable-translation-quiver axioms; an empty list is a pass.
 
-    Reported violations: "loop" for an arrow with equal endpoints, "mesh"
-    when x's in-neighbours differ from tau(x)'s out-neighbours, and
-    "valuation" when v(x -> y) = (a, b) but v(tau y -> x) != (b, a).
-    Checks involving a boundary vertex are skipped, not failed.
+    Reported violations: "mesh" when x's in-neighbours differ from
+    tau(x)'s out-neighbours, and "valuation" when v(x -> y) = (a, b) but
+    v(tau y -> x) != (b, a).  No arrow is a loop: add_arrow, the only
+    writer of arrows, records a loop as a vertex flag.  Checks involving
+    a boundary vertex are skipped, not failed.
     """
     out: list[str] = []
-    for (s, d) in sorted(q.arrows, key=lambda e: (str(e[0]), str(e[1]))):
-        if s == d:
-            out.append("loop at %s" % q.labels[s])
     for x, tx in sorted(q.tau.items(), key=lambda kv: str(kv[0])):
         if not (q.is_interior(x) and q.is_interior(tx)):
             continue
@@ -113,155 +108,6 @@ def validate(q: TranslationQuiver) -> list[str]:
         elif back != (b, a):
             out.append("valuation: v(%s -> %s) = %s, expected %s"
                        % (q.labels[ty], q.labels[x], back, (b, a)))
-    return out
-
-
-class DirectedTree:
-    """Finite directed tree with valued arrows and at most one parent each."""
-
-    __slots__ = ("vertices", "arrows", "boundary")
-
-    def __init__(self) -> None:
-        self.vertices: list = []
-        self.arrows: dict = {}
-        self.boundary: set = set()
-
-    def add_vertex(self, v, boundary: bool = False) -> None:
-        if v in self.vertices:
-            raise InputError("vertex %r already present" % (v,))
-        self.vertices.append(v)
-        if boundary:
-            self.boundary.add(v)
-
-    def add_arrow(self, src, dst, value: Value = (1, 1)) -> None:
-        if src not in self.vertices or dst not in self.vertices:
-            raise InputError("arrow endpoints must be vertices")
-        if src == dst:
-            raise InputError("trees have no loops")
-        self.arrows[(src, dst)] = (int(value[0]), int(value[1]))
-
-    def parents(self, v) -> list:
-        return [s for (s, d) in self.arrows if d == v]
-
-    def children(self, v) -> list:
-        return [d for (s, d) in self.arrows if s == v]
-
-    def validate(self) -> list[str]:
-        out = []
-        for v in self.vertices:
-            if len(self.parents(v)) > 1:
-                out.append("vertex %s has several parents" % (v,))
-        # tree shape: connected with exactly |V| - 1 edges
-        if self.vertices:
-            seen = {self.vertices[0]}
-            frontier = [self.vertices[0]]
-            while frontier:
-                v = frontier.pop()
-                for w in self.children(v) + self.parents(v):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            if len(seen) != len(self.vertices):
-                out.append("underlying graph is disconnected")
-            if len(self.arrows) != len(self.vertices) - 1:
-                out.append("underlying graph has a cycle")
-        return out
-
-    def degree_signature(self) -> tuple:
-        """Sorted multiset of undirected degrees; separates small trees."""
-        degs = sorted(len(self.parents(v)) + len(self.children(v))
-                      for v in self.vertices)
-        return tuple(degs)
-
-
-def a_ray(k: int, truncated: bool = True) -> DirectedTree:
-    """Directed path x1 -> x2 -> ... -> xk with all values (1, 1).
-
-    With ``truncated`` the far end xk is marked boundary, so the tree reads
-    as a window on the infinite ray.
-    """
-    t = DirectedTree()
-    for i in range(1, k + 1):
-        t.add_vertex("x%d" % i, boundary=(truncated and i == k))
-    for i in range(1, k):
-        t.add_arrow("x%d" % i, "x%d" % (i + 1))
-    return t
-
-
-def zt_build(tree: DirectedTree, n_range) -> TranslationQuiver:
-    """The window of Z(tree) over the given translation indices.
-
-    Vertices are pairs (n, x).  A tree arrow x -> y of value (a, b) yields
-    (n, x) -> (n, y) with value (a, b) and (n, y) -> (n-1, x) with value
-    (b, a); the translation is tau(n, x) = (n+1, x).  Vertices at the ends
-    of the index window, or over boundary tree vertices, are boundary.
-    """
-    bad = tree.validate()
-    if bad:
-        raise InputError("not a directed tree: " + "; ".join(bad))
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns:
-        raise InputError("empty index window")
-    q = TranslationQuiver()
-    for n in ns:
-        for x in tree.vertices:
-            rim = n == ns[0] or n == ns[-1] or x in tree.boundary
-            q.add_vertex((n, x), label="(%d,%s)" % (n, x), boundary=rim)
-    for n in ns:
-        for (x, y), (a, b) in tree.arrows.items():
-            q.add_arrow((n, x), (n, y), (a, b))
-            if n - 1 in ns:
-                q.add_arrow((n, y), (n - 1, x), (b, a))
-    for n in ns:
-        if n + 1 in ns:
-            for x in tree.vertices:
-                q.set_tau((n, x), (n + 1, x))
-    return q
-
-
-def quotient_tau(q: TranslationQuiver, n: int) -> TranslationQuiver:
-    """Quotient a zt_build window by the n-th power of the translation.
-
-    Window vertices (m, x) are identified along m mod n.  Admissibility is
-    checked first: no tau-power orbit may meet {v} together with v's
-    out-neighbours in more than one point.  The projection of each window
-    arrow must land on a single valued arrow, which makes the projection a
-    covering on interior vertices.
-    """
-    if n < 1:
-        raise InputError("quotient order must be at least 1")
-    for v in q.labels:
-        if not isinstance(v, tuple) or len(v) != 2:
-            raise InputError("quotient expects a zt_build window")
-    for (m, x) in q.labels:
-        cls = {(m % n, x)}
-        for w in q.successors((m, x)):
-            key = (w[0] % n, w[1])
-            if key in cls:
-                raise InputError("not admissible")
-            cls.add(key)
-    out = TranslationQuiver()
-    reps: dict = {}
-    for (m, x) in q.labels:
-        key = (m % n, x)
-        if key not in reps:
-            reps[key] = []
-        reps[key].append((m, x))
-    for key in sorted(reps, key=lambda t: (str(t[1]), t[0])):
-        interior = any(q.is_interior(v) for v in reps[key])
-        out.add_vertex(key, label="[%d,%s]" % key, boundary=not interior)
-    for (s, d), val in q.arrows.items():
-        ks, kd = (s[0] % n, s[1]), (d[0] % n, d[1])
-        prior = out.arrows.get((ks, kd))
-        if prior is None:
-            out.add_arrow(ks, kd, val)
-        elif prior != val:
-            raise InputError("projection tears a valued arrow at %s -> %s"
-                             % (ks, kd))
-    for (r, x) in out.labels:
-        out.set_tau((r, x), ((r + 1) % n, x))
-    for v in q.loops:
-        out.flag_loop((v[0] % n, v[1]))
     return out
 
 
@@ -317,9 +163,6 @@ def orbit_collapse(q: TranslationQuiver) -> TranslationQuiver:
                        boundary=any(not q.is_interior(v) for v in ms))
     for (s, d), val in sorted(q.arrows.items(), key=str):
         cs, cd = name[orbit[s]], name[orbit[d]]
-        if cs == cd:
-            out.flag_loop(cs)
-            continue
         prior = out.arrows.get((cs, cd))
         if prior is None:
             out.add_arrow(cs, cd, val)
@@ -329,24 +172,27 @@ def orbit_collapse(q: TranslationQuiver) -> TranslationQuiver:
     for root in members:
         if any(v in q.tau for v in members[root]):
             out.set_tau(name[root], name[root])
-    for v in q.loops:
-        out.flag_loop(name[orbit[v]])
+    out.loops.update(name[orbit[v]] for v in q.loops)
     return out
 
 
-def tree_class(q: TranslationQuiver, basepoint, radius: int) -> DirectedTree:
+def tree_class(q: TranslationQuiver, basepoint,
+               radius: int) -> TranslationQuiver:
     """Riedtmann tree at a basepoint: no-backtrack paths up to a radius.
 
-    Path vertices are tuples (y0, ..., yk) following arrows of q, subject
-    to y_i != tau(y_{i+2}); extension by one arrow is the tree arrow, and
+    The tree is a TranslationQuiver with no tau.  Its vertices are the
+    paths (y0, ..., yk) following arrows of q, subject to
+    y_i != tau(y_{i+2}); extension by one arrow is the tree arrow, and
     each tree arrow inherits the value of the quiver arrow it extends by.
-    A path ending on a boundary vertex is marked boundary in the tree.
+    Each path carries the weight of its last vertex, when q has one, and
+    a path ending on a boundary vertex is marked boundary in the tree.
     """
     if basepoint not in q.labels:
         raise InputError("basepoint is not a vertex")
-    t = DirectedTree()
+    t = TranslationQuiver()
     root = (basepoint,)
-    t.add_vertex(root, boundary=not q.is_interior(basepoint))
+    t.add_vertex(root, weight=q.weights.get(basepoint),
+                 boundary=not q.is_interior(basepoint))
     layer = [root]
     for _ in range(radius):
         nxt = []
@@ -358,59 +204,56 @@ def tree_class(q: TranslationQuiver, basepoint, radius: int) -> DirectedTree:
                 if len(path) >= 2 and q.tau.get(step) == path[-2]:
                     continue
                 ext = path + (step,)
-                t.add_vertex(ext, boundary=not q.is_interior(step))
+                t.add_vertex(ext, weight=q.weights.get(step),
+                             boundary=not q.is_interior(step))
                 t.add_arrow(path, ext, q.arrows[(tip, step)])
                 nxt.append(ext)
         layer = nxt
     return t
 
 
-def check_subadditive(g, f: dict | None = None) -> dict:
-    """Test the mesh inequality for f at every interior vertex.
+def check_subadditive(q: TranslationQuiver) -> dict:
+    """Test the mesh inequality for q's weights f at every interior vertex.
 
-    On a TranslationQuiver the condition at x is
+    At an interior x with tau x defined the condition is
     f(x) + f(tau x) >= sum over arrows y -> x of a_yx f(y), with a loop
-    at x adding f(x) to the right side; interior vertices without tau
-    are skipped.  On a DirectedTree it is the classical undirected form
-    2 f(x) >= sum of the neighbours' values.  f maps vertices to
-    positive rationals and defaults to the quiver's stored weights.
-    Returns status "additive", "strictly-subadditive" or "fails", the
-    vertices checked, the vertices skipped, and a witness per failure.
+    at x adding f(x) to the right side.  At an interior x with no tau, as
+    at every vertex of a tree class, it is the classical undirected form
+    2 f(x) >= sum of the neighbours' values.  Every vertex needs a
+    positive weight.  Returns status "additive", "strictly-subadditive"
+    or "fails", the vertices checked, the boundary vertices skipped, and
+    a witness per failure.
+
+    Walk reports only ever meet the first form.  explore_component marks
+    boundary every vertex that was not both pushed and reached as a
+    right term, and reaching a vertex as a right term is what sets its
+    tau; so each interior vertex of a walk's quiver has a tau.
+    orbit_collapse makes a class interior only when all of its members
+    are, and gives a class a tau as soon as one member has one; so each
+    interior vertex of the orbit quiver has a tau too.
     """
-    tree = isinstance(g, DirectedTree)
-    if tree:
-        ids = list(g.vertices)
-        interior = [v for v in ids if v not in g.boundary]
-        if f is None:
-            raise InputError("trees carry no weights; pass f")
-    else:
-        ids = list(g.labels)
-        interior = [v for v in ids if g.is_interior(v)]
-        if f is None:
-            f = g.weights
-    missing = [v for v in ids if v not in f]
+    missing = [v for v in q.labels if v not in q.weights]
     if missing:
         raise InputError("no value for vertex %r" % (missing[0],))
-    values = {v: Fraction(f[v]) for v in ids}
-    for v in ids:
-        if values[v] <= 0:
-            raise InputError("subadditive functions must be positive")
-    checked, skipped, fails = [], [v for v in ids if v not in interior], {}
+    f = {v: Fraction(q.weights[v]) for v in q.labels}
+    if any(w <= 0 for w in f.values()):
+        raise InputError("subadditive functions must be positive")
+    checked, skipped, fails = [], [], {}
     tight = True
-    for x in interior:
-        if tree:
-            lhs = 2 * values[x]
-            rhs = sum(values[y] for y in g.parents(x) + g.children(x))
+    for x in q.labels:
+        if not q.is_interior(x):
+            skipped.append(x)
+            continue
+        tx = q.tau.get(x)
+        if tx is None:
+            lhs = 2 * f[x]
+            rhs = sum(f[y] for y in q.predecessors(x) + q.successors(x))
         else:
-            tx = g.tau.get(x)
-            if tx is None:
-                skipped.append(x)
-                continue
-            lhs = values[x] + values[tx]
-            rhs = sum(val[0] * values[y]
-                      for (y, z), val in g.arrows.items() if z == x)
-            if x in g.loops:
-                rhs += values[x]
+            lhs = f[x] + f[tx]
+            rhs = sum(a * f[y] for (y, z), (a, _) in q.arrows.items()
+                      if z == x)
+            if x in q.loops:
+                rhs += f[x]
         checked.append(x)
         if lhs < rhs:
             fails[x] = (lhs, rhs)

@@ -16,13 +16,14 @@ from arcurves import (GradedMatrix, MatrixFactorization, block_matrix,
                       double_push_report, e_avg, explore_component, ext1_dim,
                       free_module, gamma_endo, gamma_for, hom_graded,
                       is_integral, iso_up_to_shift, mf_check, mf_from_ideal,
-                      min_t_valuation, push, quotient_tau, random_ring,
-                      solve_W, stable_end_dim, stably_zero_bruteforce,
+                      min_t_valuation, push, random_ring, solve_W,
+                      stable_end_dim, stably_zero_bruteforce,
                       stably_zero_trace, syz_transport, trace_Q, tree_class,
-                      verify_main_theorem, verify_syz_gamma, zt_build, a_ray)
+                      verify_main_theorem, verify_syz_gamma)
 from arcurves.cli import _is_unit_endo
 from arcurves.linalg import rank_dense
 from arcurves.matfact import mf_reduce
+from tubes import SMALL_TREES, degrees, tube, z_window
 
 
 def _verdict(num, ok, label):
@@ -195,10 +196,7 @@ def test_criterion_7_subadditivity(two_branch_ideal, two_branch_datum):
     pushed = [entry for entry in rep["modules"] if entry["pushed"]]
     covered = all(entry["e_avg_middle"] is not None for entry in pushed)
 
-    orbit = rep["orbit_quiver"]
-    tree = tree_class(orbit, "V0", 3)
-    values = {path: orbit.weights[path[-1]] for path in tree.vertices}
-    sub = check_subadditive(tree, values)
+    sub = check_subadditive(tree_class(rep["orbit_quiver"], "V0", 3))
     mesh_ok = sub["status"] != "fails" and sub["checked"]
     direct = rep["subadditive"]
     ok = bool(growth_ok and covered and mesh_ok
@@ -208,35 +206,10 @@ def test_criterion_7_subadditivity(two_branch_ideal, two_branch_datum):
 
 def test_criterion_8_fragment_classifiers():
     """Tube ranks from quotients; tree shapes from window walks."""
-    tubes_ok = all(
-        classify_fragment(quotient_tau(
-            zt_build(a_ray(4), range(-(n + 3), n + 4)), n)) == "tube(%d)" % n
-        for n in (1, 2, 3))
-
-    from arcurves import DirectedTree
-
-    def path_tree(labels):
-        t = DirectedTree()
-        for v in labels:
-            t.add_vertex(v)
-        for a, b in zip(labels, labels[1:]):
-            t.add_arrow(a, b)
-        return t
-
-    star = DirectedTree()
-    star.add_vertex("c")
-    for v in ("a", "b", "d"):
-        star.add_vertex(v)
-        star.add_arrow("c", v)
-
-    sig2 = tree_class(zt_build(path_tree(["x", "y"]), range(-3, 4)),
-                      (0, "x"), 2).degree_signature()
-    sig3 = tree_class(zt_build(path_tree(["x", "y", "z"]), range(-4, 5)),
-                      (0, "x"), 3).degree_signature()
-    sig4 = tree_class(zt_build(star, range(-3, 4)),
-                      (0, "c"), 2).degree_signature()
-    trees_ok = (sig2 == (1, 1) and sig3 == (1, 1, 2)
-                and sig4 == (1, 1, 1, 3))
+    tubes_ok = all(classify_fragment(tube(4, n)) == "tube(%d)" % n
+                   for n in (1, 2, 3))
+    trees_ok = all(degrees(tree_class(z_window(vs, es, ns), base, r)) == degs
+                   for vs, es, ns, base, r, degs in SMALL_TREES)
     _verdict(8, tubes_ok and trees_ok, "tube ranks and tree shapes")
 
 

@@ -76,14 +76,18 @@ def _nonreduced_y6():
 
 
 def _check_z(ring, branches):
-    # gamma_for builds z = NF(g/h) with no search and does not check
-    # z h = 0; deg(g/h) + deg gamma' = G is why no other z would do
+    # gamma_for checks none of z h = 0, gamma not in R, x gamma and
+    # y gamma in R, or deg gamma = G; it proves them (z = NF(g/h))
     for br in branches:
         gd = gamma_for(ring, br)
         assert gd.z == ring.normal_form(ring.g.div_exact(br.h))
         assert ring.normal_form(gd.z * gd.branch.h).is_zero()
         assert (ring.g.degree - br.h.degree + gamma_prime(br).degree
                 == ring.gamma_degree)
+        assert gd.gamma.in_ring() is None
+        assert (gd.gamma * ring.x_poly()).in_ring() is not None
+        assert (gd.gamma * ring.y_poly()).in_ring() is not None
+        assert gd.gamma.degree == ring.gamma_degree
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
@@ -94,6 +98,13 @@ def test_z_kills_the_branch_factor(seed, field):
     # and the y-axis branch h = y of b = 0, where g = y^4 is not squarefree
     cusp = _nonreduced_cusp()
     _check_z(cusp, [singular_branch(cusp)])
+
+
+def test_homs_matrices_and_fractions_are_unhashable(cusp_ideal, cusp_datum):
+    hom, gamma = gamma_endo(cusp_ideal, cusp_datum), cusp_datum.gamma
+    for obj in (hom, cusp_ideal.mf.phi, gamma):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
 
 
 @pytest.mark.parametrize("name", ["cusp", "two_branch", "nonreduced_cusp"])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arcurves import cli, end_generators
+from arcurves import cli, end_generators, explore_component, gamma_for
 from arcurves.errors import (CertificationError, InconclusiveSplitError,
                              InputError, NotSquarefreeError,
                              VerificationError)
@@ -106,6 +106,28 @@ def test_unknown_key_rejected(cfg, capsys):
     code, _, err = _run(capsys, ["ring-info", cfg(CUSP + "extra = 1\n")])
     assert code == 2
     assert "unknown key" in err
+
+
+# Per input check a config reaches: a cusp config edit, the exit-2 message.
+@pytest.mark.parametrize("old, new, message", [
+    ("p = 3", "p =", "line 2: empty key or value"),
+    ("q = 4\n", "", "config missing key 'q'"),
+    ("field = Q", "field = R",
+     "line 1: unknown field 'R'; expected Q or F<prime>"),
+    ("field = Q", "field = F2", "line 1: 2 is not an odd prime"),
+    ("b = 1\n", "", "config missing key 'b'"),
+    ("f = 1*x^0*y^0\n", "", "config missing key 'f'"),
+    ("b = 1", "b = x", "line 4: Invalid literal for Fraction: 'x'"),
+    ("f = 1*x^0*y^0", "f = 1*z^2", "malformed term '1*z^2' in '1*z^2'"),
+    ("f = 1*x^0*y^0", "f = 0", "f must be nonzero"),
+    ("f = 1*x^0*y^0", "f = x^3", "f must have exactly one term free of x"),
+    ("f = 1*x^0*y^0", "f = 2*y", "the y^v coefficient of f must be 1"),
+    ("f = 1*x^0*y^0", "f = x^6 + y^8", "form does not split over k")])
+def test_input_contract_exits(cfg, capsys, old, new, message):
+    code, out, err = _run(capsys, ["ring-info", cfg(CUSP.replace(old, new))])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "input", "message": message},
+                             sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("field", ["Q", "F101"])
@@ -555,6 +577,19 @@ def test_push_and_decompose_reports_are_pinned(key, seed, capsys):
     assert (code, err) == (0, "")
     assert out == json.dumps(dict(PINNED[key], seed=seed), sort_keys=True,
                              separators=(",", ":")) + "\n"
+
+
+# Walk reports keep check_subadditive's mesh form, which needs a tau,
+# because every interior vertex of a walk's quivers has one.
+@pytest.mark.parametrize("path", sorted(BENCH_CONFIGS.glob("*.cfg")) + sorted(
+    (TESTS.parent / "demos").glob("*.cfg")), ids=lambda path: path.stem)
+def test_every_interior_walk_vertex_has_a_tau(path):
+    ring = cli.ring_from_config(path.read_text())
+    I, gd = cli._ideal_module(ring), gamma_for(ring)
+    for depth in range(5):
+        rep = explore_component(I, gd, depth=depth)
+        for q in (rep["quiver"], rep["orbit_quiver"]):
+            assert all(v in q.tau for v in q.labels if q.is_interior(v))
 
 
 # E6 (x^3 + y^4) and E8 (x^3 + y^5) are the simple curves of this family.

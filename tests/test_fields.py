@@ -99,3 +99,7 @@ def test_qq_coerces_to_canonical_form():
     with pytest.raises(TypeError):
         QQ(0.5)
 
+
+def test_prime_field_rejects_floats():
+    with pytest.raises(TypeError, match="cannot coerce"):
+        PrimeField(101)(0.5)

@@ -1,78 +1,46 @@
-"""Translation quivers: windows, quotients, tree classes, subadditivity."""
+"""Translation quivers: windows, tubes, tree classes, subadditivity."""
 
 import json
 
 import pytest
 
-from arcurves import (DirectedTree, InputError, TranslationQuiver, a_ray,
-                      check_subadditive, classify_fragment, orbit_collapse,
-                      quotient_tau, to_dot, to_json, tree_class, validate,
-                      zt_build)
-
-
-def _path_tree(labels):
-    t = DirectedTree()
-    for v in labels:
-        t.add_vertex(v)
-    for a, b in zip(labels, labels[1:]):
-        t.add_arrow(a, b)
-    return t
-
-
-def _star_tree(center, leaves):
-    t = DirectedTree()
-    t.add_vertex(center)
-    for v in leaves:
-        t.add_vertex(v)
-        t.add_arrow(center, v)
-    return t
+from arcurves import (InputError, TranslationQuiver, check_subadditive,
+                      classify_fragment, orbit_collapse, to_dot, to_json,
+                      tree_class, validate)
+from tubes import SMALL_TREES, degrees, ray_window, tube, z_window
 
 
 def test_ray_window_is_a_translation_quiver():
-    win = zt_build(a_ray(4), range(-3, 4))
+    win = ray_window(4, range(-3, 4))
     assert validate(win) == []
     assert (0, "x1") in win.labels
 
 
 def test_tau_quotients_classify_as_tubes():
     for n in (1, 2, 3):
-        win = zt_build(a_ray(4), range(-(n + 3), n + 4))
-        assert classify_fragment(quotient_tau(win, n)) == "tube(%d)" % n
+        assert classify_fragment(tube(4, n)) == "tube(%d)" % n
 
 
 def test_unquotiented_window_reads_as_a_ray():
-    win = zt_build(a_ray(5), range(-3, 4))
+    win = ray_window(5, range(-3, 4))
     assert classify_fragment(win) == "A-infinity-consistent"
 
 
-def test_quotient_rejects_inadmissible_order():
-    win = zt_build(a_ray(4), range(-3, 4))
-    with pytest.raises(InputError):
-        quotient_tau(win, 0)
-
-
 def test_tree_class_recovers_small_trees():
-    w2 = zt_build(_path_tree(["x", "y"]), range(-3, 4))
-    assert tree_class(w2, (0, "x"), 2).degree_signature() == (1, 1)
-    w3 = zt_build(_path_tree(["x", "y", "z"]), range(-4, 5))
-    assert tree_class(w3, (0, "x"), 3).degree_signature() == (1, 1, 2)
-    w4 = zt_build(_star_tree("c", ["a", "b", "d"]), range(-3, 4))
-    assert tree_class(w4, (0, "c"), 2).degree_signature() == (1, 1, 1, 3)
+    for vertices, edges, ns, base, radius, degs in SMALL_TREES:
+        win = z_window(vertices, edges, ns)
+        assert degrees(tree_class(win, base, radius)) == degs
 
 
 def test_tree_class_rejects_unknown_basepoint():
-    win = zt_build(a_ray(3), range(-2, 3))
+    win = ray_window(3, range(-2, 3))
     with pytest.raises(InputError):
         tree_class(win, (99, "nope"), 2)
 
 
 def _weighted_tube(n, weights):
-    win = zt_build(a_ray(len(weights)), range(-(n + 3), n + 4))
-    q = quotient_tau(win, n)
-    for v in list(q.labels):
-        _, x = v
-        k = int(x[1:])
-        q.weights[v] = q.weights.get(v) or weights[k - 1]
+    q = tube(len(weights), n)
+    q.weights.update({(r, x): weights[int(x[1:]) - 1] for r, x in q.labels})
     return q
 
 
@@ -92,16 +60,21 @@ def test_subadditivity_failure_is_witnessed():
 
 
 def test_subadditive_requires_values_for_trees():
-    t = _path_tree(["a", "b"])
+    q = TranslationQuiver()
+    q.add_vertex("a")
+    q.add_vertex("b")
+    q.add_arrow("a", "b")
     with pytest.raises(InputError):
-        check_subadditive(t)
-    rep = check_subadditive(t, {"a": 1, "b": 1})
+        check_subadditive(q)
+    q.weights.update(a=1, b=1)
+    rep = check_subadditive(q)
     assert rep["status"] in ("additive", "strictly-subadditive")
+    q.weights["b"] = 3
+    assert check_subadditive(q)["failures"] == {"a": ("2", "3")}
 
 
 def test_orbit_collapse_merges_tau_orbits():
-    win = zt_build(a_ray(3), range(-2, 3))
-    q = quotient_tau(win, 2)
+    q = tube(3, 2)
     orbits = orbit_collapse(q)
     # two tau-orbits survive from the three-row tube window
     assert len(orbits.labels) <= len(q.labels)
@@ -118,8 +91,8 @@ def test_orbit_collapse_rejects_weight_tears():
 
 
 def test_dot_and_json_are_deterministic():
-    win = zt_build(a_ray(3), range(-2, 3))
-    assert to_dot(win) == to_dot(zt_build(a_ray(3), range(-2, 3)))
+    win = ray_window(3, range(-2, 3))
+    assert to_dot(win) == to_dot(ray_window(3, range(-2, 3)))
     doc = json.loads(to_json(win))
     assert set(doc.keys()) >= {"vertices", "arrows"}
     assert to_dot(win).startswith("digraph")
