@@ -287,8 +287,8 @@ def push(M: GradedModule, gd: GammaDatum, summands=None) -> ARSequence:
     reports all three.  No hom space is built: proj inj = [0 I][I; 0] = 0.
     """
     ring = M.ring
-    if not M.mf.is_reduced():
-        raise InputError("push needs a module backed by a reduced factorization")
+    # _alpha_beta checks that M.mf is reduced, and a free summand is
+    # refused here first.
     if summands is None:
         parts, frees = decompose(M)
         if frees:
@@ -423,8 +423,7 @@ def verify_main_theorem(M: GradedModule, gd: GammaDatum) -> dict:
     criterion and the brute-force lifting criterion, on gamma_M itself
     and on its products with every nonunit generator of End(M).
     """
-    if not M.mf.is_reduced():
-        raise InputError("the theorem needs a reduced nonfree module")
+    # gamma_endo reaches _alpha_beta, which checks that M.mf is reduced.
     parts, frees = decompose(M)
     indecomposable = not frees and len(parts) == 1
     if not indecomposable:
@@ -460,8 +459,7 @@ def verify_syz_gamma(M: GradedModule, gd: GammaDatum) -> dict:
     ring = M.ring
     if len(factor_hypersurface(ring)) != 1:
         raise InputError("ring not a domain")
-    if not M.mf.is_reduced():
-        raise InputError("needs a module backed by a reduced factorization")
+    # gamma_endo(M) reaches _alpha_beta, which checks that M.mf is reduced.
     N = M.syz()
     h = gamma_endo(M, gd)
     t = syz_transport(h, N)
@@ -660,14 +658,15 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
     the hard-coded change-of-basis pair, and checks: P and P' invertible
     (their scalar parts are, graded Nakayama), the block-triangular
     normal form with the psi corner (written out in expected), the
-    normalized column degrees against their closed forms, the strict
-    minimality of the fourth column, the shape of the lower corner entry
-    of W, and the two-part decomposition of the double extension.  Any
-    mismatch raises VerificationError with an entrywise diff.  windows
-    names the degree where the push of I checked dimension additivity.
+    strict minimality of the fourth column degree, the shape of the
+    lower corner entry of W, and the two-part decomposition of the double
+    extension.  The normalized column degrees equal their closed forms
+    by construction (proved below), and both are reported.  Any mismatch
+    raises VerificationError, the normal form's with an entrywise diff.
+    windows names the degree where the push of I checked dimension
+    additivity.
     """
-    if ring.m is None or ring.n is None:
-        raise InputError("the double push needs the two-generator ideal data")
+    # mf_from_ideal, the first to use m and n, checks that the ring has them.
     K = ring.field
     half = K.inv(2)
     p, q, m, n, v = ring.p, ring.q, ring.m, ring.n, ring.v
@@ -728,6 +727,16 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
     C = p * q + n * p + m * q
     natural = list(T.cols)
     got = [natural[t] - C for t in range(2, 4 * r)]
+    # got equals closed identically.  Pp.cols is theta.rows and P.rows is
+    # theta.cols, so both products shift by 0 and T.cols is P's declared
+    # B2 + B1 + B2 + B4; got reads B1 + B2 + B4.  mf_from_ideal makes
+    # B1 = phi.cols = (D, np + mq) and psi.cols = phi.rows + D, so
+    # B2 = (mq + G, np + G) and B4 = B1 + 2G - D, with D = p(q + v) and
+    # G = D - p - q:
+    #   B1[0] - C = (v - n)p - mq        B1[1] - C = -pq
+    #   B2[0] - C = (v - n - 1)p - q     B2[1] - C = (v - 1)p - (m + 1)q
+    #   B4[0] - C = 2G - C = (2v - n - 2)p - (m + 2)q + pq
+    #   B4[1] - C = 2G - D - pq = (v - 2)p - 2q
     closed = [
         (v - n) * p - m * q,
         -p * q,
@@ -736,9 +745,6 @@ def double_push_report(ring: HypersurfaceRing) -> dict:
         (2 * v - n - 2) * p - (m + 2) * q + p * q,
         (v - 2) * p - 2 * q,
     ]
-    if got != closed:
-        raise VerificationError(
-            "normalized column degrees %s differ from %s" % (got, closed))
     c4 = closed[1]
     if any(c4 >= closed[t] for t in range(len(closed)) if t != 1):
         raise VerificationError("the fourth column degree is not strictly least")

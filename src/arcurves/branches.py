@@ -190,7 +190,7 @@ def _factor_binary_form(ring: HypersurfaceRing, stripped: WPoly):
     its dehomogenized form is nonzero and T = 0 is no root.
     """
     K = ring.field
-    coeffs = _dehomogenized_form(stripped, ring.p, ring.q)
+    coeffs = _dehomogenized_form(stripped, ring.p)
     roots, split = upoly.linear_factors(coeffs, K)
     if not split:
         raise FormSplitError("form does not split over k")
@@ -207,13 +207,15 @@ def singular_branch(ring: HypersurfaceRing) -> Branch:
     """
     if not ring.b:
         return _axis_branch(ring)
+    # Exactly one branch kills the form.  b != 0, so g is squarefree
+    # (HypersurfaceRing) and its branches are distinct factors of g.  The
+    # y-axis branch (x -> t, y -> 0) sends the form to b t^p != 0.  A
+    # binomial branch, h = a x^p + y^q with x -> c t^q, y -> t^p and
+    # a c^p = -1, sends it to (b c^p + 1) t^(pq), zero exactly when a = b,
+    # that is when h is the form itself, a factor of g.
     form = (ring.monomial(ring.p, 0, ring.b) + ring.monomial(0, ring.q))
-    candidates = [br for br in factor_hypersurface(ring)
-                  if br.kind == "binomial" and br.evaluate(form) is None]
-    if len(candidates) != 1:
-        raise InputError(
-            f"no canonical branch: {len(candidates)} matches for the form factor")
-    return candidates[0]
+    return next(br for br in factor_hypersurface(ring)
+                if br.evaluate(form) is None)
 
 
 def gamma_prime(branch: Branch) -> QElement:

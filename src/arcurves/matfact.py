@@ -309,7 +309,7 @@ def mf_from_ideal(ring: HypersurfaceRing) -> MatrixFactorization:
     """
     m, n = ring.m, ring.n
     if m is None or n is None:
-        raise InputError("ring instance carries no (m, n) ideal data")
+        raise InputError("the ideal module (x^m, y^n) needs both m and n")
     q, v = ring.q, ring.v
     D = ring.deg_g
     s = n * ring.p + m * q

@@ -308,9 +308,10 @@ def _scalar_inverse(P: GradedMatrix) -> GradedMatrix:
     rr = SparseRREF(K)
     for i, row in enumerate(_scalar_part(P)):
         rr.insert({**sparse_vector(row, K), n + i: K.one})
-    if any(k not in rr.pivots for k in range(n)):
-        raise CertificationError(
-            "scalar part of the change of basis is singular")
+    # Every k < n is a pivot.  P comes from _split_basis, which keeps a
+    # column only when its scalar part leaves the span of those kept
+    # before; the scalar parts of the columns of E and of Id - E add up to
+    # those of Id, so they span k^n, and n independent ones are kept.
     return GradedMatrix(ring, P.cols, P.rows,
                         [[ring.monomial(0, 0, rr.pivots[k].get(n + i, K.zero))
                           for i in range(n)] for k in range(n)])

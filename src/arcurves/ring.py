@@ -246,20 +246,19 @@ def _strip_monomial(poly: WPoly):
     return i0, j0, stripped
 
 
-def _dehomogenized_form(poly: WPoly, p: int, q: int):
+def _dehomogenized_form(poly: WPoly, p: int):
     """Coefficient list of the binary form underlying a monomial-free poly.
 
-    A weighted-homogeneous polynomial with x- and y-exponent minimum zero
-    has x-exponents in p*Z and y-exponents in q*Z (weights force a single
-    congruence class per degree), so it is a form in (x^p, y^q).  Returns
-    the coefficients of T^s for the substitution T = x^p.
+    poly is homogeneous for the weights (q, p), coprime, with x- and
+    y-exponent minimum zero: it has terms x^0 y^b and x^a y^0, so every
+    term x^i y^j has q i = p (b - j) and p j = q (a - i), whence p | i
+    and q | j.  So it is a form in (x^p, y^q).  Returns the coefficients
+    of T^s for the substitution T = x^p.
     """
     K = poly.field
     degT = max(i for i, _ in poly.terms) // p
     coeffs = [K.zero] * (degT + 1)
-    for (i, j), c in poly.terms.items():
-        if i % p != 0 or j % q != 0:
-            raise InputError("polynomial is not a form in x^p and y^q")
+    for (i, _j), c in poly.terms.items():
         coeffs[i // p] = c
     return coeffs
 
@@ -278,8 +277,8 @@ class HypersurfaceRing:
 
     def __init__(self, field, p: int, q: int, b, f, m: int | None = None,
                  n: int | None = None):
-        if field.char == 2:
-            raise InputError("characteristic 2 is not supported")
+        # The fields are QQ and PrimeField, which refuses every ell < 3,
+        # so the characteristic is never 2.
         if p < 3 or q < 3:
             raise InputError("p and q must both be at least 3")
         if gcd(p, q) != 1:
@@ -427,7 +426,7 @@ class HypersurfaceRing:
             return False
         if stripped.degree == 0:
             return True
-        coeffs = _dehomogenized_form(stripped, self.p, self.q)
+        coeffs = _dehomogenized_form(stripped, self.p)
         K = self.field
         return len(upoly.gcd(coeffs, upoly.derivative(coeffs, K), K)) <= 1
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcurves import (QQ, GradedMatrix, HypersurfaceRing, InputError,
-                      MatrixFactorization, VerificationError, decompose,
-                      double_push_report, e_avg, explore_component,
-                      factor_hypersurface, field_from_string, gamma_endo,
-                      gamma_for, gamma_prime, hom_graded, iso_up_to_shift,
-                      mf_from_ideal, multiplicity, poly_from_string, push,
-                      random_ring, singular_branch, solve_W,
-                      stably_zero_bruteforce, syz_transport,
+                      MatrixFactorization, VerificationError, block_matrix,
+                      decompose, double_push_report, e_avg, explore_component,
+                      factor_hypersurface, field_from_string, free_module,
+                      gamma_endo, gamma_for, gamma_prime, hom_graded,
+                      iso_up_to_shift, mf_from_ideal, multiplicity,
+                      poly_from_string, push, random_ring, singular_branch,
+                      solve_W, stably_zero_bruteforce, syz_transport,
                       verify_main_theorem, verify_syz_gamma)
 from arcurves import arengine, homs, matfact, modmat
 
@@ -564,6 +564,129 @@ def test_push_refuses_free_summands(cusp_ring, cusp_datum):
     from arcurves import free_module
     with pytest.raises(InputError):
         push(free_module(cusp_ring, (0,)), cusp_datum)
+
+
+def _padded(I):
+    """I presented with an extra trivial block (1, g): the same module,
+    from a factorization with a unit entry."""
+    ring = I.ring
+    phi, psi = I.mf.phi, I.mf.psi
+    w = I.gens[0]
+    one = GradedMatrix.identity(ring, (w,))
+    g = matfact.g_identity(ring, (w,))
+    return MatrixFactorization(
+        block_matrix(ring, [[phi, None], [None, one]],
+                     rows=phi.rows + one.rows, cols=phi.cols + one.cols),
+        block_matrix(ring, [[psi, None], [None, g]],
+                     rows=psi.rows + g.rows, cols=psi.cols + g.cols)
+    ).cok("padded")
+
+
+def _through_left(seq):
+    # the zero endomorphism of the right term, not of the left one
+    right = seq.right
+    return seq.factors_through_left(hom_graded(right, right, 0).zero())
+
+
+# Per input check and certificate of the engine that no config reaches:
+# the call on the cusp, the error class and its message.
+@pytest.mark.parametrize("call, error, message", [
+    # reducedness is checked once, by _alpha_beta, which gamma_endo reaches
+    (lambda ring, gd, I: verify_main_theorem(_padded(I), gd),
+     InputError, "factorization has unit entries; reduce it first"),
+    (lambda ring, gd, I: _through_left(push(I, gd)),
+     InputError, "u must be an endomorphism of the left term"),
+    (lambda ring, gd, I: push(free_module(ring, (0,)), gd),
+     InputError, "free summands admit no almost split sequence"),
+    (lambda ring, gd, I: syz_transport(hom_graded(I, I.syz(), 0).zero()),
+     InputError, "only endomorphisms transport"),
+    (lambda ring, gd, I: syz_transport(hom_graded(I, I, 0).zero(), I),
+     InputError, "target is not the syzygy presented by psi"),
+    (lambda ring, gd, I: verify_main_theorem(free_module(ring, (0,)), gd),
+     InputError, "the theorem applies to indecomposable modules"),
+    (lambda ring, gd, I: explore_component(free_module(ring, (0,)), gd),
+     InputError, "exploration starts at an indecomposable module"),
+    # gamma itself is not in R
+    (lambda ring, gd, I: arengine._in_ring_matrix(
+        gd, GradedMatrix.identity(ring, (0,))),
+     VerificationError, "gamma times entry (0, 0) leaves R"),
+])
+def test_engine_exits(cusp_ring, cusp_datum, cusp_ideal, call, error,
+                      message):
+    with pytest.raises(error) as exc:
+        call(cusp_ring, cusp_datum, cusp_ideal)
+    assert (exc.type, str(exc.value)) == (error, message)
+
+
+def test_gamma_endo_refuses_an_unsolved_system(monkeypatch, cusp_ideal,
+                                               cusp_datum):
+    monkeypatch.setattr(arengine, "solve_graded_system", lambda *a, **k: None)
+    with pytest.raises(VerificationError) as exc:
+        gamma_endo(cusp_ideal, cusp_datum)
+    assert str(exc.value) == "gamma endomorphism system has no solution"
+
+
+def test_solve_W_refuses_an_unsolved_system(monkeypatch, two_branch_ideal,
+                                            two_branch_datum):
+    seq = push(two_branch_ideal, two_branch_datum)
+    monkeypatch.setattr(arengine, "solve_graded_system", lambda *a, **k: None)
+    with pytest.raises(VerificationError) as exc:
+        solve_W(seq)
+    assert str(exc.value) == "the W system has no solution"
+
+
+def _zp_doubled(monkeypatch):
+    # theta is glued by the solved W, but the normal form is written with
+    # twice its Z', which misses the corner alpha Z - Z'
+    solve = arengine.solve_W
+
+    def doubled(seq):
+        W, Z, Zp = solve(seq)
+        return W, Z, Zp.scale(2)
+    monkeypatch.setattr(arengine, "solve_W", doubled)
+
+
+def _corner_dropped(monkeypatch):
+    # theta is glued by the solved W, but the W read back has a zero
+    # corner entry
+    solve, real = arengine.solve_W, arengine.double_extension
+    solved = {}
+
+    def dropped(seq):
+        W, Z, Zp = solve(seq)
+        solved["W"] = W
+        r = len(seq.left.gens)
+        ents = [list(row) for row in W.entries]
+        ents[r][r + 1] = W.ring.zero_poly()
+        return GradedMatrix(W.ring, W.rows, W.cols, ents), Z, Zp
+    monkeypatch.setattr(arengine, "solve_W", dropped)
+    monkeypatch.setattr(arengine, "double_extension",
+                        lambda seq, W: real(seq, solved["W"]))
+
+
+def _parts_merged(monkeypatch):
+    # the double extension is read as its first part alone
+    real = arengine.decompose
+
+    def merged(M):
+        parts, frees = real(M)
+        return (parts[:1] if M.label == "double push" else parts), frees
+    monkeypatch.setattr(arengine, "decompose", merged)
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (_zp_doubled,
+     "normal form mismatch: (2, 7): got -1*x^1*y^1, expected -2*x^1*y^1"),
+    (_corner_dropped,
+     "the glue corner entry is 0, not a nonzero multiple of x^0 y^1"),
+    (_parts_merged, "double extension decomposed into 1 nonfree parts"),
+])
+def test_section7_certificates_fire(monkeypatch, two_branch_ring, perturb,
+                                    message):
+    perturb(monkeypatch)
+    with pytest.raises(VerificationError) as exc:
+        double_push_report(two_branch_ring)
+    assert str(exc.value) == message
 
 
 def test_push_counts_the_middle_by_elimination(monkeypatch, cusp_ring,

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcurves import (FormSplitError, HypersurfaceRing, NotSquarefreeError,
-                      PrimeField, QQ, factor_hypersurface, field_from_string,
-                      gamma_prime, poly_from_string, random_ring,
-                      singular_branch)
-from arcurves.branches import _pth_root
+from arcurves import (FormSplitError, HypersurfaceRing, InputError,
+                      NotSquarefreeError, PrimeField, QQ, factor_hypersurface,
+                      field_from_string, gamma_prime, poly_from_string,
+                      random_ring, singular_branch)
+from arcurves.branches import Branch, _pth_root
 
 
 def test_two_branch_factorization(two_branch_ring):
@@ -107,6 +107,24 @@ def test_repeated_factor_rejected():
     f = poly_from_string(QQ, 4, 3, "1*x^0*y^4+1*x^3*y^0")
     with pytest.raises(NotSquarefreeError):
         HypersurfaceRing(QQ, p=3, q=4, b=QQ(1), f=f)
+
+
+# Per input check the library API reaches and no config does: the call,
+# the error class and its message.
+@pytest.mark.parametrize("call, error, message", [
+    # a branch x -> t^2, y -> 0 has the semigroup <2>, which no ring gives
+    (lambda ring: Branch(ring, "binomial", ring.y_poly(), QQ(1), 2, QQ(0), 0,
+                         1),
+     InputError, "unsupported semigroup generators (2,)"),
+    # b = 0: g = y^4 is not squarefree, which the ring allows when b = 0
+    (lambda ring: factor_hypersurface(HypersurfaceRing(QQ, 3, 4, 0,
+                                                       "1*x^0*y^0")),
+     NotSquarefreeError, "not squarefree"),
+])
+def test_branch_input_exits(cusp_ring, call, error, message):
+    with pytest.raises(error) as exc:
+        call(cusp_ring)
+    assert (exc.type, str(exc.value)) == (error, message)
 
 
 def test_branch_images_of_variables(cusp_ring):

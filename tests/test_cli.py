@@ -130,6 +130,22 @@ def test_input_contract_exits(cfg, capsys, old, new, message):
                              sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("dropped", [["m = 1\n"], ["n = 2\n"],
+                                     ["m = 1\n", "n = 2\n"]])
+def test_section7_needs_the_ideal_exponents(cfg, capsys, dropped):
+    # the double push starts at the ideal module, whose builder checks
+    # m and n
+    text = CUSP
+    for line in dropped:
+        text = text.replace(line, "")
+    code, out, err = _run(capsys, ["verify", "section7", cfg(text)])
+    assert (code, out) == (2, "")
+    assert err == json.dumps(
+        {"error": "input",
+         "message": "the ideal module (x^m, y^n) needs both m and n"},
+        sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("field", ["Q", "F101"])
 @pytest.mark.parametrize("line", ["b = 1/0", "f = 1/0*x^0*y^1"])
 def test_zero_denominator_is_input_error(cfg, capsys, field, line):

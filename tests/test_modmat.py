@@ -941,6 +941,113 @@ def test_split_rejects_a_matrix_that_is_no_endomorphism(two_branch_ideal):
         modmat.split_by_idempotent(M, E)
 
 
+def _unsplit_endomorphism(I):
+    """On I + R(-w) + R(-w), w = I.gens[0]: send the second summand onto
+    the first generator of I and fix the third.  Its rank on the
+    generators is 2, on the relations 1: on the relations the map onto I
+    lifts to the first column of I's psi, which has no unit entry."""
+    ring = I.ring
+    w = I.gens[0]
+    M = _direct_sum(I.mf, free_module(ring, (w, w)).mf).cok("sum")
+    ents = [[ring.zero_poly()] * 4 for _ in range(4)]
+    ents[0][2] = ents[3][3] = ring.one()
+    return M, GradedMatrix(ring, M.gens, M.gens, ents)
+
+
+def _radical(*rows):
+    rad = SparseRREF(QQ)
+    for row in rows:
+        rad.insert(row)
+    return rad
+
+
+# The 2-by-2 matrix units, kept row-major as TopAlgebra keeps them.
+_UNITS = [{c: 1} for c in range(4)]
+
+
+# Per input check and certificate of the matrix layer the library API
+# reaches and no config does: the call, the error class and its message.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ring, I: (GradedMatrix.identity(ring, (0,))
+                      + GradedMatrix.identity(ring, (1,))),
+     InputError, "degree vectors differ in matrix sum"),
+    (lambda ring, I: GradedMatrix.identity(ring, (0,)).mul(
+        GradedMatrix.identity(ring, (0, 0))),
+     InputError, "inner dimensions differ in matrix product"),
+    (lambda ring, I: block_matrix(ring, [[GradedMatrix.identity(ring, (0,))]],
+                                  rows=(0, 0), cols=(0,)),
+     InputError, "block grid does not match the degree vectors"),
+    (lambda ring, I: mf_from_ideal(HypersurfaceRing(QQ, 3, 4, 1,
+                                                    "1*x^0*y^0")),
+     InputError, "the ideal module (x^m, y^n) needs both m and n"),
+    (lambda ring, I: MatrixFactorization(I.mf.phi, I.mf.psi.scale(2)),
+     VerificationError, "phi psi is not g times the identity"),
+])
+def test_matfact_exits(cusp_ring, cusp_ideal, call, error, message):
+    with pytest.raises(error) as exc:
+        call(cusp_ring, cusp_ideal)
+    assert (exc.type, str(exc.value)) == (error, message)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda h, k: h.compose(k), "composition chain mismatch"),
+    (lambda h, k: h + k, "cannot add homs from different spaces"),
+])
+def test_hom_input_exits(cusp_ideal, call, message):
+    # the zero endomorphisms of I and of its syzygy
+    I = cusp_ideal
+    S = I.syz()
+    with pytest.raises(InputError) as exc:
+        call(hom_graded(I, I, 0).zero(), hom_graded(S, S, 0).zero())
+    assert (exc.type, str(exc.value)) == (InputError, message)
+
+
+# Per input check and certificate of modmat that no config reaches,
+# made to fire by a crafted input: the call, the error class and its
+# message.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ring, I: mf_complete(GradedMatrix.zero(ring, (0,), (0, 0))),
+     InputError, "only square matrices can be completed"),
+    # x does not divide g, so [[x]] completes to no factorization
+    (lambda ring, I: mf_complete(GradedMatrix(ring, (0,), (ring.q,),
+                                              [[ring.x_poly()]])),
+     CertificationError,
+     "presentation does not complete to a factorization of g"),
+    (lambda ring, I: modmat.split_by_idempotent(*_unsplit_endomorphism(I)),
+     CertificationError,
+     "idempotent has rank 2 on the generators, 1 on the relations"),
+    (lambda ring, I: modmat.split_by_idempotent(
+        I, GradedMatrix.identity(ring, I.gens)),
+     CertificationError, "idempotent does not split the generators"),
+    # Tr([[1]]^3) / 3 is 1/3, not an integer
+    (lambda ring, I: modmat._lifted_trace({0: 1}, 1, 1, 3),
+     CertificationError, "trace of an 3-th power is not divisible by 3"),
+    # E01 E10 = E00 leaves the span of E01
+    (lambda ring, I: modmat._certify_radical(_radical({1: 1}), _UNITS, 2, QQ),
+     CertificationError, "radical of the top algebra is not an ideal"),
+    (lambda ring, I: modmat._certify_radical(_radical({0: 1, 3: 1}),
+                                             [{0: 1, 3: 1}], 2, QQ),
+     CertificationError, "radical of the top algebra is not nilpotent"),
+    # 2 Id is no idempotent, and Newton's step does not make it one
+    (lambda ring, I: modmat._lift_idempotent(
+        GradedMatrix.identity(ring, (0,)), [QQ(2)]),
+     CertificationError, "idempotent lift did not converge"),
+])
+def test_modmat_exits(cusp_ring, cusp_ideal, call, error, message):
+    with pytest.raises(error) as exc:
+        call(cusp_ring, cusp_ideal)
+    assert (exc.type, str(exc.value)) == (error, message)
+
+
+def test_decompose_refuses_when_no_candidate_decides(monkeypatch,
+                                                     cusp_ideal):
+    monkeypatch.setattr(modmat, "_candidates", lambda top: iter(()))
+    with pytest.raises(InconclusiveSplitError) as exc:
+        decompose(cusp_ideal)
+    assert str(exc.value) == (
+        "could not split the module or certify it indecomposable")
+
+
 def test_free_modules_are_factorizations(cusp_ring):
     F = free_module(cusp_ring, (0, 3))
     assert mf_check(F.mf.phi, F.mf.psi) and not F.mf.is_reduced()

@@ -90,6 +90,44 @@ def test_orbit_collapse_rejects_weight_tears():
         orbit_collapse(q)
 
 
+def _quiver(*vertices, weight=None):
+    q = TranslationQuiver()
+    for v in vertices:
+        q.add_vertex(v, weight=weight)
+    return q
+
+
+def _torn():
+    # a, a2 and b, b2 are tau-orbits, and a -> b, a2 -> b2 carry
+    # different values
+    q = _quiver("a", "a2", "b", "b2")
+    q.set_tau("a2", "a")
+    q.set_tau("b2", "b")
+    q.add_arrow("a", "b", (1, 1))
+    q.add_arrow("a2", "b2", (1, 2))
+    return q
+
+
+# Per input check of the quiver builders: the call on the quiver a, b
+# and its message.
+@pytest.mark.parametrize("call, message", [
+    (lambda q: q.add_vertex("a"), "vertex 'a' already present"),
+    (lambda q: q.add_arrow("a", "z"), "arrow endpoints must be vertices"),
+    (lambda q: (q.add_arrow("a", "b"), q.add_arrow("a", "b")),
+     "multiple arrow 'a' -> 'b'"),
+    (lambda q: q.add_arrow("a", "b", (0, 1)), "arrow values must be positive"),
+    (lambda q: q.set_tau("a", "z"), "tau endpoints must be vertices"),
+    (lambda q: orbit_collapse(_torn()),
+     "projection tears a valued arrow at a -> b"),
+    (lambda q: check_subadditive(_quiver("a", weight=0)),
+     "subadditive functions must be positive"),
+])
+def test_quiver_input_exits(call, message):
+    with pytest.raises(InputError) as exc:
+        call(_quiver("a", "b"))
+    assert (exc.type, str(exc.value)) == (InputError, message)
+
+
 def test_dot_and_json_are_deterministic():
     win = ray_window(3, range(-2, 3))
     assert to_dot(win) == to_dot(ray_window(3, range(-2, 3)))

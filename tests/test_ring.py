@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcurves import (InputError, PrimeField, QQ, field_from_string,
-                      poly_from_string, random_ring, semigroup_member)
+from arcurves import (HypersurfaceRing, InputError, PrimeField, QQ,
+                      field_from_string, poly_from_string, random_ring,
+                      semigroup_member)
 from arcurves.ring import WPoly
 
 
@@ -157,6 +158,26 @@ def test_ring_constructor_rejects_noncoprime():
     f = poly_from_string(QQ, 6, 4, "1*x^0*y^0")
     with pytest.raises(InputError):
         HypersurfaceRing(QQ, p=4, q=6, b=QQ(1), f=f)
+
+
+_Y = WPoly.monomial(QQ, 4, 3, 0, 1)
+
+
+# Per input check the library API reaches and no config does: the call
+# and its message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: _Y.shift_monomial(-1, 0), "negative monomial shift"),
+    (lambda: _Y.div_exact_x(1), "not divisible by the requested power of x"),
+    (lambda: _Y.div_exact(WPoly.zero(QQ, 4, 3)), "division by zero polynomial"),
+    # f = y weighted (4, 1), not (q, p) = (4, 3): deg f = 1, not p v = 3
+    (lambda: HypersurfaceRing(QQ, p=3, q=4, b=QQ(1),
+                              f=WPoly(QQ, 4, 1, {(0, 1): 1})),
+     "deg f must equal p*v"),
+])
+def test_ring_input_exits(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (InputError, message)
 
 
 def test_window_parameter_bounds(cusp_ring):

@@ -19,6 +19,7 @@ from arcurves import (GradedHom, GradedMatrix, branch_images, end_generators,
                       trace_report)
 from arcurves import HypersurfaceRing, cli, traceoracle
 from arcurves.cli import _endo_corpus
+from arcurves.errors import CertificationError, InputError
 from arcurves.homs import HomSpace
 from arcurves.linalg import SparseRREF, solve_sparse_system
 from arcurves.matfact import GradedModule, _coefficient_matrix
@@ -507,3 +508,23 @@ def test_trace_sweep_makes_no_fraction(monkeypatch, capsys):
     assert code == 0, captured.err
     assert workloads.check(job, workloads.load_golden(), code,
                            captured.out, captured.err) == "pass"
+
+
+def test_trace_needs_an_endomorphism(cusp_ideal):
+    h = hom_graded(cusp_ideal, cusp_ideal.syz(), 0).zero()
+    with pytest.raises(InputError) as exc:
+        trace_images(h)
+    assert (exc.type, str(exc.value)) == (
+        InputError, "trace is defined for endomorphisms only")
+
+
+def test_trace_reconstruction_refuses_past_its_bound(monkeypatch,
+                                                     cusp_ideal):
+    # with no preimage in R for any power of x, the search for the
+    # denominator of a trace gives up at its bound
+    monkeypatch.setattr(traceoracle, "_ring_preimage", lambda *a: None)
+    h = hom_graded(cusp_ideal, cusp_ideal, 0).basis[0]
+    with pytest.raises(CertificationError) as exc:
+        trace_Q(h)
+    assert str(exc.value) == (
+        "trace fraction reconstruction exhausted the denominator bound")
