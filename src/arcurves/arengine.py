@@ -512,14 +512,13 @@ def e_avg(M: GradedModule) -> Fraction:
 def explore_component(M0: GradedModule, gd: GammaDatum, depth: int = 2) -> dict:
     """Breadth-first fragment of the stable component containing M0.
 
-    Each visited module is pushed; the middle decomposes into parts that
-    are matched against the table up to shift, arrows record summand
-    multiplicities as symmetric values, and the right-hand terms define
-    the translation.  The walk is its quiver: identify adds a vertex
-    when it first tables a module, and arrows, loops and tau go straight
-    into it.  Vertices whose sequences were not expanded are boundary.
-    The report carries the fragment, per-vertex weights, the middle part
-    counts, and the shape classification.
+    Each visited module is pushed; the right term and then the middle's
+    parts are matched against the known modules up to shift, and the
+    push leaves one record.  The quiver, its translation and its checks
+    are then read off the records in one pass.  Vertices whose sequences
+    were not expanded are boundary.  The report carries the fragment,
+    per-vertex weights, the middle part counts, and the shape
+    classification.
 
     The walk needs neither a reduced ring nor branches, so it runs when
     b = 0 too, where g = y^q f is not squarefree:
@@ -545,86 +544,85 @@ def explore_component(M0: GradedModule, gd: GammaDatum, depth: int = 2) -> dict:
     parts0, frees0 = decompose(M0)
     if frees0 or len(parts0) != 1:
         raise InputError("exploration starts at an indecomposable module")
-    table = []
-    q = TranslationQuiver()
+    modules = [M0]
 
     def identify(module):
-        for idx, entry in enumerate(table):
-            if iso_up_to_shift(module, entry["module"]) is not None:
+        for idx, known in enumerate(modules):
+            if iso_up_to_shift(module, known) is not None:
                 return idx
-        name = "V%d" % len(table)
-        table.append({"name": name, "module": module, "pushed": False})
-        q.add_vertex(name, label="%s %s" % (name, list(module.gens)),
-                     weight=e_avg(module))
-        return len(table) - 1
+        modules.append(module)
+        return len(modules) - 1
 
-    start = identify(M0)
-    frontier = [start]
-    middle_parts: dict = {}
-    middle_e: dict = {}
-    sequences = 0
-
+    # The breadth-first loop only pushes, splits and identifies, and
+    # keeps one record per pushed vertex: (e_avg of the middle term, the
+    # right term's vertex, {part vertex: multiplicity}, the number of
+    # free summands).  Once its parts are named, the middle term's hom
+    # layer is dropped: it refers back to the middle term, a cycle that
+    # would keep it alive until a full garbage collection.
+    records: dict = {}
+    frontier = [0]
     for _ in range(depth):
-        if not frontier:
-            break
-        nxt = []
-        for idx in frontier:
-            entry = table[idx]
-            if entry["pushed"]:
-                continue
-            entry["pushed"] = True
-            name = entry["name"]
-            seq = push(entry["module"], gd, summands=[entry["module"]])
-            sequences += 1
-            middle_e[name] = e_avg(seq.middle)
+        reached = set()
+        for v in frontier:
+            seq = push(modules[v], gd, summands=[modules[v]])
             parts, frees = decompose(seq.middle)
-            right_idx = identify(seq.right)
-            right = table[right_idx]["name"]
-            if not table[right_idx]["pushed"]:
-                nxt.append(right_idx)
-            if q.tau.setdefault(right, name) != name:
-                raise VerificationError("translation disagrees at %s" % right)
+            right = identify(seq.right)
             groups: dict = {}
             for part in parts:
                 pid = identify(part)
                 groups[pid] = groups.get(pid, 0) + 1
-                if not table[pid]["pushed"]:
-                    nxt.append(pid)
-            middle_parts[name] = sum(groups.values())
-            if frees:
-                middle_parts[name + ":free"] = len(frees)
-            for pid, count in groups.items():
-                mid = table[pid]["name"]
-                for (a, b) in ((name, mid), (mid, right)):
-                    prior = q.arrows.get((a, b))
-                    if prior is None:
-                        q.add_arrow(a, b, (count, count))
-                    elif prior != (count, count):
-                        raise VerificationError(
-                            "mesh multiplicities disagree on %s -> %s" % (a, b))
-        frontier = sorted(set(nxt))
+            seq.middle.clear_hom_layer()
+            records[v] = (e_avg(seq.middle), right, groups, len(frees))
+            reached.update(groups, (right,))
+        frontier = sorted(reached.difference(records))
 
+    # The quiver is read off the records, in push order: the right terms
+    # define the translation, and arrows carry summand multiplicities as
+    # symmetric values.
+    names = ["V%d" % v for v in range(len(modules))]
+    q = TranslationQuiver()
+    for name, module in zip(names, modules):
+        q.add_vertex(name, label="%s %s" % (name, list(module.gens)),
+                     weight=e_avg(module))
+    middle_parts: dict = {}
+    for v, (_, right, groups, frees) in records.items():
+        name, right = names[v], names[right]
+        if q.tau.setdefault(right, name) != name:
+            raise VerificationError("translation disagrees at %s" % right)
+        middle_parts[name] = sum(groups.values())
+        if frees:
+            middle_parts[name + ":free"] = frees
+        for pid, count in groups.items():
+            mid = names[pid]
+            for (a, b) in ((name, mid), (mid, right)):
+                prior = q.arrows.get((a, b))
+                if prior is None:
+                    q.add_arrow(a, b, (count, count))
+                elif prior != (count, count):
+                    raise VerificationError(
+                        "mesh multiplicities disagree on %s -> %s" % (a, b))
     # Omega^2 is a shift on a hypersurface and tau is Omega up to shift
     for v, u in q.tau.items():
         if q.tau.get(u, v) != v:
             raise VerificationError("tau^2 is not the identity at %s" % v)
     # a vertex is only fully meshed once pushed and reached as a right
     # term, so anything else stays boundary
-    q.boundary.update(e["name"] for e in table
-                      if not (e["pushed"] and e["name"] in q.tau))
+    q.boundary.update(name for v, name in enumerate(names)
+                      if not (v in records and name in q.tau))
     orbits = orbit_collapse(q)
     return {
         "quiver": q,
         "orbit_quiver": orbits,
-        "modules": [{"name": e["name"],
-                     "gens": list(e["module"].gens),
-                     "e_avg": str(q.weights[e["name"]]),
-                     "e_avg_middle": (str(middle_e[e["name"]])
-                                      if e["name"] in middle_e else None),
-                     "label": e["module"].label,
-                     "pushed": e["pushed"]} for e in table],
+        "modules": [{"name": names[v],
+                     "gens": list(module.gens),
+                     "e_avg": str(q.weights[names[v]]),
+                     "e_avg_middle": (str(records[v][0])
+                                      if v in records else None),
+                     "label": module.label,
+                     "pushed": v in records}
+                    for v, module in enumerate(modules)],
         "middle_parts": middle_parts,
-        "sequences": sequences,
+        "sequences": len(records),
         "classification": classify_fragment(q),
         "subadditive": check_subadditive(orbits),
     }

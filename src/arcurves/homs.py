@@ -20,10 +20,10 @@ from .ring import WPoly
 
 class GradedHom:
     """A homomorphism cok(A) -> cok(B) of fixed degree: its coordinates in
-    its hom space, and its matrix H, made from them when first read; sums
+    its hom space, and its matrix H, made from them on every read; sums
     and products of homs are homs, so arithmetic stays on coordinates."""
 
-    __slots__ = ("space", "source", "target", "degree", "coords", "_H",
+    __slots__ = ("space", "source", "target", "degree", "coords",
                  "_branch_coeffs")
 
     def __init__(self, space, coords):
@@ -31,14 +31,11 @@ class GradedHom:
         self.source, self.target = space.source, space.target
         self.degree = space.degree
         self.coords = coords
-        self._H = None
         self._branch_coeffs = {}
 
     @property
     def H(self) -> GradedMatrix:
-        if self._H is None:
-            self._H = self.space._matrix(self.coords)
-        return self._H
+        return self.space._matrix(self.coords)
 
     def _coefficients(self, branch):
         """C_b(H), the constant matrix of branch leading coefficients,

@@ -1,6 +1,8 @@
 """Sequence construction: gamma data, pushes, transports, reports."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -544,6 +546,32 @@ def test_explore_certifies_the_translation(monkeypatch, two_branch_ideal,
     with pytest.raises(VerificationError,
                        match="^translation disagrees at V1$"):
         explore_component(two_branch_ideal, two_branch_datum, depth=2)
+
+
+def test_explore_frees_each_middle_term(monkeypatch, two_branch_ideal,
+                                        two_branch_datum):
+    # With the cycle collector off, only reference counting frees memory:
+    # once its parts are named, nothing holds a pushed middle term, not
+    # even the End_0 space that decompose cached on it.
+    middles = []
+    real = arengine.push
+
+    def spy(M, gd, summands=None):
+        seq = real(M, gd, summands)
+        middles.append(weakref.ref(seq.middle))
+        return seq
+
+    monkeypatch.setattr(arengine, "push", spy)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep = explore_component(two_branch_ideal, two_branch_datum, depth=3)
+        alive = [ref() is not None for ref in middles]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(alive) == rep["sequences"] == 5
+    assert not any(alive)
 
 
 def test_explore_finds_the_tube(two_branch_ideal, two_branch_datum):

@@ -3,12 +3,14 @@
 import gc
 import hashlib
 import json
+import random
 import weakref
 from pathlib import Path
 
 import pytest
 
-from arcurves import cli, end_generators, explore_component, gamma_for
+from arcurves import (cli, end_generators, explore_component, gamma_for,
+                      random_ring)
 from arcurves.errors import (CertificationError, InconclusiveSplitError,
                              InputError, NotSquarefreeError,
                              VerificationError)
@@ -518,6 +520,30 @@ def test_two_branch_walks_over_small_fields_report_as_over_f101(cfg, capsys):
         "error": "input",
         "message": "a summand has branch rank 5, zero in the coefficient "
                    "field"}
+
+
+# A walk report holds no coefficient and no presentation, so over a
+# prime that divides no denominator and no branch rank the walk meets it
+# is the report over Q, bar the config digest.  random_ring's draws do
+# not depend on its field, so each ring is written out as (p, q, b, f,
+# m, n) and only the field line changes.  No seed here meets the rank
+# contract over F7 or F5 at depth 4; the two-branch walk over F5 at
+# depth 5 does, and test_two_branch_walks_over_small_fields_... pins its
+# exit 2.
+@pytest.mark.parametrize("seed", range(40))
+def test_walk_reports_do_not_depend_on_the_field(seed, cfg, capsys):
+    ring = random_ring(random.Random(seed))
+    text = "p = %d\nq = %d\nb = %s\nf = %s\nm = %d\nn = %d\n" % (
+        ring.p, ring.q, ring.b, ring.f.to_string(), ring.m, ring.n)
+    docs = {}
+    for field in ("Q", "F1000000007") + (("F7", "F5") if seed < 10 else ()):
+        code, out, err = _run(capsys, ["explore", cfg(f"field = {field}\n"
+                                                      + text), "--depth", "4"])
+        assert (code, err) == (0, ""), field
+        docs[field] = json.loads(out)
+        del docs[field]["config_sha256"]
+    for field, doc in docs.items():
+        assert doc == docs["Q"], field
 
 
 def test_explore_reports_classification(cfg, capsys):
